@@ -19,7 +19,7 @@ from .errors import RangeError, TreeError
 from .extremal import is_caterpillar, is_complete
 from .generators import TreeFamily, generate
 from .newick_io import parse_newick, serialize_newick
-from .rearrange import OpKind, apply_op, enumerate_ops, neighbourhood
+from .rearrange import OpKind, apply_op, enumerate_ops, op_survey
 from .tree_core import PhyloTree
 from .verify import SUITES, extremal_suite, formulas_suite
 
@@ -43,7 +43,11 @@ def _report(command: str, inputs: dict, results, seed: int | None = None) -> dic
 
 
 def _read_trees(source: str) -> list[tuple[PhyloTree, tuple[str, ...]]]:
-    text = sys.stdin.read() if source == "-" else open(source, encoding="utf-8").read()
+    if source == "-":
+        text = sys.stdin.read()
+    else:
+        with open(source, encoding="utf-8") as handle:
+            text = handle.read()
     docs = []
     for line in text.splitlines():
         line = line.strip()
@@ -112,8 +116,7 @@ def cmd_neighbourhood(args: argparse.Namespace) -> int:
         _emit(_report("neighbourhood", inputs, results), stream=sys.stderr)
         return 0
 
-    forms, report = neighbourhood(tree, kind)
-    results = report.to_json()
+    results = op_survey(tree, (kind,))[kind].report.to_json()
     if not args.multiplicities:
         results.pop("multiplicity_histogram")
     if args.emit_ops:

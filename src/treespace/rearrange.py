@@ -20,6 +20,18 @@ partial split per component (the bipartition its reconnection edge induces
 inside the component), which makes operations serializable and independent
 of internal vertex ids.
 
+Counting a neighbourhood keys each operation's output tree by a hash: the sum
+modulo 2^64 of a fixed 64-bit mix of each of its 2n-3 split masks, the
+bipartition hashing of HashRF (Sul & Williams, 2008) and of Amenta, Clarke &
+St. John's majority tree (2003).  Reconnecting a component at edge r flips
+exactly the component edges that contain r, so the hash of its contributed
+splits, for every r at once, is a base sum plus a prefix sum down one rooted
+walk of the component.  After that O(n^2) preparation per tree, an operation
+costs O(1).  The count stays exact: equal trees always share a hash, so a
+hash group with one member is one distinct output tree, and the members of
+every larger group (the four operations behind each NNI neighbour, plus any
+true collision) are re-keyed by their sorted split masks and split.
+
 Enumeration is the brute-force oracle used to verify every closed-form count
 in :mod:`treespace.metrics`, so it never consults those formulas.
 """
@@ -29,7 +41,8 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property, lru_cache
+from typing import Callable, Iterator
 
 from .errors import InvalidOp, TreeError
 from .tree_core import CanonicalForm, Edge, PhyloTree, require_leaves
@@ -43,8 +56,16 @@ class OpKind(enum.Enum):
     TBR = "tbr"
 
     def includes(self, other: "OpKind") -> bool:
-        order = {OpKind.NNI: 0, OpKind.SPR: 1, OpKind.TBR: 2}
-        return order[self] >= order[other]
+        return other in _WITHIN[self]
+
+
+# The kinds each kind includes.  Tuples, not sets: membership then compares
+# by identity instead of calling Enum.__hash__ once per operation.
+_WITHIN = {
+    OpKind.NNI: (OpKind.NNI,),
+    OpKind.SPR: (OpKind.NNI, OpKind.SPR),
+    OpKind.TBR: (OpKind.NNI, OpKind.SPR, OpKind.TBR),
+}
 
 
 @dataclass(frozen=True, order=True)
@@ -108,24 +129,48 @@ class NeighbourhoodReport:
         }
 
 
+# -- split hashing ----------------------------------------------------------
+
+_M64 = (1 << 64) - 1
+
+#: Width in bits of the output-tree hash keys.  Only tests narrow it, to force
+#: collisions through the exact re-check.
+_HASH_BITS = 64
+
+
+@lru_cache(maxsize=1 << 16)  # each mask recurs in several components of one tree
+def _mix(mask: int) -> int:
+    """Fixed 64-bit hash of a normalized split mask (the splitmix64 finaliser)."""
+    z = (mask + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
 # -- bisection components ---------------------------------------------------
 
 
 @dataclass
 class _Side:
-    """One component of a bisected tree, with its reconnection bookkeeping."""
+    """One component of a bisected tree, with its reconnection bookkeeping.
+
+    ``above`` maps each ref to the ref of the next edge towards the
+    component's smallest leaf (None for the edge at that leaf), in the order
+    of a walk from there: every ref comes after the ref above it.
+    """
 
     mask: int
     single: int | None = None  # leaf vertex id when the component is one leaf
     adj: dict[int, tuple[int, ...]] | None = None
     scar_edge: Edge | None = None
-    scar_ref: int | None = None
+    scar_ref: int | None = None  # None for a single leaf, whose only choice is its scar
     refs: tuple[int, ...] = ()
     edge_of_ref: dict[int, Edge] | None = None
     near_scar: frozenset[int] = frozenset()
+    above: dict[int, int | None] | None = None
 
     def is_scar(self, ref: int | None) -> bool:
-        return True if self.single is not None else ref == self.scar_ref
+        return ref == self.scar_ref
 
     def ref_choices(self) -> tuple[int | None, ...]:
         return (None,) if self.single is not None else self.refs
@@ -191,7 +236,34 @@ def _make_side(tree: PhyloTree, mask: int, inside: int, outside: int) -> _Side:
         refs=tuple(sorted(ref_of_edge.values())),
         edge_of_ref=edge_of_ref,
         near_scar=near,
+        above={below[v]: below.get(parent[v]) for v in order},
     )
+
+
+def _side_hashes(side: _Side, full: int) -> dict[int | None, int]:
+    """Per reconnection ref, the hash sum modulo 2^64 of the output splits the
+    component contributes there (see :func:`_contributions`).
+
+    Reconnecting at ref r contributes h(r) + h(mask ^ r), flips every ref g
+    above r from h(g) to h(mask ^ g) and keeps the rest, so
+    H[r] = sum_g h(g) + h(mask ^ r) + D[r], where D[r] sums the flips
+    h(mask ^ g) - h(g) over the refs g above r: a prefix sum down the walk.
+    """
+    if side.single is not None:
+        return {None: 0}
+    mask = side.mask
+    total = 0
+    flips: dict[int | None, int] = {None: 0}  # per ref: D of the refs just below it
+    partial: dict[int, int] = {}
+    for r, up in side.above.items():
+        c = mask ^ r
+        h_r = _mix(r ^ full if r & 1 else r)
+        h_c = _mix(c ^ full if c & 1 else c)
+        d = flips[up]
+        flips[r] = d + h_c - h_r
+        partial[r] = h_c + d
+        total += h_r
+    return {r: (total + p) & _M64 for r, p in partial.items()}
 
 
 def _bisect(tree: PhyloTree, bisect_mask: int) -> tuple[_Side, _Side]:
@@ -206,44 +278,32 @@ def _bisect(tree: PhyloTree, bisect_mask: int) -> tuple[_Side, _Side]:
     return side_a, side_b
 
 
-def _pair_kind(side_a: _Side, ra: int | None, side_b: _Side, rb: int | None) -> OpKind:
-    scar_a = side_a.is_scar(ra)
-    scar_b = side_b.is_scar(rb)
-    if scar_a and scar_b:
-        raise InvalidOp("reconnecting both components at their scars reproduces the tree")
-    if scar_a:
-        return OpKind.NNI if rb in side_b.near_scar else OpKind.SPR
-    if scar_b:
-        return OpKind.NNI if ra in side_a.near_scar else OpKind.SPR
-    return OpKind.TBR
+_Op = tuple[int, "int | None", "int | None", OpKind]
 
 
-def _pairs(side_a: _Side, side_b: _Side, kind: OpKind) -> Iterator[tuple[int | None, int | None]]:
-    """Reconnection pairs of the requested kind, in lexicographic ref order."""
-    refs_a = side_a.ref_choices()
+def _reconnections(mask: int, side_a: _Side, side_b: _Side) -> Iterator[_Op]:
+    """Every operation on one bisection as (mask, ref a, ref b, kind).
+
+    Pairs come in lexicographic ref order, without the scar-scar pair, each
+    with its most specific kind.  This is the one place the classification
+    rule of the module docstring is applied.
+    """
+    NNI, SPR, TBR = OpKind.NNI, OpKind.SPR, OpKind.TBR
+    scar_a, near_a = side_a.scar_ref, side_a.near_scar
+    scar_b, near_b = side_b.scar_ref, side_b.near_scar
     refs_b = side_b.ref_choices()
-    if kind is OpKind.TBR:
-        for ra in refs_a:
-            scar_a = side_a.is_scar(ra)
-            for rb in refs_b:
-                if scar_a and side_b.is_scar(rb):
+    for ra in side_a.ref_choices():
+        at_scar_a = ra == scar_a
+        for rb in refs_b:
+            if rb == scar_b:
+                if at_scar_a:
                     continue
-                yield ra, rb
-        return
-    if kind is OpKind.SPR:
-        wanted = lambda ra, rb: True
-    else:
-        wanted = lambda ra, rb: _pair_kind(side_a, ra, side_b, rb) is OpKind.NNI
-    out = []
-    for ra in refs_a:
-        if side_a.is_scar(ra):
-            out.extend((ra, rb) for rb in refs_b if not side_b.is_scar(rb) and wanted(ra, rb))
-        else:
-            for rb in refs_b:
-                if side_b.is_scar(rb) and wanted(ra, rb):
-                    out.append((ra, rb))
-    key = lambda pair: tuple(-1 if r is None else r for r in pair)
-    yield from sorted(out, key=key)
+                kind = NNI if ra in near_a else SPR
+            elif at_scar_a:
+                kind = NNI if rb in near_b else SPR
+            else:
+                kind = TBR
+            yield mask, ra, rb, kind
 
 
 # -- public operations --------------------------------------------------------
@@ -258,11 +318,12 @@ def enumerate_ops(tree: PhyloTree, kind: OpKind = OpKind.TBR) -> list[Rearrangem
     one being the scar-scar pair that would rebuild the input tree.
     """
     require_leaves(tree)
+    within = _WITHIN[kind]
     ops = []
     for mask in tree.split_masks:
-        side_a, side_b = _bisect(tree, mask)
-        for ra, rb in _pairs(side_a, side_b, kind):
-            ops.append(RearrangementOp(mask, ra, rb))
+        for _, ra, rb, op_kind in _reconnections(mask, *_bisect(tree, mask)):
+            if op_kind in within:
+                ops.append(RearrangementOp(mask, ra, rb))
     return ops
 
 
@@ -282,7 +343,9 @@ def _validated_sides(tree: PhyloTree, op: RearrangementOp) -> tuple[_Side, _Side
 def classify_op(tree: PhyloTree, op: RearrangementOp) -> OpKind:
     """Most specific class of the op: NNI before SPR before TBR."""
     side_a, side_b = _validated_sides(tree, op)
-    return _pair_kind(side_a, op.reconnect_a, side_b, op.reconnect_b)
+    pair = (op.reconnect_a, op.reconnect_b)
+    reconnections = _reconnections(op.bisect_mask, side_a, side_b)
+    return next(kind for _, ra, rb, kind in reconnections if (ra, rb) == pair)
 
 
 def apply_op(tree: PhyloTree, op: RearrangementOp) -> PhyloTree:
@@ -325,95 +388,64 @@ def apply_op(tree: PhyloTree, op: RearrangementOp) -> PhyloTree:
 # -- fast canonical assembly ---------------------------------------------------
 
 
-def _contributions(side: _Side) -> dict[int | None, tuple[int, ...]]:
-    """Output-split masks this component contributes, per reconnection choice.
+def _contributions(side: _Side, ref: int | None) -> list[int]:
+    """Output-split masks this component contributes when reconnected at ``ref``.
 
-    After reconnection at edge r, every other component edge g separates the
-    same leaves as before on the side away from the attachment point; the
-    subdivided edge r contributes both of its sides.  Masks are plain subsets
-    of the component's leaf set, normalized later against the full leaf set.
+    Every other component edge g separates the same leaves as before on the
+    side away from the attachment point, so g flips to its complement within
+    the component exactly when it contains ``ref``; the subdivided edge
+    contributes both of its sides.  Masks are plain subsets of the
+    component's leaf set, normalized later against the full leaf set.
     """
     if side.single is not None:
-        return {None: ()}
+        return []
     mask = side.mask
-    refs = side.refs
-    out: dict[int | None, tuple[int, ...]] = {}
-    for r in refs:
-        parts = [r, mask ^ r]
-        for g in refs:
-            if g != r:
-                parts.append(mask ^ g if (r & g) == r else g)
-        out[r] = tuple(parts)
-    return out
+    parts = [mask ^ g if (ref & g) == ref else g for g in side.refs if g != ref]
+    parts += (ref, mask ^ ref)
+    return parts
 
 
-def _survey_counters(tree: PhyloTree, kinds: tuple[OpKind, ...]) -> dict[OpKind, Counter]:
-    """One pass over all TBR reconnection pairs, tallying canonical outputs.
-
-    Output splits are recombined directly from the component partial splits,
-    which is an independent route from apply_op's graph surgery (the two are
-    cross-checked in the test suite).
-    """
-    require_leaves(tree)
-    full = tree.full_mask
-    counters: dict[OpKind, Counter] = {kind: Counter() for kind in kinds}
-    want_tbr = OpKind.TBR in counters
-    want_spr = OpKind.SPR in counters
-    want_nni = OpKind.NNI in counters
-
-    for mask in tree.split_masks:
-        side_a, side_b = _bisect(tree, mask)
-        contrib_a = _contributions(side_a)
-        contrib_b = _contributions(side_b)
-        for ra, parts_a in contrib_a.items():
-            scar_a = side_a.is_scar(ra)
-            norm_a = [p if not p & 1 else p ^ full for p in parts_a]
-            for rb, parts_b in contrib_b.items():
-                scar_b = side_b.is_scar(rb)
-                if scar_a and scar_b:
-                    continue
-                if scar_a:
-                    kind = OpKind.NNI if rb in side_b.near_scar else OpKind.SPR
-                elif scar_b:
-                    kind = OpKind.NNI if ra in side_a.near_scar else OpKind.SPR
-                else:
-                    kind = OpKind.TBR
-                if kind is OpKind.TBR and not want_tbr:
-                    continue
-                key = [mask]
-                key.extend(norm_a)
-                key.extend(p if not p & 1 else p ^ full for p in parts_b)
-                key = tuple(sorted(key))
-                if want_tbr:
-                    counters[OpKind.TBR][key] += 1
-                if kind is not OpKind.TBR:
-                    if want_spr:
-                        counters[OpKind.SPR][key] += 1
-                    if want_nni and kind is OpKind.NNI:
-                        counters[OpKind.NNI][key] += 1
-    return counters
+def _output_key(full: int, op: _Op, side_a: _Side, side_b: _Side) -> tuple[int, ...]:
+    """Exact key of one operation's output tree: its sorted normalized split masks."""
+    mask, ra, rb, _ = op
+    key = [p ^ full if p & 1 else p for p in _contributions(side_a, ra) + _contributions(side_b, rb)]
+    key.append(mask)
+    key.sort()
+    return tuple(key)
 
 
-@dataclass(frozen=True)
 class SurveyEntry:
-    """Survey output for one operation kind."""
+    """Survey output for one operation kind.
 
-    forms: frozenset[CanonicalForm]
-    multiplicities: dict[CanonicalForm, int]
-    report: NeighbourhoodReport
+    ``report`` comes from the hash count.  ``multiplicities`` (output tree to
+    the number of operations producing it) and ``forms`` are exact as well,
+    but built on first access, from one representative operation per output.
+    """
 
+    def __init__(
+        self,
+        report: NeighbourhoodReport,
+        names: tuple[str, ...],
+        singles: list[_Op],
+        repeated: Counter,
+        output_key: Callable[[_Op], tuple[int, ...]],
+    ):
+        self.report = report
+        self._names = names
+        self._singles = singles
+        self._repeated = repeated
+        self._output_key = output_key
 
-def _entry_from_counter(tree: PhyloTree, kind: OpKind, counter: Counter) -> SurveyEntry:
-    names = tree.leaf_order
-    multiplicities = {CanonicalForm(masks, names): c for masks, c in counter.items()}
-    report = NeighbourhoodReport(
-        n=tree.n,
-        kind=kind,
-        op_count=sum(counter.values()),
-        neighbourhood_size=len(counter),
-        multiplicity_histogram=dict(Counter(counter.values())),
-    )
-    return SurveyEntry(frozenset(multiplicities), multiplicities, report)
+    @cached_property
+    def multiplicities(self) -> dict[CanonicalForm, int]:
+        names = self._names
+        out = {CanonicalForm(self._output_key(op), names): 1 for op in self._singles}
+        out.update((CanonicalForm(key, names), c) for key, c in self._repeated.items())
+        return out
+
+    @cached_property
+    def forms(self) -> frozenset[CanonicalForm]:
+        return frozenset(self.multiplicities)
 
 
 def neighbourhood(tree: PhyloTree, kind: OpKind = OpKind.TBR) -> tuple[frozenset[CanonicalForm], NeighbourhoodReport]:
@@ -426,6 +458,54 @@ def op_survey(
     tree: PhyloTree,
     kinds: tuple[OpKind, ...] = (OpKind.NNI, OpKind.SPR, OpKind.TBR),
 ) -> dict[OpKind, SurveyEntry]:
-    """Neighbourhoods and counts for the requested kinds in one enumeration pass."""
-    counters = _survey_counters(tree, kinds)
-    return {kind: _entry_from_counter(tree, kind, counters[kind]) for kind in counters}
+    """Neighbourhoods and counts for the requested kinds in one enumeration pass.
+
+    Output splits are recombined directly from the component partial splits,
+    which is an independent route from apply_op's graph surgery (the two are
+    cross-checked in the test suite).  Outputs are grouped by hash and the
+    groups of two or more operations are split by exact key (see the module
+    docstring).
+    """
+    require_leaves(tree)
+    full = tree.full_mask
+    width = (1 << _HASH_BITS) - 1
+    wanted = max((_WITHIN[kind] for kind in kinds), key=len, default=())
+
+    sides: dict[int, tuple[_Side, _Side]] = {}
+    first: dict[int, _Op] = {}  # hash key -> first operation seen with it
+    repeats: list[tuple[int, _Op]] = []
+    for mask in tree.split_masks:
+        side_a, side_b = sides[mask] = _bisect(tree, mask)
+        hash_a, hash_b, hash_mask = _side_hashes(side_a, full), _side_hashes(side_b, full), _mix(mask)
+        for op in _reconnections(mask, side_a, side_b):
+            if op[3] in wanted:
+                key = (hash_mask + hash_a[op[1]] + hash_b[op[2]]) & width
+                if first.setdefault(key, op) is not op:
+                    repeats.append((key, op))
+
+    def output_key(op: _Op) -> tuple[int, ...]:
+        return _output_key(full, op, *sides[op[0]])
+
+    groups: dict[int, list[_Op]] = {}
+    for key, op in repeats:
+        groups.setdefault(key, [first[key]]).append(op)
+    rechecked = [(output_key(op), op[3]) for members in groups.values() for op in members]
+    singles = [op for key, op in first.items() if key not in groups]
+
+    entries = {}
+    for kind in kinds:
+        within = _WITHIN[kind]
+        kind_singles = [op for op in singles if op[3] in within]
+        repeated = Counter(key for key, op_kind in rechecked if op_kind in within)
+        histogram = Counter(repeated.values())
+        if kind_singles:
+            histogram[1] += len(kind_singles)
+        report = NeighbourhoodReport(
+            n=tree.n,
+            kind=kind,
+            op_count=len(kind_singles) + sum(repeated.values()),
+            neighbourhood_size=len(kind_singles) + len(repeated),
+            multiplicity_histogram=dict(histogram),
+        )
+        entries[kind] = SurveyEntry(report, tree.leaf_order, kind_singles, repeated, output_key)
+    return entries

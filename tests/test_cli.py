@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from treespace import rearrange
 from treespace.cli import main
 
 
@@ -88,6 +89,14 @@ class TestNeighbourhood:
         results = run_json(capsys, "neighbourhood", cat6_file, "--op", "nni", "--multiplicities")["results"]
         assert results["neighbourhood_size"] == 6
         assert results["multiplicity_histogram"] == {"4": 6}
+
+    def test_count_path_builds_no_forms(self, capsys, cat6_file, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the count path built a canonical form")
+
+        monkeypatch.setattr(rearrange, "CanonicalForm", refuse)
+        results = run_json(capsys, "neighbourhood", cat6_file, "--op", "tbr", "--multiplicities")["results"]
+        assert results["multiplicity_histogram"] == {"1": 28, "4": 6}
 
     def test_emit_trees(self, capsys, quartet_file):
         code, out, err = run(capsys, "neighbourhood", quartet_file, "--op", "tbr", "--emit-trees")

@@ -5,6 +5,8 @@ definitional criteria (restriction equality for SPR, subtree swap for NNI)
 implemented independently in conftest.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 from conftest import nni_definitional, restriction_preserved, spr_definitional
 
 from treespace import (
+    CanonicalForm,
     InvalidOp,
+    NeighbourhoodReport,
     OpKind,
     RearrangementOp,
     TooFewLeaves,
@@ -20,16 +24,19 @@ from treespace import (
     apply_op,
     caterpillar,
     classify_op,
+    complete,
     enumerate_ops,
     neighbourhood,
     nni_size,
     parse_newick,
     random_tree,
     spr_op_count,
+    spr_size,
     tbr_op_count,
     tbr_size,
 )
-from treespace.rearrange import _bisect, op_survey
+from treespace import rearrange
+from treespace.rearrange import _bisect, _output_key, _reconnections, op_survey
 
 
 def leaf_mask(tree, *names):
@@ -250,3 +257,67 @@ class TestCountFormulas:
         t = random_tree(n, seed)
         _, report = neighbourhood(t, OpKind.TBR)
         assert report.neighbourhood_size == tbr_size(t)
+
+
+def exact_multiplicities(tree):
+    """Per kind, output multiplicities keyed by every operation's sorted split masks."""
+    counts = {kind: Counter() for kind in OpKind}
+    tallies = {op_kind: [c for kind, c in counts.items() if kind.includes(op_kind)] for op_kind in OpKind}
+    for mask in tree.split_masks:
+        side_a, side_b = _bisect(tree, mask)
+        for op in _reconnections(mask, side_a, side_b):
+            key = _output_key(tree.full_mask, op, side_a, side_b)
+            for counter in tallies[op[3]]:
+                counter[key] += 1
+    return {
+        kind: {CanonicalForm(key, tree.leaf_order): c for key, c in counter.items()}
+        for kind, counter in counts.items()
+    }
+
+
+class TestHashSurvey:
+    def test_forced_collisions_are_split_exactly(self, monkeypatch):
+        """With 8-bit hash keys most groups merge distinct trees; the exact
+        re-check must still give the sorted-key route's counts and forms."""
+        monkeypatch.setattr(rearrange, "_HASH_BITS", 8)
+        trees = [t for n in (4, 5, 6, 7) for t in all_trees(n)]
+        large = [random_tree(16, 3), random_tree(24, 4)]
+        for tree in trees + large:
+            exact = exact_multiplicities(tree)
+            for kind, entry in op_survey(tree).items():
+                want = exact[kind]
+                assert entry.multiplicities == want
+                assert entry.forms == frozenset(want)
+                assert entry.report == NeighbourhoodReport(
+                    n=tree.n,
+                    kind=kind,
+                    op_count=sum(want.values()),
+                    neighbourhood_size=len(want),
+                    multiplicity_histogram=dict(Counter(want.values())),
+                )
+        for tree in large:
+            # More TBR neighbours than 8-bit keys: by pigeonhole some hash
+            # group held distinct trees, and the re-check split it.
+            assert tbr_size(tree) > 1 << 8
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            random_tree(16, 1),
+            random_tree(32, 2),
+            random_tree(48, 3),
+            random_tree(64, 4),
+            caterpillar(64),
+            complete(64),
+        ],
+        ids=["random16", "random32", "random48", "random64", "caterpillar64", "complete64"],
+    )
+    def test_large_trees_match_closed_forms(self, tree):
+        n = tree.n
+        survey = op_survey(tree)
+        tbr = survey[OpKind.TBR].report
+        size = tbr_size(tree)
+        assert (tbr.neighbourhood_size, tbr.op_count) == (size, tbr_op_count(tree))
+        assert tbr.multiplicity_histogram == {1: size - (2 * n - 6), 4: 2 * n - 6}
+        assert survey[OpKind.SPR].report.neighbourhood_size == spr_size(n)
+        assert survey[OpKind.NNI].report.neighbourhood_size == nni_size(n)

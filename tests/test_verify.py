@@ -23,6 +23,9 @@ def test_formulas_suite_samples():
     result = formulas_suite(n_max=4, samples=2, seed=1)
     assert result.passed
     assert result.details["trees"]["sampled_n8"] == 2
+    # Five checks per tree, the TBR size and op count included: 3 trees of
+    # T_4 plus 2 samples for each of the 5 sampled n.
+    assert result.checks == 5 * (3 + 2 * 5)
 
 
 def test_redundancy_suite_small():

@@ -18,10 +18,10 @@ from . import __version__, metrics
 from .errors import RangeError, TreeError
 from .extremal import is_caterpillar, is_complete
 from .generators import TreeFamily, generate
-from .newick_io import parse_newick, serialize_newick
-from .rearrange import OpKind, apply_op, enumerate_ops, op_survey
+from .newick_io import newick_from_splits, parse_newick, serialize_newick
+from .rearrange import OpKind, enumerate_ops, op_survey
 from .tree_core import PhyloTree
-from .verify import SUITES, extremal_suite, formulas_suite
+from .verify import SUITES
 
 TABLE_N_CAP = 1 << 20
 
@@ -44,10 +44,14 @@ def _report(command: str, inputs: dict, results, seed: int | None = None) -> dic
 
 def _read_trees(source: str) -> list[tuple[PhyloTree, tuple[str, ...]]]:
     if source == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(source, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(source, "rb") as handle:
+            data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TreeError(f"input is not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}") from None
     docs = []
     for line in text.splitlines():
         line = line.strip()
@@ -89,39 +93,21 @@ def cmd_neighbourhood(args: argparse.Namespace) -> int:
     tree, _ = docs[0]
     kind = OpKind(args.op)
     inputs = {"source": args.input, "op": kind.value, "newick": serialize_newick(tree)}
-
-    if args.emit_trees:
-        from collections import Counter
-
-        seen: dict = {}
-        counts: Counter = Counter()
-        ops = enumerate_ops(tree, kind)
-        for op in ops:
-            result = apply_op(tree, op)
-            form = result.canonical_form()
-            counts[form] += 1
-            seen.setdefault(form, serialize_newick(result))
-        results = {
-            "n": tree.n,
-            "op_count": len(ops),
-            "neighbourhood_size": len(seen),
-        }
-        if args.multiplicities:
-            hist = Counter(counts.values())
-            results["multiplicity_histogram"] = {str(m): c for m, c in sorted(hist.items())}
-        if args.emit_ops:
-            results["ops"] = [op.to_json() for op in ops]
-        for newick in sorted(seen.values()):
-            print(newick)
-        _emit(_report("neighbourhood", inputs, results), stream=sys.stderr)
-        return 0
-
-    results = op_survey(tree, (kind,))[kind].report.to_json()
+    entry = op_survey(tree, (kind,))[kind]
+    results = entry.report.to_json()
     if not args.multiplicities:
         results.pop("multiplicity_histogram")
     if args.emit_ops:
         results["ops"] = [op.to_json() for op in enumerate_ops(tree, kind)]
-    _emit(_report("neighbourhood", inputs, results))
+    if not args.emit_trees:
+        _emit(_report("neighbourhood", inputs, results))
+        return 0
+    # With --emit-trees the report omits the kind; the op input already names it.
+    del results["kind"]
+    names = tree.leaf_order
+    for newick in sorted(newick_from_splits(key, names) for key in entry.output_keys()):
+        print(newick)
+    _emit(_report("neighbourhood", inputs, results), stream=sys.stderr)
     return 0
 
 
@@ -133,14 +119,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     suite = args.suite
+    options = {} if args.n_max is None else {"n_max": args.n_max}
     if suite == "formulas":
-        result = formulas_suite(n_max=args.n_max or 7, samples=args.samples, seed=args.seed or 0)
-    elif suite == "redundancy":
-        result = SUITES[suite](n_max=args.n_max or 7)
+        options.update(samples=args.samples, seed=args.seed or 0)
     elif suite == "extremal":
-        result = extremal_suite(n_max=args.n_max or 8, threads=args.threads)
-    else:
-        result = SUITES[suite]()
+        options["threads"] = args.threads
+    elif suite == "asymptotic" and options:
+        raise RangeError("the asymptotic suite takes no n_max")
+    result = SUITES[suite](**options)
     inputs = {
         "suite": suite,
         "n_max": args.n_max,
@@ -236,7 +222,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped early, as `| head` does: nothing to report.
+        # Further writes, including the flush at exit, go to /dev/null.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (TreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

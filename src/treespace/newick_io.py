@@ -10,6 +10,7 @@ meaning for a purely topological tree and are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from .errors import DegreeViolation, DuplicateLabel, EmptyLabel, NewickSyntaxError, TooFewLeaves
 from .tree_core import PhyloTree
@@ -220,38 +221,38 @@ def parse_newick(text: str) -> NewickDoc:
 
 
 def _quote(name: str) -> str:
-    if any(ch in _QUOTE_TRIGGERS for ch in name):
-        return "'" + name.replace("'", "''") + "'"
-    return name
+    if _QUOTE_TRIGGERS.isdisjoint(name):
+        return name
+    return "'" + name.replace("'", "''") + "'"
+
+
+def newick_from_splits(masks: Iterable[int], names: Sequence[str]) -> str:
+    """Deterministic Newick text of the tree with these splits, for n >= 3.
+
+    ``masks`` are the normalized masks (bit 0 never set) of all 2n-3 splits
+    of one binary tree on the leaves ``names`` (index order).  Rooted at leaf
+    0, each mask is the cluster below one edge.  The text is rooted at the
+    internal vertex adjacent to leaf 0 and children are ordered by their
+    smallest leaf index, so isomorphic labelled trees give identical text.
+
+    Clusters are built smallest first.  Clusters sharing a lowest leaf are
+    nested, so the largest one built so far with cluster m's lowest leaf is
+    m's first child, and the rest of m is its second child.
+    """
+    n = len(names)
+    if n < 3:
+        raise TooFewLeaves(f"serialization needs n >= 3, got n = {n}")
+    text = {1 << i: _quote(name) for i, name in enumerate(names)}
+    top = {}  # lowest leaf bit -> largest cluster built so far with that lowest leaf
+    for m in sorted(masks, key=int.bit_count):
+        if m & (m - 1):
+            low = m & -m
+            first = top.get(low, low)
+            text[m] = "(" + text[first] + "," + text[m ^ first] + ")"
+            top[low] = m
+    return "(" + text[1] + "," + text[((1 << n) - 1) ^ 1][1:-1] + ");"
 
 
 def serialize_newick(tree: PhyloTree) -> str:
-    """Deterministic Newick text for a tree with n >= 3.
-
-    The output is rooted at the internal vertex adjacent to leaf index 0
-    and children are ordered by the smallest leaf index in their subtree,
-    so isomorphic labelled trees serialize identically.
-    """
-    if tree.n < 3:
-        raise TooFewLeaves(f"serialization needs n >= 3, got n = {tree.n}")
-    leaf0 = tree.leaf_vertex(0)
-    center = tree.neighbors(leaf0)[0]
-
-    def min_index(v: int, parent: int) -> int:
-        if v == leaf0:
-            return 0
-        edge = (v, parent) if v < parent else (parent, v)
-        far = tree.edge_far_vertex(edge)
-        mask = tree.edge_split(edge).mask
-        if far != v:
-            mask ^= tree.full_mask
-        return (mask & -mask).bit_length() - 1
-
-    def render(v: int, parent: int) -> str:
-        if tree.is_leaf(v):
-            return _quote(tree.leaf_name(v))
-        kids = sorted((w for w in tree.neighbors(v) if w != parent), key=lambda w: min_index(w, v))
-        return "(" + ",".join(render(w, v) for w in kids) + ")"
-
-    kids = sorted(tree.neighbors(center), key=lambda w: min_index(w, center))
-    return "(" + ",".join(render(w, center) for w in kids) + ");"
+    """Deterministic Newick text for a tree with n >= 3 (see :func:`newick_from_splits`)."""
+    return newick_from_splits(tree.split_masks, tree.leaf_order)

@@ -417,9 +417,10 @@ def _output_key(full: int, op: _Op, side_a: _Side, side_b: _Side) -> tuple[int, 
 class SurveyEntry:
     """Survey output for one operation kind.
 
-    ``report`` comes from the hash count.  ``multiplicities`` (output tree to
-    the number of operations producing it) and ``forms`` are exact as well,
-    but built on first access, from one representative operation per output.
+    ``report`` comes from the hash count.  :meth:`output_keys`,
+    ``multiplicities`` (output tree to the number of operations producing it)
+    and ``forms`` are exact as well, but built on demand, from one
+    representative operation per output.
     """
 
     def __init__(
@@ -436,12 +437,15 @@ class SurveyEntry:
         self._repeated = repeated
         self._output_key = output_key
 
+    def output_keys(self) -> Iterator[tuple[int, ...]]:
+        """The sorted normalized split masks of each distinct output tree, once each."""
+        yield from map(self._output_key, self._singles)
+        yield from self._repeated
+
     @cached_property
     def multiplicities(self) -> dict[CanonicalForm, int]:
-        names = self._names
-        out = {CanonicalForm(self._output_key(op), names): 1 for op in self._singles}
-        out.update((CanonicalForm(key, names), c) for key, c in self._repeated.items())
-        return out
+        names, repeated = self._names, self._repeated
+        return {CanonicalForm(key, names): repeated.get(key, 1) for key in self.output_keys()}
 
     @cached_property
     def forms(self) -> frozenset[CanonicalForm]:

@@ -343,11 +343,6 @@ class PhyloTree:
             raise TooFewLeaves(f"splits need n >= 3, got n = {self.n}")
         return frozenset(Split(m, self.n) for m in self.split_masks)
 
-    def edge_split(self, edge: Edge) -> Split:
-        u, v = edge
-        key = (u, v) if u < v else (v, u)
-        return Split(self._edge_below[key][1], self.n)
-
     def edge_with_mask(self, mask: int) -> Edge:
         """The edge inducing the split with this normalized mask."""
         if mask & 1:

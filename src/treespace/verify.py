@@ -114,8 +114,8 @@ def _check_formula_tree(col: _Collector, tree: PhyloTree) -> None:
 
 
 def _exhaustive_range(n_max: int) -> range:
-    if n_max > 8:
-        raise RangeError(f"exhaustive suites support n_max <= 8, got {n_max}")
+    if not 4 <= n_max <= 8:
+        raise RangeError(f"exhaustive suites support 4 <= n_max <= 8, got {n_max}")
     return range(4, n_max + 1)
 
 

@@ -1,12 +1,14 @@
 """Shared helpers: definitional rearrangement checks built only on restriction
 and subtree-swap surgery, independent of the scar-edge classification rules
-they are used to validate."""
+they are used to validate, and a Newick writer independent of the split-set
+one."""
 
 from __future__ import annotations
 
 import pytest
 
 from treespace import PhyloTree, build_tree
+from treespace.newick_io import _quote
 from treespace.tree_core import Edge
 
 
@@ -75,6 +77,25 @@ def nni_definitional(tree: PhyloTree, result: PhyloTree, bisect_mask: int) -> bo
             if swap_clusters(tree, y, z) == result:
                 return True
     return False
+
+
+def reference_newick(tree: PhyloTree) -> str:
+    """Newick text in serialize_newick's format, by recursion over vertices.
+
+    Rooted at the neighbour of leaf index 0, children ordered by their
+    smallest leaf index.  It reads only the adjacency, never the split set,
+    so it checks the split-set writer instead of sharing its route.
+    """
+
+    def render(v: int, parent: int) -> tuple[int, str]:
+        if tree.is_leaf(v):
+            return tree.vertex_leaf_index(v), _quote(tree.leaf_name(v))
+        parts = sorted(render(w, v) for w in tree.neighbors(v) if w != parent)
+        return parts[0][0], "(" + ",".join(text for _, text in parts) + ")"
+
+    center = tree.neighbors(tree.leaf_vertex(0))[0]
+    parts = sorted(render(w, center) for w in tree.neighbors(center))
+    return "(" + ",".join(text for _, text in parts) + ");"
 
 
 @pytest.fixture

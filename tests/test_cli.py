@@ -1,11 +1,22 @@
 """Command-line surface: reports, determinism, exit codes."""
 
+import io
+import itertools
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import treespace
+from conftest import reference_newick
 from treespace import rearrange
 from treespace.cli import main
+from treespace.generators import all_trees, random_tree
+from treespace.rearrange import OpKind, apply_op, enumerate_ops
 
 
 def run(capsys, *argv):
@@ -111,6 +122,59 @@ class TestNeighbourhood:
         assert all(set(op) == {"bisect_mask", "reconnect_a", "reconnect_b"} for op in results["ops"])
 
 
+EMIT_TREES = [
+    *((f"T6-{i}", t) for i, t in enumerate(itertools.islice(all_trees(6), 0, None, 26))),
+    *((f"T7-{i}", t) for i, t in enumerate(itertools.islice(all_trees(7), 0, None, 237))),
+    ("random16", random_tree(16, seed=3)),
+]
+
+
+def oracle_emit(tree, kind: OpKind, source: str) -> tuple[str, str]:
+    """stdout and stderr of `neighbourhood --emit-trees --multiplicities
+    --emit-ops`, built by apply_op's graph surgery and the reference writer."""
+    ops = enumerate_ops(tree, kind)
+    counts: Counter = Counter()
+    newick = {}
+    for op in ops:
+        result = apply_op(tree, op)
+        form = result.canonical_form()
+        counts[form] += 1
+        newick.setdefault(form, reference_newick(result))
+    histogram = Counter(counts.values())
+    report = {
+        "command": "neighbourhood",
+        "inputs": {"source": source, "op": kind.value, "newick": reference_newick(tree)},
+        "results": {
+            "n": tree.n,
+            "op_count": len(ops),
+            "neighbourhood_size": len(counts),
+            "multiplicity_histogram": {str(m): c for m, c in sorted(histogram.items())},
+            "ops": [op.to_json() for op in ops],
+        },
+        "version": treespace.__version__,
+    }
+    out = "".join(text + "\n" for text in sorted(newick.values()))
+    return out, json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+class TestEmitOracle:
+    @pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("label,tree", EMIT_TREES, ids=[label for label, _ in EMIT_TREES])
+    def test_matches_apply_op_route(self, capsys, tmp_path, monkeypatch, kind, label, tree):
+        path = tmp_path / f"{label}.nwk"
+        path.write_text(reference_newick(tree) + "\n")
+        expected = oracle_emit(tree, kind, str(path))
+
+        def refuse(*args):
+            raise AssertionError("the emit path built a canonical form")
+
+        monkeypatch.setattr(rearrange, "CanonicalForm", refuse)
+        code, out, err = run(capsys, "neighbourhood", str(path), "--op", kind.value,
+                             "--emit-trees", "--multiplicities", "--emit-ops")
+        assert code == 0
+        assert (out, err) == expected
+
+
 class TestGenerate:
     def test_caterpillar5_literal(self, capsys):
         code, out, _ = run(capsys, "generate", "--family", "caterpillar", "--n", "5")
@@ -156,11 +220,50 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--suite", "redundancy", "--n-max", "9")
         assert code == 2 and "n_max" in err
 
+    @pytest.mark.parametrize("suite,n_max", [("formulas", "0"), ("redundancy", "3"), ("extremal", "-1"),
+                                             ("asymptotic", "5")])
+    def test_n_max_rejected(self, capsys, suite, n_max):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", n_max)
+        assert code == 2 and out == "" and "n_max" in err
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "info", "/no/such/file.nwk")
         assert code == 2 and "file" in err.lower()
+
+    @pytest.mark.parametrize("lines_read", [1, 0], ids=["after-one-line", "before-any"])
+    def test_broken_pipe_exits_quietly(self, tmp_path, lines_read):
+        if lines_read:
+            # Hundreds of kilobytes of trees, more than the pipe buffers.
+            path = tmp_path / "random24.nwk"
+            path.write_text(reference_newick(random_tree(24, seed=1)) + "\n")
+            argv = ["neighbourhood", str(path), "--emit-trees"]
+        else:
+            # One short line, still buffered when the command returns.
+            argv = ["generate", "--family", "caterpillar", "--n", "5"]
+        # Block-buffered stdout, as in a plain shell pipeline.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(treespace.__file__).parents[1])
+        proc = subprocess.Popen([sys.executable, "-m", "treespace.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        lines = [proc.stdout.readline() for _ in range(lines_read)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=120)
+        assert all(line.startswith(b"(1,") for line in lines)
+        assert (code, err) == (0, b"")
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_input(self, capsys, tmp_path, monkeypatch, source):
+        data = b"(1,2,(3,\xff4));\n"
+        path = tmp_path / "latin.nwk"
+        path.write_bytes(data)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, err = run(capsys, "info", str(path) if source == "file" else "-")
+        assert code == 2 and out == ""
+        assert err == "error: input is not UTF-8 text: byte 0xff at offset 8\n"
 
     def test_too_many_leaves(self, capsys, tmp_path):
         import treespace

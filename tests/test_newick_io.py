@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_newick
 from treespace import (
     BRANCH_LENGTHS_DISCARDED,
     ROOT_SUPPRESSED,
@@ -19,6 +20,8 @@ from treespace import (
     random_tree,
     serialize_newick,
 )
+from treespace.generators import complete
+from treespace.newick_io import newick_from_splits
 
 
 class TestParse:
@@ -124,6 +127,12 @@ class TestSerialize:
         with pytest.raises(TooFewLeaves):
             serialize_newick(parse_newick("A;").tree)
 
+    @pytest.mark.parametrize("family", [caterpillar, complete])
+    def test_matches_reference_writer(self, family):
+        for n in range(4, 65):
+            t = family(n)
+            assert serialize_newick(t) == reference_newick(t)
+
 
 class TestRoundTrip:
     @given(st.integers(4, 20), st.integers(0, 10**9))
@@ -139,3 +148,11 @@ class TestRoundTrip:
         t = random_tree(n, seed)
         once = serialize_newick(t)
         assert serialize_newick(parse_newick(once).tree) == once
+
+    @given(st.integers(3, 64), st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_newick_from_splits(self, n, seed):
+        t = parse_newick("(1,2,3);").tree if n == 3 else random_tree(n, seed)
+        text = newick_from_splits(t.split_masks, t.leaf_order)
+        assert parse_newick(text).tree == t
+        assert text == reference_newick(t)

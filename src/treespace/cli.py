@@ -53,7 +53,9 @@ def _read_trees(source: str) -> list[tuple[PhyloTree, tuple[str, ...]]]:
     except UnicodeDecodeError as exc:
         raise TreeError(f"input is not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}") from None
     docs = []
-    for line in text.splitlines():
+    # Only "\n" ends a line: str.splitlines would also cut at characters such
+    # as "\x0b" or "\x85", which may sit inside a quoted label.
+    for line in text.split("\n"):
         line = line.strip()
         if line:
             doc = parse_newick(line)
@@ -120,18 +122,24 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     suite = args.suite
     options = {} if args.n_max is None else {"n_max": args.n_max}
-    if suite == "formulas":
-        options.update(samples=args.samples, seed=args.seed or 0)
-    elif suite == "extremal":
-        options["threads"] = args.threads
-    elif suite == "asymptotic" and options:
+    if suite == "asymptotic" and options:
         raise RangeError("the asymptotic suite takes no n_max")
+    # Each option belongs to one suite; elsewhere it would be silently ignored.
+    for name, owner in (("samples", "formulas"), ("seed", "formulas"), ("threads", "extremal")):
+        if getattr(args, name) is not None and suite != owner:
+            raise RangeError(f"--{name} applies only to the {owner} suite")
+    samples = args.samples or 0
+    threads = _default_threads() if args.threads is None else args.threads
+    if suite == "formulas":
+        options.update(samples=samples, seed=args.seed or 0)
+    elif suite == "extremal":
+        options["threads"] = threads
     result = SUITES[suite](**options)
     inputs = {
         "suite": suite,
         "n_max": args.n_max,
-        "samples": args.samples,
-        "threads": args.threads,
+        "samples": samples,
+        "threads": threads,
     }
     _emit(_report("verify", inputs, result.to_json(), seed=args.seed))
     return 0 if result.passed else 1
@@ -203,9 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--n-max", type=int, default=None, dest="n_max")
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--samples", type=int, default=None, help="random trees per n in 8..12 (formulas; default 0)")
+    p.add_argument("--seed", type=int, default=None, help="seed of the samples (formulas; default 0)")
+    p.add_argument(
+        "--threads", type=int, default=None, help="worker processes (extremal; default $TREESPACE_THREADS or 1)"
+    )
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("table", help="closed-form tables per family")

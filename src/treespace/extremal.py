@@ -8,13 +8,11 @@ against the predicates, over every labelled tree in T_n.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import RangeError
-from .generators import all_trees
+from .generators import all_trees, insertion_prefixes
 from .metrics import caterpillar_tbr_size, complete_tbr_size, gamma_complete, tbr_size
-from .newick_io import parse_newick, serialize_newick
 from .tree_core import CanonicalForm, PhyloTree, require_leaves
 
 
@@ -169,16 +167,27 @@ class _Accumulator:
         )
 
 
-def _scan_chunk(args: tuple[int, list[str]]) -> _Accumulator:
-    n, newicks = args
+#: Length of the insertion-code prefixes that shard T_n between workers:
+#: 3 * 5 * 7 = 105 shards of equal size once n >= 6.
+SHARD_PREFIX_LENGTH = 3
+
+
+def _scan_chunk(args: tuple[int, tuple[int, ...]]) -> _Accumulator:
+    """Scan one shard of T_n: the trees whose insertion code starts with the prefix."""
+    n, prefix = args
     acc = _Accumulator(n)
-    for text in newicks:
-        acc.add(parse_newick(text).tree)
+    for tree in all_trees(n, prefix):
+        acc.add(tree)
     return acc
 
 
 def extremal_scan(n: int, threads: int = 1) -> ExtremalScanResult:
-    """Scan every tree in T_n (4 <= n <= 8) for TBR-neighbourhood extremes."""
+    """Scan every tree in T_n (4 <= n <= 8) for TBR-neighbourhood extremes.
+
+    With ``threads`` > 1 a process pool scans the shards of T_n named by
+    insertion-code prefixes; each worker builds its own trees, and the
+    partial results merge to the same result as the serial scan.
+    """
     if not 4 <= n <= 8:
         raise RangeError(f"extremal scan supports 4 <= n <= 8, got {n}")
     acc = _Accumulator(n)
@@ -186,16 +195,11 @@ def extremal_scan(n: int, threads: int = 1) -> ExtremalScanResult:
         for tree in all_trees(n):
             acc.add(tree)
         return acc.result()
-    chunk: list[str] = []
-    jobs = []
+    from concurrent.futures import ProcessPoolExecutor
+
+    shards = [(n, prefix) for prefix in insertion_prefixes(n, min(SHARD_PREFIX_LENGTH, n - 3))]
+    chunksize = max(1, len(shards) // (4 * threads))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        for tree in all_trees(n):
-            chunk.append(serialize_newick(tree))
-            if len(chunk) >= 512:
-                jobs.append(pool.submit(_scan_chunk, (n, chunk)))
-                chunk = []
-        if chunk:
-            jobs.append(pool.submit(_scan_chunk, (n, chunk)))
-        for job in jobs:
-            acc.merge(job.result())
+        for part in pool.map(_scan_chunk, shards, chunksize=chunksize):
+            acc.merge(part)
     return acc.result()

@@ -8,8 +8,9 @@ purely for reproducibility; nothing downstream depends on the ids.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import RangeError, TooManyLeaves
 from .metrics import perfect_form
@@ -151,14 +152,22 @@ def random_tree(n: int, seed: int) -> PhyloTree:
     return build_tree(edges, _names(n))
 
 
-def all_trees(n: int) -> Iterator[PhyloTree]:
+def all_trees(n: int, prefix: Sequence[int] = ()) -> Iterator[PhyloTree]:
     """Every labelled topology on n leaves exactly once; (2n-5)!! trees.
 
     The same insertion recursion as random_tree, enumerated exhaustively in
     a fixed order.  Capped at n = 9 (135135 trees).
+
+    A tree's insertion code lists, for leaves 3, 4, ..., n-1 (0-based), the
+    index of the edge that leaf subdivides; leaf i has 2i-3 edges to choose
+    from.  With ``prefix`` only the trees whose code starts with it are
+    yielded, in the same order, so the shards of all codes of one length
+    partition T_n into blocks of equal size.
     """
     if not 4 <= n <= 9:
         raise RangeError(f"exhaustive enumeration supports 4 <= n <= 9, got {n}")
+    if len(prefix) > n - 3 or any(not 0 <= i < 2 * leaf - 3 for leaf, i in enumerate(prefix, 3)):
+        raise RangeError(f"{tuple(prefix)} is not an insertion-code prefix for n = {n}")
     names = _names(n)
 
     def grow(edges: list[Edge], leaf: int) -> Iterator[PhyloTree]:
@@ -166,12 +175,20 @@ def all_trees(n: int) -> Iterator[PhyloTree]:
             yield build_tree(edges, names)
             return
         w = n + leaf - 2
-        for i in range(len(edges)):
+        depth = leaf - 3
+        for i in range(len(edges)) if depth >= len(prefix) else (prefix[depth],):
             u, v = edges[i]
             rest = edges[:i] + edges[i + 1 :] + [(u, w), (w, v), (w, leaf)]
             yield from grow(rest, leaf + 1)
 
     yield from grow([(0, n), (1, n), (2, n)], 3)
+
+
+def insertion_prefixes(n: int, length: int) -> Iterator[tuple[int, ...]]:
+    """Every insertion-code prefix of ``length`` for T_n, in enumeration order."""
+    if not 0 <= length <= n - 3:
+        raise RangeError(f"insertion-code prefixes for n = {n} have length 0..{n - 3}, got {length}")
+    return itertools.product(*(range(2 * leaf - 3) for leaf in range(3, 3 + length)))
 
 
 def tree_count(n: int) -> int:

@@ -9,6 +9,7 @@ meaning for a purely topological tree and are rejected.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -18,8 +19,11 @@ from .tree_core import PhyloTree
 ROOT_SUPPRESSED = "RootSuppressed"
 BRANCH_LENGTHS_DISCARDED = "BranchLengthsDiscarded"
 
-_STRUCTURAL = set("(),:;'")
-_QUOTE_TRIGGERS = set("(),:;' \t\n\r[]")
+# Characters that end an unquoted label.
+_LABEL_END = set("(),:;' \t\n\r[]")
+# Labels to quote on output: any structural character, or any character the
+# parser would skip as whitespace (str.isspace, which is exactly what \s matches).
+_NEEDS_QUOTES = re.compile(r"[(),:;'\[\]\s]").search
 
 
 @dataclass(frozen=True)
@@ -70,28 +74,34 @@ class _Parser:
         return root
 
     def subtree(self) -> _Node:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "(":
-            self.pos += 1
-            node = _Node(pos=start)
-            node.children.append(self.subtree())
+        """One subtree, parsed with an explicit stack so nesting depth is unbounded."""
+        open_nodes: list[_Node] = []
+        while True:
             self.skip_ws()
-            while self.peek() == ",":
+            start = self.pos
+            if self.peek() == "(":
                 self.pos += 1
-                node.children.append(self.subtree())
-                self.skip_ws()
-            if self.peek() != ")":
-                raise self.error("unbalanced parenthesis", expected="',' or ')'")
-            self.pos += 1
-            self.skip_ws()
-            if self.peek() and self.peek() not in ",():;":
-                raise self.error("internal node labels are not supported")
+                open_nodes.append(_Node(pos=start))
+                continue
+            node = _Node(pos=start, label=self.label())
             self.branch_length()
-            return node
-        node = _Node(pos=start, label=self.label())
-        self.branch_length()
-        return node
+            # Attach the finished node, closing every ')' that follows it.
+            while open_nodes:
+                open_nodes[-1].children.append(node)
+                self.skip_ws()
+                if self.peek() == ",":
+                    self.pos += 1
+                    break
+                if self.peek() != ")":
+                    raise self.error("unbalanced parenthesis", expected="',' or ')'")
+                self.pos += 1
+                self.skip_ws()
+                if self.peek() and self.peek() not in ",():;":
+                    raise self.error("internal node labels are not supported")
+                self.branch_length()
+                node = open_nodes.pop()
+            else:
+                return node
 
     def label(self) -> str:
         self.skip_ws()
@@ -118,7 +128,7 @@ class _Parser:
                 raise EmptyLabel(f"empty quoted label at position {start}")
             return name
         out = []
-        while self.pos < len(text) and text[self.pos] not in _QUOTE_TRIGGERS:
+        while self.pos < len(text) and text[self.pos] not in _LABEL_END:
             out.append(text[self.pos])
             self.pos += 1
         if not out:
@@ -144,60 +154,53 @@ class _Parser:
 
 
 def _collect(root: _Node) -> tuple[dict[int, set[int]], dict[int, str], list[str]]:
-    """Turn the parse tree into adjacency + leaf labels, unrooting as needed."""
+    """Turn the parse tree into adjacency + leaf labels, unrooting as needed.
+
+    Vertex ids are handed out in preorder, children left to right.
+    """
     warnings: list[str] = []
     adjacency: dict[int, set[int]] = {}
     leaf_names: dict[int, str] = {}
-    seen: dict[str, int] = {}
-    counter = 0
-
-    def fresh() -> int:
-        nonlocal counter
-        counter += 1
-        return counter - 1
-
-    def add_edge(u: int, v: int) -> None:
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
-
-    def walk(node: _Node) -> int:
+    kids = root.children
+    if not kids:
+        # A bare labelled leaf, e.g. "A;"
+        leaf_names[0] = root.label
+        return adjacency, leaf_names, warnings
+    if len(kids) == 1:
+        raise DegreeViolation(f"root at position {root.pos} has a single child")
+    if len(kids) > 3:
+        raise DegreeViolation(
+            f"root at position {root.pos} has {len(kids)} children; at most 3 are allowed"
+        )
+    # Preorder walk over (node, id of the vertex it hangs from); next node last.
+    if len(kids) == 2:
+        # Rooted bifurcating input: drop the root, join its children.  The
+        # first child's subtree takes ids from 0, so its top vertex is 0.
+        warnings.append(ROOT_SUPPRESSED)
+        stack: list[tuple[_Node, int | None]] = [(kids[1], 0), (kids[0], None)]
+        counter = 0
+    else:
+        stack = [(child, 0) for child in reversed(kids)]
+        counter = 1  # vertex 0 is the centre of the trifurcation
+    seen: set[str] = set()
+    while stack:
+        node, parent = stack.pop()
         if not node.children:
             if node.label in seen:
                 raise DuplicateLabel(f"label {node.label!r} reused at position {node.pos}")
-            seen[node.label] = node.pos
-            v = fresh()
-            leaf_names[v] = node.label
-            return v
-        if len(node.children) != 2:
+            seen.add(node.label)
+            leaf_names[counter] = node.label
+        elif len(node.children) != 2:
             raise DegreeViolation(
                 f"internal node at position {node.pos} has {len(node.children)} children; "
                 "binary trees need exactly 2"
             )
-        v = fresh()
-        for child in node.children:
-            add_edge(v, walk(child))
-        return v
-
-    kids = root.children
-    if not kids:
-        # A bare labelled leaf, e.g. "A;"
-        leaf_names[fresh()] = root.label
-        return adjacency, leaf_names, warnings
-    if len(kids) == 1:
-        raise DegreeViolation(f"root at position {root.pos} has a single child")
-    if len(kids) == 2:
-        # Rooted bifurcating input: drop the root, join its children.
-        warnings.append(ROOT_SUPPRESSED)
-        add_edge(walk(kids[0]), walk(kids[1]))
-        return adjacency, leaf_names, warnings
-    if len(kids) == 3:
-        center = fresh()
-        for child in kids:
-            add_edge(center, walk(child))
-        return adjacency, leaf_names, warnings
-    raise DegreeViolation(
-        f"root at position {root.pos} has {len(kids)} children; at most 3 are allowed"
-    )
+        if parent is not None:
+            adjacency.setdefault(parent, set()).add(counter)
+            adjacency.setdefault(counter, set()).add(parent)
+        stack.extend((child, counter) for child in reversed(node.children))
+        counter += 1
+    return adjacency, leaf_names, warnings
 
 
 def parse_newick(text: str) -> NewickDoc:
@@ -221,7 +224,7 @@ def parse_newick(text: str) -> NewickDoc:
 
 
 def _quote(name: str) -> str:
-    if _QUOTE_TRIGGERS.isdisjoint(name):
+    if _NEEDS_QUOTES(name) is None:
         return name
     return "'" + name.replace("'", "''") + "'"
 

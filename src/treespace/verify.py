@@ -9,7 +9,7 @@ complete report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from . import metrics
 from .errors import RangeError
@@ -86,14 +86,16 @@ def _check_formula_tree(col: _Collector, tree: PhyloTree) -> None:
     tbr = survey[OpKind.TBR].report
     spr = survey[OpKind.SPR].report
     nni = survey[OpKind.NNI].report
+    tbr_size = metrics.tbr_size(tree)
+    tbr_op_count = metrics.tbr_op_count(tree)
     col.check(
-        tbr.neighbourhood_size == metrics.tbr_size(tree),
-        f"|N_TBR| = {tbr.neighbourhood_size}, formula gives {metrics.tbr_size(tree)}",
+        tbr.neighbourhood_size == tbr_size,
+        f"|N_TBR| = {tbr.neighbourhood_size}, formula gives {tbr_size}",
         tree,
     )
     col.check(
-        tbr.op_count == metrics.tbr_op_count(tree),
-        f"|O_TBR| = {tbr.op_count}, formula gives {metrics.tbr_op_count(tree)}",
+        tbr.op_count == tbr_op_count,
+        f"|O_TBR| = {tbr.op_count}, formula gives {tbr_op_count}",
         tree,
     )
     col.check(
@@ -224,8 +226,14 @@ def extremal_suite(n_max: int = 8, threads: int = 1) -> SuiteResult:
     return col.result({"scans": scans})
 
 
-def complete_tbr_size_sweep(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized complete_tbr_size for every n in [4, limit].
+def _octaves(start: int, stop: int) -> Iterator[tuple[int, int, int]]:
+    """(k, a, b) for each k: offsets a:b of [start, stop] hold the n with floor(log2 n) = k."""
+    for k in range(start.bit_length() - 1, stop.bit_length()):
+        yield k, max(0, (1 << k) - start), min(stop + 1, 2 << k) - start
+
+
+def complete_tbr_size_sweep(limit: int, start: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized complete_tbr_size for every n in [start, limit], start >= 4.
 
     Returns (ns, sizes) as int64 arrays; safe up to limit = 2**20 without
     overflow.  Cross-checked against the pure-integer closed form in the
@@ -233,23 +241,55 @@ def complete_tbr_size_sweep(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """
     import numpy as np
 
-    ns = np.arange(4, limit + 1, dtype=np.int64)
+    ns = np.arange(start, limit + 1, dtype=np.int64)
     gamma = np.zeros_like(ns)
-    top = int(limit).bit_length() - 1
-    for j in range(1, top):
-        two_j = np.int64(1 << j)
-        s = (ns >> j) << j
-        term = (s - two_j) * (2 * ns - s)
-        term += ((ns >> (j - 1)) & 1) * (two_j * (ns - two_j))
-        gamma += np.where(ns >= (1 << (j + 1)), term, 0)
-    bits = np.zeros_like(ns)
-    for k in range(2, top + 1):
-        bits[ns >= (1 << k)] = k
-    half_top = np.int64(1) << (bits - 1)
-    second = (ns >> (bits - 1)) & 1
-    gamma += (second - 1) * half_top * (ns - half_top)
-    sizes = 4 * gamma - (4 * ns - 2) * (ns - 3)
-    return ns, sizes
+    for j in range(1, int(limit).bit_length() - 1):
+        # The j-th term of gamma_complete counts only for n >= 2^(j+1).
+        lo = max(0, (2 << j) - start)
+        if lo >= len(ns):
+            break
+        m, g, two_j = ns[lo:], gamma[lo:], 1 << j
+        # (S_j - 2^j) * (2n - S_j) with S_j = (n >> j) << j, in place
+        s = m >> j
+        s <<= j
+        t = m * 2
+        t -= s
+        s -= two_j
+        s *= t
+        g += s
+        # + alpha_(j-1) * 2^j * (n - 2^j)
+        s = m - two_j
+        s *= two_j
+        t = m >> (j - 1)
+        t &= 1
+        t *= s
+        g += t
+    for k, a, b in _octaves(start, limit):
+        # + (alpha_(k-1) - 1) * 2^(k-1) * (n - 2^(k-1)), k = floor(log2 n)
+        m, half_top = ns[a:b], 1 << (k - 1)
+        t = m >> (k - 1)
+        t &= 1
+        t -= 1
+        t *= half_top
+        t *= m - half_top
+        gamma[a:b] += t
+    gamma *= 4
+    t = ns * 4
+    t -= 2
+    t *= ns - 3
+    gamma -= t
+    return ns, gamma
+
+
+#: Sizes per block of the asymptotic sweep, which bounds its memory.
+SWEEP_BLOCK = 1 << 16
+
+
+def _sweep_blocks(limit: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(start, ns, sizes) for consecutive blocks of SWEEP_BLOCK sizes covering [4, limit]."""
+    for start in range(4, limit + 1, SWEEP_BLOCK):
+        ns, sizes = complete_tbr_size_sweep(min(start + SWEEP_BLOCK - 1, limit), start)
+        yield start, ns, sizes
 
 
 def asymptotic_suite(limit: int = 1 << 20) -> SuiteResult:
@@ -258,40 +298,41 @@ def asymptotic_suite(limit: int = 1 << 20) -> SuiteResult:
     Asserts |size - 4 n^2 floor(log2 n)| <= ASYMPTOTIC_C * n^2 over the whole
     sweep, that the size/target ratio stays >= 1/2 from RATIO_HALF_FROM on,
     and that along n = 3 * 2^k the ratio increases towards 1 with the gap
-    bounded by 8 / (3 floor(log2 n)).
+    bounded by 8 / (3 floor(log2 n)).  The sweep runs in blocks of
+    SWEEP_BLOCK sizes.
     """
     import numpy as np
 
     col = _Collector("asymptotic")
-    ns, sizes = complete_tbr_size_sweep(limit)
-    bits = np.zeros_like(ns)
-    for k in range(2, int(limit).bit_length()):
-        bits[ns >= (1 << k)] = k
-    target = 4 * ns * ns * bits
-    diff = np.abs(sizes - target)
-    col.check(
-        bool(np.all(diff <= ASYMPTOTIC_C * ns * ns)),
-        f"remainder exceeds {ASYMPTOTIC_C} * n^2 somewhere in [4, {limit}]",
-    )
-    observed_c = float(np.max(diff / (ns * ns).astype(np.float64)))
-    ratio = sizes / target.astype(np.float64)
-    from_idx = RATIO_HALF_FROM - 4
-    col.check(
-        bool(np.all(ratio[from_idx:] >= 0.5)) if limit >= RATIO_HALF_FROM else True,
-        f"ratio drops below 1/2 at some n >= {RATIO_HALF_FROM}",
-    )
-    three_fold = []
-    k = 1
-    while 3 * (1 << k) <= limit:
-        n = 3 * (1 << k)
-        r = float(ratio[n - 4])
-        three_fold.append((n, r))
+    three_fold_ns = [3 << k for k in range(1, int(limit).bit_length()) if 3 << k <= limit]
+    ratios: dict[int, float] = {}
+    within_c = ratio_half = True
+    observed_c = 0.0
+    for start, ns, sizes in _sweep_blocks(limit):
+        stop = start + len(ns) - 1
+        square = ns * ns
+        target = np.empty_like(ns)
+        for k, a, b in _octaves(start, stop):
+            np.multiply(square[a:b], 4 * k, out=target[a:b])
+        diff = sizes - target
+        np.abs(diff, out=diff)
+        within_c = within_c and bool(np.all(diff <= ASYMPTOTIC_C * square))
+        observed_c = max(observed_c, float(np.max(diff / square.astype(np.float64))))
+        ratio = sizes / target.astype(np.float64)
+        if stop >= RATIO_HALF_FROM:
+            ratio_half = ratio_half and bool(np.all(ratio[max(0, RATIO_HALF_FROM - start) :] >= 0.5))
+        for n in three_fold_ns:
+            if start <= n <= stop:
+                ratios[n] = float(ratio[n - start])
+    col.check(within_c, f"remainder exceeds {ASYMPTOTIC_C} * n^2 somewhere in [4, {limit}]")
+    col.check(ratio_half, f"ratio drops below 1/2 at some n >= {RATIO_HALF_FROM}")
+    three_fold = [(n, ratios[n]) for n in three_fold_ns]
+    for n, r in three_fold:
         col.check(r < 1.0, f"ratio at n={n} is not below 1")
         col.check(
-            1.0 - r <= 8.0 / (3.0 * int(bits[n - 4])),
+            1.0 - r <= 8.0 / (3.0 * (n.bit_length() - 1)),
             f"ratio gap at n={n} exceeds 8/(3 floor(log2 n))",
         )
-        k += 1
     for (n_prev, r_prev), (n_next, r_next) in zip(three_fold, three_fold[1:]):
         col.check(
             r_next > r_prev,

@@ -16,6 +16,7 @@ from conftest import reference_newick
 from treespace import rearrange
 from treespace.cli import main
 from treespace.generators import all_trees, random_tree
+from treespace.newick_io import parse_newick
 from treespace.rearrange import OpKind, apply_op, enumerate_ops
 
 
@@ -226,6 +227,23 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", n_max)
         assert code == 2 and out == "" and "n_max" in err
 
+    @pytest.mark.parametrize("suite,option,value", [
+        ("redundancy", "--samples", "3"), ("asymptotic", "--samples", "0"), ("extremal", "--seed", "1"),
+        ("formulas", "--threads", "2"), ("redundancy", "--threads", "1"), ("asymptotic", "--threads", "4"),
+    ])
+    def test_option_of_another_suite_rejected(self, capsys, suite, option, value):
+        n_max = () if suite == "asymptotic" else ("--n-max", "4")
+        code, out, err = run(capsys, "verify", "--suite", suite, *n_max, option, value)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {option} applies only to the ")
+
+    def test_threads_from_environment_only(self, capsys, monkeypatch):
+        monkeypatch.setenv("TREESPACE_THREADS", "2")
+        report = run_json(capsys, "verify", "--suite", "formulas", "--n-max", "4")
+        assert report["inputs"] == {"suite": "formulas", "n_max": 4, "samples": 0, "threads": 2}
+        report = run_json(capsys, "verify", "--suite", "extremal", "--n-max", "5")
+        assert report["inputs"]["threads"] == 2 and report["results"]["passed"]
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):
@@ -264,6 +282,29 @@ class TestErrorPaths:
         code, out, err = run(capsys, "info", str(path) if source == "file" else "-")
         assert code == 2 and out == ""
         assert err == "error: input is not UTF-8 text: byte 0xff at offset 8\n"
+
+    def test_deep_nesting_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.nwk"
+        path.write_text("(" * 3000 + "a,b,c" + ")" * 3000 + ";\n")
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_whitespace_labels_round_trip(self, capsys, tmp_path):
+        """Labels holding characters that str.splitlines or the parser's
+        whitespace skip would act on survive a file, info and a re-parse."""
+        labels = ["\x0bb", "c\x0c", "d\x1ce", "\x85f", "g h"]
+        text = "('{}','{}',('{}',('{}','{}')));".format(*labels)
+        path = tmp_path / "labels.nwk"
+        path.write_text(text + "\n", encoding="utf-8")
+        (result,) = run_json(capsys, "info", str(path))["results"]
+        assert result["n"] == 5
+        tree = parse_newick(result["newick"]).tree
+        assert tree == parse_newick(text).tree
+        assert sorted(tree.leaf_order) == sorted(labels)
+        path.write_text(result["newick"] + "\r\n", encoding="utf-8")
+        (again,) = run_json(capsys, "info", str(path))["results"]
+        assert again["newick"] == result["newick"]
 
     def test_too_many_leaves(self, capsys, tmp_path):
         import treespace

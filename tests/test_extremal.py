@@ -1,5 +1,7 @@
 """Extremal predicates and exhaustive arg-max/arg-min scans."""
 
+import sys
+
 import pytest
 
 from treespace import (
@@ -84,3 +86,29 @@ class TestScan:
 
     def test_threads_agree(self):
         assert extremal_scan(5, threads=2).to_json() == extremal_scan(5).to_json()
+
+
+@pytest.fixture(scope="module")
+def serial_scans():
+    return {n: extremal_scan(n) for n in range(4, 9)}
+
+
+class TestParallelScan:
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_equals_serial(self, serial_scans, n, threads):
+        # Dataclass equality: every field, argmax_forms and argmin_forms included.
+        assert extremal_scan(n, threads=threads) == serial_scans[n]
+
+    def test_workers_build_their_own_trees(self, serial_scans, monkeypatch):
+        """No tree crosses a process boundary as Newick text."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the parallel scan went through Newick")
+
+        for name, module in list(sys.modules.items()):
+            if name == "treespace" or name.startswith("treespace."):
+                for attr in ("parse_newick", "serialize_newick"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        assert extremal_scan(7, threads=2) == serial_scans[7]

@@ -18,6 +18,7 @@ from treespace import (
     random_tree,
     tree_count,
 )
+from treespace.generators import insertion_prefixes
 
 
 class TestCaterpillar:
@@ -128,6 +129,28 @@ class TestAllTrees:
             next(all_trees(10))
         with pytest.raises(RangeError):
             next(all_trees(3))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_prefix_shards_concatenate_to_all_trees(self, n):
+        whole = list(all_trees(n))
+        for length in range(n - 2):
+            shards = [list(all_trees(n, prefix)) for prefix in insertion_prefixes(n, length)]
+            assert [t for shard in shards for t in shard] == whole
+            assert len({len(shard) for shard in shards}) == 1
+
+    def test_n8_shards_of_prefix_length_3(self):
+        """The parallel extremal scan's shards of T_8: 105 blocks of 99 trees."""
+        sizes = [sum(1 for _ in all_trees(8, prefix)) for prefix in insertion_prefixes(8, 3)]
+        assert sizes == [99] * 105
+
+    @pytest.mark.parametrize("prefix", [(3,), (0, 5), (0, 0, 0, 0), (-1,)])
+    def test_bad_prefix(self, prefix):
+        with pytest.raises(RangeError):
+            next(all_trees(6, prefix))
+
+    def test_prefix_length_range(self):
+        with pytest.raises(RangeError):
+            insertion_prefixes(6, 4)
 
 
 class TestFamilyExamples:

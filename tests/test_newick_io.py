@@ -12,7 +12,9 @@ from treespace import (
     DuplicateLabel,
     EmptyLabel,
     NewickSyntaxError,
+    PhyloTree,
     TooFewLeaves,
+    TooManyLeaves,
     TreeError,
     caterpillar,
     parse_newick,
@@ -127,11 +129,63 @@ class TestSerialize:
         with pytest.raises(TooFewLeaves):
             serialize_newick(parse_newick("A;").tree)
 
+    @pytest.mark.parametrize("label", ["\x0bb", "c\x0c", "d\x1ce", "\x85f", "g h", "\u3000i", "j\u2028"])
+    def test_whitespace_labels_quoted(self, label):
+        """Every character the parser skips as whitespace forces quotes."""
+        t = parse_newick(f"('{label}',x,(y,z));").tree
+        text = serialize_newick(t)
+        assert f"'{label}'" in text
+        assert parse_newick(text).tree == t
+
     @pytest.mark.parametrize("family", [caterpillar, complete])
     def test_matches_reference_writer(self, family):
         for n in range(4, 65):
             t = family(n)
             assert serialize_newick(t) == reference_newick(t)
+
+
+class TestDeepInput:
+    DEPTH = 3000
+
+    def test_deep_single_child_nesting(self):
+        with pytest.raises(DegreeViolation):
+            parse_newick("(" * self.DEPTH + "a,b,c" + ")" * self.DEPTH + ";")
+
+    def test_deep_unclosed(self):
+        with pytest.raises(NewickSyntaxError):
+            parse_newick("(" * self.DEPTH + "a")
+
+    def test_deep_binary_tree(self):
+        text = "".join(f"({i}," for i in range(self.DEPTH)) + "a" + ")" * self.DEPTH + ";"
+        with pytest.raises(TooManyLeaves):
+            parse_newick(text)
+
+
+_NEWICK_CHARS = "(),:;'[] \t\n\r\x0b\x85.1e-+ab"
+_LABELS = st.sampled_from(["a", "b", "c", "d", "1", "'x y'", "''", "a:1", "b:-2e1", "c:x", ""])
+
+
+def _subtrees(children):
+    return st.lists(children, min_size=0, max_size=4).map(lambda kids: "(" + ",".join(kids) + ")")
+
+
+_NEWICKISH = st.builds(
+    lambda body, end: body + end,
+    st.recursive(_LABELS, _subtrees, max_leaves=30),
+    st.sampled_from([";", "", ";;", " ; ", ":1;"]),
+)
+
+
+class TestFuzz:
+    @given(st.one_of(st.text(alphabet=_NEWICK_CHARS, max_size=40), st.text(max_size=20), _NEWICKISH))
+    @settings(max_examples=400, deadline=None)
+    def test_tree_or_tree_error(self, text):
+        """parse_newick returns a tree or raises TreeError, never anything else."""
+        try:
+            doc = parse_newick(text)
+        except TreeError:
+            return
+        assert isinstance(doc.tree, PhyloTree)
 
 
 class TestRoundTrip:

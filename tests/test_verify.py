@@ -2,10 +2,12 @@
 
 import numpy as np
 
+from treespace import metrics, verify
 from treespace.metrics import complete_tbr_size
 from treespace.verify import (
     ASYMPTOTIC_C,
     RATIO_HALF_FROM,
+    SWEEP_BLOCK,
     asymptotic_suite,
     complete_tbr_size_sweep,
     formulas_suite,
@@ -28,6 +30,21 @@ def test_formulas_suite_samples():
     assert result.checks == 5 * (3 + 2 * 5)
 
 
+def test_formulas_suite_evaluates_each_closed_form_once(monkeypatch):
+    calls = {"tbr_size": 0, "tbr_op_count": 0}
+    for name in calls:
+        original = getattr(metrics, name)
+
+        def counted(tree, name=name, original=original):
+            calls[name] += 1
+            return original(tree)
+
+        monkeypatch.setattr(metrics, name, counted)
+    result = formulas_suite(n_max=5)
+    assert result.passed and result.checks == 5 * 18
+    assert calls == {"tbr_size": 18, "tbr_op_count": 18}
+
+
 def test_redundancy_suite_small():
     assert redundancy_suite(n_max=5).passed
 
@@ -40,6 +57,23 @@ def test_sweep_matches_exact_closed_form():
     # and the boundary cells
     for n in (4, 5, 63, 64, 65, 4095, 4096):
         assert int(sizes[n - 4]) == complete_tbr_size(n)
+
+
+def test_blocked_sweep_matches_full_sweep():
+    limit = 2 * SWEEP_BLOCK + 12345  # the last block is a partial one
+    ns, sizes = complete_tbr_size_sweep(limit)
+    blocks = list(verify._sweep_blocks(limit))
+    assert [start for start, _, _ in blocks] == [4, 4 + SWEEP_BLOCK, 4 + 2 * SWEEP_BLOCK]
+    assert np.array_equal(np.concatenate([b for _, b, _ in blocks]), ns)
+    assert np.array_equal(np.concatenate([s for _, _, s in blocks]), sizes)
+
+
+def test_asymptotic_suite_independent_of_block_size(monkeypatch):
+    # Blocks of 37 sizes end inside octaves and leave a partial last block.
+    limit = 20000
+    whole = asymptotic_suite(limit).to_json()
+    monkeypatch.setattr(verify, "SWEEP_BLOCK", 37)
+    assert asymptotic_suite(limit).to_json() == whole
 
 
 def test_asymptotic_suite_small_limit():

@@ -211,7 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--n-max", type=int, default=None, dest="n_max")
-    p.add_argument("--samples", type=int, default=None, help="random trees per n in 8..12 (formulas; default 0)")
+    p.add_argument(
+        "--samples", type=int, default=None, help="random trees per n in 8..12, 16, 32 and 64 (formulas; default 0)"
+    )
     p.add_argument("--seed", type=int, default=None, help="seed of the samples (formulas; default 0)")
     p.add_argument(
         "--threads", type=int, default=None, help="worker processes (extremal; default $TREESPACE_THREADS or 1)"

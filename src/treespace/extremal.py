@@ -8,12 +8,17 @@ against the predicates, over every labelled tree in T_n.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import RangeError
 from .generators import all_trees, insertion_prefixes
 from .metrics import caterpillar_tbr_size, complete_tbr_size, gamma_complete, tbr_size
 from .tree_core import CanonicalForm, PhyloTree, require_leaves
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor, ProcessPoolExecutor
 
 
 def is_caterpillar(tree: PhyloTree) -> bool:
@@ -181,12 +186,21 @@ def _scan_chunk(args: tuple[int, tuple[int, ...]]) -> _Accumulator:
     return acc
 
 
-def extremal_scan(n: int, threads: int = 1) -> ExtremalScanResult:
+def scan_pool(threads: int) -> ProcessPoolExecutor:
+    """A process pool to share between :func:`extremal_scan` calls."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=threads)
+
+
+def extremal_scan(n: int, threads: int = 1, pool: Executor | None = None) -> ExtremalScanResult:
     """Scan every tree in T_n (4 <= n <= 8) for TBR-neighbourhood extremes.
 
     With ``threads`` > 1 a process pool scans the shards of T_n named by
     insertion-code prefixes; each worker builds its own trees, and the
-    partial results merge to the same result as the serial scan.
+    partial results merge to the same result as the serial scan.  The pool
+    is ``pool`` when given (a :func:`scan_pool`), otherwise one opened for
+    this call.
     """
     if not 4 <= n <= 8:
         raise RangeError(f"extremal scan supports 4 <= n <= 8, got {n}")
@@ -195,11 +209,9 @@ def extremal_scan(n: int, threads: int = 1) -> ExtremalScanResult:
         for tree in all_trees(n):
             acc.add(tree)
         return acc.result()
-    from concurrent.futures import ProcessPoolExecutor
-
     shards = [(n, prefix) for prefix in insertion_prefixes(n, min(SHARD_PREFIX_LENGTH, n - 3))]
     chunksize = max(1, len(shards) // (4 * threads))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with scan_pool(threads) if pool is None else nullcontext(pool) as pool:
         for part in pool.map(_scan_chunk, shards, chunksize=chunksize):
             acc.merge(part)
     return acc.result()

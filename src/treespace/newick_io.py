@@ -19,8 +19,8 @@ from .tree_core import PhyloTree
 ROOT_SUPPRESSED = "RootSuppressed"
 BRANCH_LENGTHS_DISCARDED = "BranchLengthsDiscarded"
 
-# Characters that end an unquoted label.
-_LABEL_END = set("(),:;' \t\n\r[]")
+# Characters that end an unquoted label, besides the whitespace skip_ws skips.
+_LABEL_END = frozenset("(),:;'[]")
 # Labels to quote on output: any structural character, or any character the
 # parser would skip as whitespace (str.isspace, which is exactly what \s matches).
 _NEEDS_QUOTES = re.compile(r"[(),:;'\[\]\s]").search
@@ -127,13 +127,11 @@ class _Parser:
             if not name:
                 raise EmptyLabel(f"empty quoted label at position {start}")
             return name
-        out = []
-        while self.pos < len(text) and text[self.pos] not in _LABEL_END:
-            out.append(text[self.pos])
+        while self.pos < len(text) and not (text[self.pos] in _LABEL_END or text[self.pos].isspace()):
             self.pos += 1
-        if not out:
+        if self.pos == start:
             raise EmptyLabel(f"missing leaf label at position {start}")
-        return "".join(out)
+        return text[start : self.pos]
 
     def branch_length(self) -> None:
         self.skip_ws()

@@ -23,28 +23,40 @@ of internal vertex ids.
 Counting a neighbourhood keys each operation's output tree by a hash: the sum
 modulo 2^64 of a fixed 64-bit mix of each of its 2n-3 split masks, the
 bipartition hashing of HashRF (Sul & Williams, 2008) and of Amenta, Clarke &
-St. John's majority tree (2003).  Reconnecting a component at edge r flips
-exactly the component edges that contain r, so the hash of its contributed
-splits, for every r at once, is a base sum plus a prefix sum down one rooted
-walk of the component.  After that O(n^2) preparation per tree, an operation
-costs O(1).  The count stays exact: equal trees always share a hash, so a
-hash group with one member is one distinct output tree, and the members of
-every larger group (the four operations behind each NNI neighbour, plus any
-true collision) are re-keyed by their sorted split masks and split.
+St. John's majority tree (2003).  The tree is rooted once, at leaf 0, and its
+vertices numbered in preorder, so every subtree is one slice and the cluster
+C(v) below each vertex is the split of the edge above it.  Bisecting that
+edge leaves side A = C(v) and side B, the rest, and every component edge
+keeps a cluster of the rooted tree with A at most added or removed.
+Reconnecting a component at edge r flips exactly the component edges between
+r and the component's root, so the hash of its contributed splits, for every
+r at once, is a base sum plus a prefix sum down the slice of v (side A) or
+down the rest of the preorder (side B): O(n) per bisection, with no walk of
+its own.  The keys of all operations of one bisection are then the sums of
+its two hash lists, built a row at a time, and all keys are counted at once.
+The count stays exact: equal trees always share a hash, so a hash with one
+operation is one distinct output tree, and the operations of every shared
+hash (the four behind each NNI neighbour, plus any true collision) are
+re-keyed by their sorted split masks and split.
 
 Enumeration is the brute-force oracle used to verify every closed-form count
 in :mod:`treespace.metrics`, so it never consults those formulas.
+:func:`apply_op` performs a move by graph surgery over a fresh walk of the
+adjacency, independent of the rooted preparation, and is the oracle the
+survey is tested against.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Callable, Iterator
+from functools import cached_property, lru_cache, partial
+from itertools import accumulate, compress, count
+from typing import Callable, Iterable, Iterator
 
-from .errors import InvalidOp, TreeError
+from .errors import InvalidOp
 from .tree_core import CanonicalForm, Edge, PhyloTree, require_leaves
 
 
@@ -150,160 +162,225 @@ def _mix(mask: int) -> int:
 # -- bisection components ---------------------------------------------------
 
 
+class _Rooted:
+    """The tree rooted at leaf 0, its other vertices numbered in preorder.
+
+    Position 0 is the neighbour of leaf 0.  ``parent[u]`` is the position
+    above u (-1 above position 0), the subtree of u is the slice
+    ``u:end[u]``, and ``cluster[u]`` is C(u), the leaves below u.  C(u) is
+    also the normalized split mask of the edge above u, so the positions
+    number the edges as well.  ``hashes[u]`` is h(C(u)) and ``prefix`` holds
+    their running sums.
+    """
+
+    def __init__(self, tree: PhyloTree):
+        root = tree.leaf_vertex(0)
+        parent: list[int] = []
+        cluster: list[int] = []
+        stack = [(tree.neighbors(root)[0], root, -1)]
+        while stack:
+            v, up, p = stack.pop()
+            u = len(parent)
+            parent.append(p)
+            cluster.append(1 << tree.vertex_leaf_index(v) if tree.is_leaf(v) else 0)
+            stack += [(w, v, u) for w in tree.neighbors(v) if w != up]
+        end = list(range(1, len(parent) + 1))
+        for u in range(len(parent) - 1, 0, -1):
+            p = parent[u]
+            cluster[p] |= cluster[u]
+            if end[u] > end[p]:
+                end[p] = end[u]
+        self.parent, self.cluster, self.end = parent, cluster, end
+        self.hashes = [_mix(c) for c in cluster]
+        self.prefix = list(accumulate(self.hashes, initial=0))
+
+
 @dataclass
 class _Side:
-    """One component of a bisected tree, with its reconnection bookkeeping.
+    """One component of a bisected tree and its reconnection choices.
 
-    ``above`` maps each ref to the ref of the next edge towards the
-    component's smallest leaf (None for the edge at that leaf), in the order
-    of a walk from there: every ref comes after the ref above it.
+    ``refs`` names each component edge by its partial split, normalized to
+    the side without the component's smallest leaf; a single leaf has the
+    one choice None.  ``scar`` is the index of the scar edge in ``refs`` and
+    ``near`` the indices of the edges touching it.  ``sums[k]`` is the hash
+    sum modulo 2^64 of the output splits the component contributes when
+    reconnected at ``refs[k]`` (see :func:`_contributions`).
     """
 
     mask: int
-    single: int | None = None  # leaf vertex id when the component is one leaf
-    adj: dict[int, tuple[int, ...]] | None = None
-    scar_edge: Edge | None = None
-    scar_ref: int | None = None  # None for a single leaf, whose only choice is its scar
-    refs: tuple[int, ...] = ()
-    edge_of_ref: dict[int, Edge] | None = None
-    near_scar: frozenset[int] = frozenset()
-    above: dict[int, int | None] | None = None
+    refs: list[int | None]
+    scar: int
+    near: tuple[int, ...]
+    sums: list[int]
 
-    def is_scar(self, ref: int | None) -> bool:
-        return ref == self.scar_ref
+    @property
+    def single(self) -> bool:
+        return self.refs[0] is None
 
-    def ref_choices(self) -> tuple[int | None, ...]:
-        return (None,) if self.single is not None else self.refs
+    @property
+    def scar_ref(self) -> int | None:
+        return self.refs[self.scar]
 
 
-def _make_side(tree: PhyloTree, mask: int, inside: int, outside: int) -> _Side:
-    if mask.bit_count() == 1:
-        return _Side(mask=mask, single=inside)
-
-    adj: dict[int, list[int]] = {}
-    stack = [inside]
-    seen = {inside}
-    while stack:
-        v = stack.pop()
-        nbrs = [w for w in tree.neighbors(v) if not (v == inside and w == outside)]
-        adj[v] = nbrs
-        for w in nbrs:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    # The cut endpoint has degree 2 now; splice it out.  The merged edge is
-    # the scar: reconnecting there restores the original attachment.
-    x, y = adj.pop(inside)
-    adj[x] = [w if w != inside else y for w in adj[x]]
-    adj[y] = [w if w != inside else x for w in adj[y]]
-    scar = (x, y) if x < y else (y, x)
-
-    root_leaf = tree.leaf_vertex((mask & -mask).bit_length() - 1)
-    start = adj[root_leaf][0]
-    parent = {start: root_leaf}
-    order = [start]
-    dfs = [start]
-    while dfs:
-        v = dfs.pop()
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-                dfs.append(w)
-    below: dict[int, int] = {}
-    ref_of_edge: dict[Edge, int] = {}
-    for v in reversed(order):
-        if len(adj[v]) == 1 and v != root_leaf:
-            m = 1 << tree.vertex_leaf_index(v)
-        else:
-            m = 0
-            for w in adj[v]:
-                if w != parent[v]:
-                    m |= below[w]
-        below[v] = m
-        p = parent[v]
-        ref_of_edge[(v, p) if v < p else (p, v)] = m
-
-    edge_of_ref = {r: e for e, r in ref_of_edge.items()}
-    near = frozenset(
-        r for e, r in ref_of_edge.items() if e != scar and (e[0] in scar or e[1] in scar)
-    )
-    return _Side(
-        mask=mask,
-        adj={v: tuple(ws) for v, ws in adj.items()},
-        scar_edge=scar,
-        scar_ref=ref_of_edge[scar],
-        refs=tuple(sorted(ref_of_edge.values())),
-        edge_of_ref=edge_of_ref,
-        near_scar=near,
-        above={below[v]: below.get(parent[v]) for v in order},
-    )
+def _single(mask: int) -> _Side:
+    return _Side(mask, [None], 0, (), [0])
 
 
-def _side_hashes(side: _Side, full: int) -> dict[int | None, int]:
-    """Per reconnection ref, the hash sum modulo 2^64 of the output splits the
-    component contributes there (see :func:`_contributions`).
+def _side_a(rooted: _Rooted, v: int) -> _Side:
+    """Side A = C(v) of the bisection of the edge above v.
 
-    Reconnecting at ref r contributes h(r) + h(mask ^ r), flips every ref g
-    above r from h(g) to h(mask ^ g) and keeps the rest, so
-    H[r] = sum_g h(g) + h(mask ^ r) + D[r], where D[r] sums the flips
-    h(mask ^ g) - h(g) over the refs g above r: a prefix sum down the walk.
+    v is suppressed, so its children x and y share the scar edge.
+    Reconnected at the scar, every edge gives its own cluster and the scar
+    both C(x) and C(y).  Reconnected at the edge above a vertex w below x,
+    the scar gives C(y) alone, w gives C(w) and A ^ C(w), and every edge
+    between w and x flips from C(u) to A ^ C(u): a prefix sum down x's
+    slice.  The same holds below y.
     """
-    if side.single is not None:
-        return {None: 0}
-    mask = side.mask
-    total = 0
-    flips: dict[int | None, int] = {None: 0}  # per ref: D of the refs just below it
-    partial: dict[int, int] = {}
-    for r, up in side.above.items():
-        c = mask ^ r
-        h_r = _mix(r ^ full if r & 1 else r)
-        h_c = _mix(c ^ full if c & 1 else c)
-        d = flips[up]
-        flips[r] = d + h_c - h_r
-        partial[r] = h_c + d
-        total += h_r
-    return {r: (total + p) & _M64 for r, p in partial.items()}
+    cluster, parent, end, hashes = rooted.cluster, rooted.parent, rooted.end, rooted.hashes
+    a = cluster[v]
+    x, stop = v + 1, end[v]
+    if x == stop:
+        return _single(a)
+    y = end[x]
+    low = a & -a
+    at_scar = rooted.prefix[stop] - rooted.prefix[x]
+    refs: list[int | None] = [cluster[x] ^ a if cluster[x] & low else cluster[x]]
+    sums = [at_scar & _M64]
+    flips = [0] * stop  # per vertex below x or y: its flips up to there
+    for top, last in ((x, y), (y, stop)):
+        base = at_scar - hashes[top]
+        for u in range(top + 1, last):
+            c = cluster[u]
+            g = _mix(a ^ c)
+            d = flips[parent[u]]
+            flips[u] = d + g - hashes[u]
+            sums.append((base + g + d) & _M64)
+            refs.append(c ^ a if c & low else c)
+    # refs holds x, then x+1 .. y-1, then y+1 .. stop-1.
+    near: tuple[int, ...] = ()
+    if x + 1 < y:
+        near += (1, end[x + 1] - x)
+    if y + 1 < stop:
+        near += (y - x, end[y + 1] - x - 1)
+    return _Side(a, refs, 0, near, sums)
+
+
+def _side_b(rooted: _Rooted, v: int) -> _Side:
+    """Side B, the rest of the tree, when the edge above v is bisected.
+
+    B stays rooted at leaf 0.  The parent p of v is suppressed, so v's
+    sibling s hangs from p's parent and its edge is the scar.  An ancestor
+    u of v has the cluster C'(u) = C(u) ^ A in B, every other vertex keeps
+    C'(u) = C(u).  Reconnected at the edge above w, B gives C'(u) for every
+    edge, C'(w) | A for w, and flips every edge above w to C'(u) | A (the
+    side holding leaf 0, normalized): a prefix sum down the preorder.
+    """
+    cluster, parent, end, hashes = rooted.cluster, rooted.parent, rooted.end, rooted.hashes
+    a = cluster[v]
+    if v == 0:
+        return _single(1)
+    p, stop = parent[v], end[v]
+    s = p + 1 if p + 1 != v else stop
+    flips = [0] * (len(cluster) + 1)  # per vertex: its flips up to leaf 0 (the last slot: parent -1)
+    rest = [*range(v), *range(stop, len(cluster))]
+    parts: list[int] = []  # per ref: its flipped hash plus the flips above it
+    lifted: list[tuple[int, int, int]] = []  # (ref index, position, kept hash) of the ancestors
+    # joined = h(C(u) | A), the flipped hash of every vertex that is no ancestor of v
+    for u, joined in zip(rest, map(_mix, map(a.__or__, map(cluster.__getitem__, rest)))):
+        d = flips[parent[u]]
+        if u < v < end[u]:  # an ancestor of v
+            if u == p:
+                flips[p] = d  # s continues from p's parent
+                continue
+            kept = _mix(cluster[u] ^ a)
+            flips[u] = d + hashes[u] - kept
+            lifted.append((len(parts), u, kept))
+            parts.append(hashes[u] + d)
+        else:
+            flips[u] = d + joined - hashes[u]
+            parts.append(joined + d)
+    prefix = rooted.prefix
+    total = prefix[-1] - (prefix[stop] - prefix[v]) - hashes[p]
+    refs: list[int | None] = cluster[:p] + cluster[p + 1 : v] + cluster[stop:]
+    for k, u, kept in lifted:
+        refs[k] ^= a
+        total += kept - hashes[u]
+    sums = [(total + q) & _M64 for q in parts]
+
+    def index(u: int) -> int:  # refs skip p and the slice of v
+        return u - (u > p) if u < v else u - (stop - v) - 1
+
+    near: tuple[int, ...] = ()
+    if s + 1 < end[s]:
+        near += (index(s + 1), index(end[s + 1]))
+    pp = parent[p]
+    if pp >= 0:
+        near += (index(pp), index(pp + 1 if pp + 1 != p else end[pp + 1]))
+    return _Side((cluster[0] | 1) ^ a, refs, index(s), near, sums)
 
 
 def _bisect(tree: PhyloTree, bisect_mask: int) -> tuple[_Side, _Side]:
+    rooted = _Rooted(tree)
     try:
-        edge = tree.edge_with_mask(bisect_mask)
-    except TreeError:
+        v = rooted.cluster.index(bisect_mask)
+    except ValueError:
         raise InvalidOp(f"no edge of the tree induces split mask {bisect_mask:#x}") from None
-    far = tree.edge_far_vertex(edge)
-    near = edge[0] if edge[1] == far else edge[1]
-    side_a = _make_side(tree, bisect_mask, far, near)
-    side_b = _make_side(tree, bisect_mask ^ tree.full_mask, near, far)
-    return side_a, side_b
+    return _side_a(rooted, v), _side_b(rooted, v)
 
 
 _Op = tuple[int, "int | None", "int | None", OpKind]
+
+
+def _pairs(side_a: _Side, side_b: _Side, kind: OpKind) -> Iterable[tuple[int, int]]:
+    """Index pairs (ref a, ref b) of the operations of one bisection that are
+    of ``kind`` or narrower.
+
+    This is the one place the classification rule of the module docstring
+    is applied.  Every pair but scar-scar, which rebuilds the input tree, is
+    TBR (row by row).  The SPR pairs are the rest of the scar row, then the
+    rest of the scar column; they are NNI where the component not at its
+    scar reconnects at an edge touching its own scar.
+    """
+    sa, sb = side_a.scar, side_b.scar
+    if kind is OpKind.TBR:
+        cols = range(len(side_b.refs))
+        return ((i, j) for i in range(len(side_a.refs)) for j in cols if (i, j) != (sa, sb))
+    if kind is OpKind.SPR:
+        row = [j for j in range(len(side_b.refs)) if j != sb]
+        col = [i for i in range(len(side_a.refs)) if i != sa]
+    else:
+        row, col = side_b.near, side_a.near
+    return [(sa, j) for j in row] + [(i, sb) for i in col]
+
+
+def _pair_at(side_a: _Side, side_b: _Side, kind: OpKind, k: int) -> tuple[int, int]:
+    """The k-th pair of :func:`_pairs`."""
+    cols = len(side_b.refs)
+    if kind is OpKind.TBR:
+        return divmod(k + (k >= side_a.scar * cols + side_b.scar), cols)
+    if kind is OpKind.SPR:
+        if k < cols - 1:
+            return side_a.scar, k + (k >= side_b.scar)
+        k -= cols - 1
+        return k + (k >= side_a.scar), side_b.scar
+    return _pairs(side_a, side_b, kind)[k]
 
 
 def _reconnections(mask: int, side_a: _Side, side_b: _Side) -> Iterator[_Op]:
     """Every operation on one bisection as (mask, ref a, ref b, kind).
 
     Pairs come in lexicographic ref order, without the scar-scar pair, each
-    with its most specific kind.  This is the one place the classification
-    rule of the module docstring is applied.
+    with its most specific kind.
     """
-    NNI, SPR, TBR = OpKind.NNI, OpKind.SPR, OpKind.TBR
-    scar_a, near_a = side_a.scar_ref, side_a.near_scar
-    scar_b, near_b = side_b.scar_ref, side_b.near_scar
-    refs_b = side_b.ref_choices()
-    for ra in side_a.ref_choices():
-        at_scar_a = ra == scar_a
-        for rb in refs_b:
-            if rb == scar_b:
-                if at_scar_a:
-                    continue
-                kind = NNI if ra in near_a else SPR
-            elif at_scar_a:
-                kind = NNI if rb in near_b else SPR
-            else:
-                kind = TBR
-            yield mask, ra, rb, kind
+    kinds = dict.fromkeys(_pairs(side_a, side_b, OpKind.SPR), OpKind.SPR)
+    kinds.update(dict.fromkeys(_pairs(side_a, side_b, OpKind.NNI), OpKind.NNI))
+    skip = (side_a.scar, side_b.scar)
+    refs_a, refs_b = side_a.refs, side_b.refs
+    order_b = sorted(range(len(refs_b)), key=refs_b.__getitem__)
+    for i in sorted(range(len(refs_a)), key=refs_a.__getitem__):
+        for j in order_b:
+            if (i, j) != skip:
+                yield mask, refs_a[i], refs_b[j], kinds.get((i, j), OpKind.TBR)
 
 
 # -- public operations --------------------------------------------------------
@@ -319,9 +396,11 @@ def enumerate_ops(tree: PhyloTree, kind: OpKind = OpKind.TBR) -> list[Rearrangem
     """
     require_leaves(tree)
     within = _WITHIN[kind]
+    rooted = _Rooted(tree)
+    cluster = rooted.cluster
     ops = []
-    for mask in tree.split_masks:
-        for _, ra, rb, op_kind in _reconnections(mask, *_bisect(tree, mask)):
+    for v in sorted(range(len(cluster)), key=cluster.__getitem__):
+        for mask, ra, rb, op_kind in _reconnections(cluster[v], _side_a(rooted, v), _side_b(rooted, v)):
             if op_kind in within:
                 ops.append(RearrangementOp(mask, ra, rb))
     return ops
@@ -330,12 +409,12 @@ def enumerate_ops(tree: PhyloTree, kind: OpKind = OpKind.TBR) -> list[Rearrangem
 def _validated_sides(tree: PhyloTree, op: RearrangementOp) -> tuple[_Side, _Side]:
     side_a, side_b = _bisect(tree, op.bisect_mask)
     for side, ref, label in ((side_a, op.reconnect_a, "a"), (side_b, op.reconnect_b, "b")):
-        if side.single is not None:
+        if side.single:
             if ref is not None:
                 raise InvalidOp(f"component {label} is a single leaf; reconnect_{label} must be None")
-        elif ref not in side.edge_of_ref:
+        elif ref not in side.refs:
             raise InvalidOp(f"reconnect_{label}={ref!r} is not an edge of component {label}")
-    if side_a.is_scar(op.reconnect_a) and side_b.is_scar(op.reconnect_b):
+    if side_a.scar_ref == op.reconnect_a and side_b.scar_ref == op.reconnect_b:
         raise InvalidOp("op reproduces the input tree")
     return side_a, side_b
 
@@ -348,15 +427,49 @@ def classify_op(tree: PhyloTree, op: RearrangementOp) -> OpKind:
     return next(kind for _, ra, rb, kind in reconnections if (ra, rb) == pair)
 
 
+def _component_edges(tree: PhyloTree, inside: int, outside: int) -> dict[int, Edge]:
+    """Edges of the component of ``inside`` once the edge to ``outside`` is
+    cut and ``inside`` spliced out, keyed by their refs.
+
+    A walk of the adjacency of its own: each edge's ref is the leaf set on
+    its far side from ``inside``, or its complement in the component when
+    that holds the component's smallest leaf.
+    """
+    edges: dict[int, Edge] = {}
+
+    def below(v: int, up: int) -> int:
+        if tree.is_leaf(v):
+            return 1 << tree.vertex_leaf_index(v)
+        m = 0
+        for w in tree.neighbors(v):
+            if w != up:
+                c = below(w, v)
+                edges[c] = (v, w)
+                m |= c
+        return m
+
+    x, y = (w for w in tree.neighbors(inside) if w != outside)
+    cx, cy = below(x, inside), below(y, inside)
+    component = cx | cy
+    low = component & -component
+    refs = {component ^ m if m & low else m: edge for m, edge in edges.items()}
+    refs[cy if cx & low else cx] = (x, y)  # the scar
+    return refs
+
+
 def apply_op(tree: PhyloTree, op: RearrangementOp) -> PhyloTree:
     """Perform the move by explicit graph surgery and return the new tree.
 
-    The chosen reconnection edge of each component is subdivided and the two
-    fresh vertices are joined (a single-leaf component is joined directly).
-    The result is validated from scratch, and is never equal to the input
-    because the scar-scar pair is unrepresentable.
+    Each component is walked afresh (:func:`_component_edges`), the chosen
+    reconnection edge of each is subdivided and the two fresh vertices are
+    joined (a single-leaf component is joined directly).  The result is
+    validated from scratch, and is never equal to the input because the
+    scar-scar pair is unrepresentable.
     """
-    side_a, side_b = _validated_sides(tree, op)
+    _validated_sides(tree, op)
+    edge = tree.edge_with_mask(op.bisect_mask)
+    far = tree.edge_far_vertex(edge)
+    near = edge[0] if edge[1] == far else edge[1]
     next_id = max(tree.vertices()) + 1
     adjacency: dict[int, set[int]] = {}
 
@@ -365,20 +478,18 @@ def apply_op(tree: PhyloTree, op: RearrangementOp) -> PhyloTree:
         adjacency.setdefault(v, set()).add(u)
 
     joints = []
-    for side, ref in ((side_a, op.reconnect_a), (side_b, op.reconnect_b)):
-        if side.single is not None:
-            joints.append(side.single)
+    for inside, outside, ref in ((far, near, op.reconnect_a), (near, far, op.reconnect_b)):
+        if tree.is_leaf(inside):
+            joints.append(inside)
             continue
-        x, y = side.edge_of_ref[ref]
-        middle = next_id
+        edges = _component_edges(tree, inside, outside)
+        x, y = edges.pop(ref)
+        for u, v in edges.values():
+            add_edge(u, v)
+        add_edge(x, next_id)
+        add_edge(next_id, y)
+        joints.append(next_id)
         next_id += 1
-        for v, ws in side.adj.items():
-            for w in ws:
-                if v < w and (v, w) != (x, y):
-                    add_edge(v, w)
-        add_edge(x, middle)
-        add_edge(middle, y)
-        joints.append(middle)
     add_edge(joints[0], joints[1])
 
     names = {v: tree.leaf_name(v) for v in tree.vertices() if tree.is_leaf(v)}
@@ -388,30 +499,65 @@ def apply_op(tree: PhyloTree, op: RearrangementOp) -> PhyloTree:
 # -- fast canonical assembly ---------------------------------------------------
 
 
-def _contributions(side: _Side, ref: int | None) -> list[int]:
-    """Output-split masks this component contributes when reconnected at ``ref``.
+def _contributions(side: _Side, ref: int | None, full: int) -> list[int]:
+    """Normalized output-split masks this component contributes when
+    reconnected at ``ref``.
 
     Every other component edge g separates the same leaves as before on the
     side away from the attachment point, so g flips to its complement within
     the component exactly when it contains ``ref``; the subdivided edge
-    contributes both of its sides.  Masks are plain subsets of the
-    component's leaf set, normalized later against the full leaf set.
+    contributes both of its sides.  A complement within the component side
+    that holds leaf 0 is normalized to its complement in the full leaf set,
+    so either way it is g ^ A for side A of the bisection.
     """
-    if side.single is not None:
+    if side.single:
         return []
-    mask = side.mask
-    parts = [mask ^ g if (ref & g) == ref else g for g in side.refs if g != ref]
-    parts += (ref, mask ^ ref)
+    a = side.mask ^ full if side.mask & 1 else side.mask
+    parts = [a ^ g if (ref & g) == ref else g for g in side.refs]  # ref itself gives a ^ ref
+    parts.append(ref)
     return parts
 
 
 def _output_key(full: int, op: _Op, side_a: _Side, side_b: _Side) -> tuple[int, ...]:
     """Exact key of one operation's output tree: its sorted normalized split masks."""
-    mask, ra, rb, _ = op
-    key = [p ^ full if p & 1 else p for p in _contributions(side_a, ra) + _contributions(side_b, rb)]
+    mask, ra, rb = op[:3]
+    key = _contributions(side_a, ra, full) + _contributions(side_b, rb, full)
     key.append(mask)
     key.sort()
     return tuple(key)
+
+
+_Bisection = tuple[int, _Side, _Side]
+
+
+def _hash_keys(bisections: list[_Bisection], kind: OpKind, width: int) -> tuple[list[int], list[int]]:
+    """Hash keys of the operations of ``kind`` or narrower, in :func:`_pairs`
+    order per bisection, and the position where each bisection's keys start.
+
+    Each row (TBR) or the scar row and the scar column (SPR) of a bisection
+    is one comprehension over the sums of the other side, less the scar-scar
+    key.
+    """
+    keys: list[int] = []
+    starts: list[int] = []
+    for mask, side_a, side_b in bisections:
+        starts.append(len(keys))
+        base = _mix(mask)
+        sums_a, sums_b = side_a.sums, side_b.sums
+        if kind is OpKind.TBR:
+            for x in sums_a:
+                x += base
+                keys += [(x + y) & width for y in sums_b]
+            del keys[starts[-1] + side_a.scar * len(sums_b) + side_b.scar]
+        elif kind is OpKind.SPR:
+            x, y = base + sums_a[side_a.scar], base + sums_b[side_b.scar]
+            row, col = [(x + z) & width for z in sums_b], [(y + z) & width for z in sums_a]
+            del row[side_b.scar], col[side_a.scar]
+            keys += row
+            keys += col
+        else:
+            keys += [(base + sums_a[i] + sums_b[j]) & width for i, j in _pairs(side_a, side_b, kind)]
+    return keys, starts
 
 
 class SurveyEntry:
@@ -419,27 +565,26 @@ class SurveyEntry:
 
     ``report`` comes from the hash count.  :meth:`output_keys`,
     ``multiplicities`` (output tree to the number of operations producing it)
-    and ``forms`` are exact as well, but built on demand, from one
-    representative operation per output.
+    and ``forms`` are exact as well, but built on demand: ``singles`` walks
+    the operations again and re-keys those whose hash no other operation
+    shares, and ``repeated`` counts the re-keyed operations of shared hashes.
     """
 
     def __init__(
         self,
         report: NeighbourhoodReport,
         names: tuple[str, ...],
-        singles: list[_Op],
+        singles: Callable[[], Iterator[tuple[int, ...]]],
         repeated: Counter,
-        output_key: Callable[[_Op], tuple[int, ...]],
     ):
         self.report = report
         self._names = names
         self._singles = singles
         self._repeated = repeated
-        self._output_key = output_key
 
     def output_keys(self) -> Iterator[tuple[int, ...]]:
         """The sorted normalized split masks of each distinct output tree, once each."""
-        yield from map(self._output_key, self._singles)
+        yield from self._singles()
         yield from self._repeated
 
     @cached_property
@@ -462,54 +607,66 @@ def op_survey(
     tree: PhyloTree,
     kinds: tuple[OpKind, ...] = (OpKind.NNI, OpKind.SPR, OpKind.TBR),
 ) -> dict[OpKind, SurveyEntry]:
-    """Neighbourhoods and counts for the requested kinds in one enumeration pass.
+    """Neighbourhoods and counts for the requested kinds from one preparation.
 
     Output splits are recombined directly from the component partial splits,
     which is an independent route from apply_op's graph surgery (the two are
-    cross-checked in the test suite).  Outputs are grouped by hash and the
-    groups of two or more operations are split by exact key (see the module
-    docstring).
+    cross-checked in the test suite).  Per kind, the hash keys of its
+    operations are counted (with TBR, only the SPR keys when all others are
+    distinct), and the operations of every key held by two or more are
+    re-keyed exactly (see the module docstring).
     """
     require_leaves(tree)
     full = tree.full_mask
     width = (1 << _HASH_BITS) - 1
-    wanted = max((_WITHIN[kind] for kind in kinds), key=len, default=())
+    rooted = _Rooted(tree)
+    bisections = [(mask, _side_a(rooted, v), _side_b(rooted, v)) for v, mask in enumerate(rooted.cluster)]
 
-    sides: dict[int, tuple[_Side, _Side]] = {}
-    first: dict[int, _Op] = {}  # hash key -> first operation seen with it
-    repeats: list[tuple[int, _Op]] = []
-    for mask in tree.split_masks:
-        side_a, side_b = sides[mask] = _bisect(tree, mask)
-        hash_a, hash_b, hash_mask = _side_hashes(side_a, full), _side_hashes(side_b, full), _mix(mask)
-        for op in _reconnections(mask, side_a, side_b):
-            if op[3] in wanted:
-                key = (hash_mask + hash_a[op[1]] + hash_b[op[2]]) & width
-                if first.setdefault(key, op) is not op:
-                    repeats.append((key, op))
+    rechecked: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
-    def output_key(op: _Op) -> tuple[int, ...]:
-        return _output_key(full, op, *sides[op[0]])
+    def exact(k: int, i: int, j: int) -> tuple[int, ...]:
+        mask, side_a, side_b = bisections[k]
+        return _output_key(full, (mask, side_a.refs[i], side_b.refs[j]), side_a, side_b)
 
-    groups: dict[int, list[_Op]] = {}
-    for key, op in repeats:
-        groups.setdefault(key, [first[key]]).append(op)
-    rechecked = [(output_key(op), op[3]) for members in groups.values() for op in members]
-    singles = [op for key, op in first.items() if key not in groups]
+    def singles(kind: OpKind, shared: set[int]) -> Iterator[tuple[int, ...]]:
+        for k, (mask, side_a, side_b) in enumerate(bisections):
+            base, sums_a, sums_b = _mix(mask), side_a.sums, side_b.sums
+            for i, j in _pairs(side_a, side_b, kind):
+                if (base + sums_a[i] + sums_b[j]) & width not in shared:
+                    yield exact(k, i, j)
 
     entries = {}
     for kind in kinds:
-        within = _WITHIN[kind]
-        kind_singles = [op for op in singles if op[3] in within]
-        repeated = Counter(key for key, op_kind in rechecked if op_kind in within)
+        keys, starts = _hash_keys(bisections, kind, width)
+        op_count, distinct = len(keys), len(set(keys))
+        scope = kind
+        if kind is OpKind.TBR:
+            # When the keys outside the SPR operations are distinct from each
+            # other and from the SPR keys, as they nearly always are, only SPR
+            # keys can be shared, and only those need counting.
+            spr_keys, spr_starts = _hash_keys(bisections, OpKind.SPR, width)
+            if distinct == op_count - len(spr_keys) + len(set(spr_keys)):
+                scope, keys, starts = OpKind.SPR, spr_keys, spr_starts
+        counts = Counter(keys)
+        shared = {key for key, c in counts.items() if c > 1}
+        repeated: Counter = Counter()
+        for pos in compress(count(), map(shared.__contains__, keys)):
+            k = bisect_right(starts, pos) - 1
+            _, side_a, side_b = bisections[k]
+            op = (k, *_pair_at(side_a, side_b, scope, pos - starts[k]))
+            if op not in rechecked:
+                rechecked[op] = exact(*op)
+            repeated[rechecked[op]] += 1
+        unshared = distinct - len(shared)
         histogram = Counter(repeated.values())
-        if kind_singles:
-            histogram[1] += len(kind_singles)
+        if unshared:
+            histogram[1] += unshared
         report = NeighbourhoodReport(
             n=tree.n,
             kind=kind,
-            op_count=len(kind_singles) + sum(repeated.values()),
-            neighbourhood_size=len(kind_singles) + len(repeated),
+            op_count=op_count,
+            neighbourhood_size=unshared + len(repeated),
             multiplicity_histogram=dict(histogram),
         )
-        entries[kind] = SurveyEntry(report, tree.leaf_order, kind_singles, repeated, output_key)
+        entries[kind] = SurveyEntry(report, tree.leaf_order, partial(singles, kind, shared), repeated)
     return entries

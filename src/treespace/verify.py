@@ -8,12 +8,13 @@ complete report.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from . import metrics
 from .errors import RangeError
-from .extremal import extremal_scan
+from .extremal import extremal_scan, scan_pool
 from .generators import all_trees, random_tree
 from .newick_io import serialize_newick
 from .rearrange import OpKind, op_survey
@@ -33,7 +34,8 @@ ASYMPTOTIC_C = 13
 #: under 0.5 for n in 64..71, the start of the floor(log2 n) = 6 octave).
 RATIO_HALF_FROM = 72
 
-SAMPLE_NS = (8, 9, 10, 11, 12)
+#: Leaf counts of the random samples in the formulas suite.
+SAMPLE_NS = (8, 9, 10, 11, 12, 16, 32, 64)
 
 
 @dataclass
@@ -125,8 +127,8 @@ def formulas_suite(n_max: int = 7, samples: int = 0, seed: int = 0) -> SuiteResu
     """Enumerated neighbourhood and operation counts equal the closed forms.
 
     Exhaustive over T_4 .. T_{n_max}; optionally ``samples`` random trees for
-    each n in 8..12, checked the same way: the TBR closed forms depend on the
-    tree only through Gamma, which is computed per tree.
+    each n in SAMPLE_NS, checked the same way: the TBR closed forms depend on
+    the tree only through Gamma, which is computed per tree.
     """
     col = _Collector("formulas")
     trees_checked: dict[str, int] = {}
@@ -200,29 +202,30 @@ def extremal_suite(n_max: int = 8, threads: int = 1) -> SuiteResult:
     """
     col = _Collector("extremal")
     scans = {}
-    for n in _exhaustive_range(n_max):
-        scan = extremal_scan(n, threads=threads)
-        col.check(
-            scan.max_value == metrics.caterpillar_tbr_size(n),
-            f"n={n}: scan max {scan.max_value} != caterpillar formula {metrics.caterpillar_tbr_size(n)}",
-        )
-        col.check(
-            scan.min_value == metrics.complete_tbr_size(n),
-            f"n={n}: scan min {scan.min_value} != complete formula {metrics.complete_tbr_size(n)}",
-        )
-        col.check(
-            scan.min_gamma == metrics.gamma_complete(n),
-            f"n={n}: scan min gamma {scan.min_gamma} != closed form {metrics.gamma_complete(n)}",
-        )
-        col.check(
-            scan.argmax_all_caterpillar,
-            f"n={n}: maximizer set is not exactly the caterpillar set",
-        )
-        col.check(
-            scan.argmin_all_complete,
-            f"n={n}: minimizer set is not exactly the complete-tree set",
-        )
-        scans[str(n)] = scan.to_json()
+    with scan_pool(threads) if threads > 1 else nullcontext() as pool:
+        for n in _exhaustive_range(n_max):
+            scan = extremal_scan(n, threads, pool)
+            col.check(
+                scan.max_value == metrics.caterpillar_tbr_size(n),
+                f"n={n}: scan max {scan.max_value} != caterpillar formula {metrics.caterpillar_tbr_size(n)}",
+            )
+            col.check(
+                scan.min_value == metrics.complete_tbr_size(n),
+                f"n={n}: scan min {scan.min_value} != complete formula {metrics.complete_tbr_size(n)}",
+            )
+            col.check(
+                scan.min_gamma == metrics.gamma_complete(n),
+                f"n={n}: scan min gamma {scan.min_gamma} != closed form {metrics.gamma_complete(n)}",
+            )
+            col.check(
+                scan.argmax_all_caterpillar,
+                f"n={n}: maximizer set is not exactly the caterpillar set",
+            )
+            col.check(
+                scan.argmin_all_complete,
+                f"n={n}: minimizer set is not exactly the complete-tree set",
+            )
+            scans[str(n)] = scan.to_json()
     return col.result({"scans": scans})
 
 

@@ -1,7 +1,8 @@
 """Shared helpers: definitional rearrangement checks built only on restriction
 and subtree-swap surgery, independent of the scar-edge classification rules
-they are used to validate, and a Newick writer independent of the split-set
-one."""
+they are used to validate, a Newick writer independent of the split-set one,
+and bisection components from an adjacency walk, independent of the survey's
+rooted preparation."""
 
 from __future__ import annotations
 
@@ -96,6 +97,57 @@ def reference_newick(tree: PhyloTree) -> str:
     center = tree.neighbors(tree.leaf_vertex(0))[0]
     parts = sorted(render(w, center) for w in tree.neighbors(center))
     return "(" + ",".join(text for _, text in parts) + ");"
+
+
+def reference_component(tree: PhyloTree, inside: int, outside: int) -> tuple[int, tuple, object, frozenset]:
+    """One component of the tree cut between ``inside`` and ``outside``.
+
+    Returns (leaf mask, sorted refs, scar ref, near-scar refs) in the form
+    of rearrange's bisection sides.  The component is walked over the
+    adjacency, ``inside`` (degree 2 after the cut) is spliced out, and the
+    rest is rooted at its smallest leaf; an edge's ref is the set of leaves
+    below it.  It reads leaf indices and the adjacency only, never a split
+    or cluster mask of the tree.
+    """
+    adj: dict[int, list[int]] = {}
+    stack = [inside]
+    while stack:
+        x = stack.pop()
+        if x not in adj:
+            adj[x] = [y for y in tree.neighbors(x) if (x, y) != (inside, outside)]
+            stack += adj[x]
+    leaves = sorted((x for x in adj if tree.is_leaf(x)), key=tree.vertex_leaf_index)
+    mask = sum(1 << tree.vertex_leaf_index(x) for x in leaves)
+    if len(leaves) == 1:
+        return mask, (None,), None, frozenset()
+    a, b = adj.pop(inside)
+    adj[a] = [b if y == inside else y for y in adj[a]]
+    adj[b] = [a if y == inside else y for y in adj[b]]
+
+    refs: dict[frozenset, int] = {}
+
+    def below(x: int, parent: int) -> int:
+        kids = [y for y in adj[x] if y != parent]
+        m = sum(below(y, x) for y in kids) if kids else 1 << tree.vertex_leaf_index(x)
+        refs[frozenset((x, parent))] = m
+        return m
+
+    root = leaves[0]
+    below(adj[root][0], root)
+    scar = frozenset((a, b))
+    near = frozenset(r for e, r in refs.items() if e != scar and e & scar)
+    return mask, tuple(sorted(refs.values())), refs[scar], near
+
+
+def reference_bisections(tree: PhyloTree) -> list[tuple[int, tuple, tuple]]:
+    """Per edge: (side A mask, side A, side B) from :func:`reference_component`,
+    side A being the component without leaf index 0."""
+    out = []
+    for u, w in tree.edges():
+        one, other = reference_component(tree, u, w), reference_component(tree, w, u)
+        side_a, side_b = (other, one) if one[0] & 1 else (one, other)
+        out.append((side_a[0], side_a[1:], side_b[1:]))
+    return out
 
 
 @pytest.fixture

@@ -90,8 +90,8 @@ def test_criterion_02_operation_counts(exhaustive_surveys):
 
 def test_criterion_03_fixed_size_neighbourhoods(exhaustive_surveys):
     """|N_NNI| = 2n-6 and |N_SPR| = 2(n-3)(2n-7), exhaustive plus 200 random
-    trees for each n in 8..12."""
-    with _announce(3, "NNI/SPR neighbourhood sizes (exhaustive + 200x5 random, exact)"):
+    trees for each n in SAMPLE_NS."""
+    with _announce(3, f"NNI/SPR neighbourhood sizes (exhaustive + 200x{len(SAMPLE_NS)} random, exact)"):
         for n, tree, survey in exhaustive_surveys:
             assert survey[OpKind.NNI].report.neighbourhood_size == nni_size(n)
             assert survey[OpKind.SPR].report.neighbourhood_size == spr_size(n)

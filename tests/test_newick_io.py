@@ -53,6 +53,16 @@ class TestParse:
         t = parse_newick(" ( 1 , 2 , ( 3 , 4 ) ) ; ").tree
         assert t == parse_newick("(1,2,(3,4));").tree
 
+    @pytest.mark.parametrize("space", [" ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u3000", "\u2028"])
+    def test_whitespace_ends_unquoted_labels(self, space):
+        """Any character skip_ws skips ends an unquoted label, as a space does."""
+        with pytest.raises(NewickSyntaxError):
+            parse_newick(f"(a{space}b,c,d);")
+        assert parse_newick(f"(a{space},c,d);").tree.leaf_order == ("a", "c", "d")
+        assert parse_newick(f"({space}a,c{space},d);").tree.leaf_order == ("a", "c", "d")
+        # Quoted, the same character stays part of the label.
+        assert parse_newick(f"('a{space}b',c,d);").tree.leaf_order == ("a" + space + "b", "c", "d")
+
     def test_degenerate_inputs(self):
         assert parse_newick("A;").tree.n == 1
         doc = parse_newick("(A,B);")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nni_definitional, restriction_preserved, spr_definitional
+from conftest import nni_definitional, reference_bisections, restriction_preserved, spr_definitional
 
 from treespace import (
     CanonicalForm,
@@ -36,7 +36,7 @@ from treespace import (
     tbr_size,
 )
 from treespace import rearrange
-from treespace.rearrange import _bisect, _output_key, _reconnections, op_survey
+from treespace.rearrange import _M64, _bisect, _contributions, _mix, _output_key, _reconnections, op_survey
 
 
 def leaf_mask(tree, *names):
@@ -140,6 +140,14 @@ class TestApply:
                 quartet,
                 RearrangementOp(quartet.full_mask ^ 1, 0b0110, None),  # bogus component edge
             )
+
+    def test_unnormalized_mask_rejected(self, quartet):
+        """A bisect mask holding leaf 0 names no edge: masks are normalized."""
+        op = enumerate_ops(quartet)[0]
+        bad = RearrangementOp(op.bisect_mask ^ quartet.full_mask, op.reconnect_a, op.reconnect_b)
+        for call in (apply_op, classify_op):
+            with pytest.raises(InvalidOp):
+                call(quartet, bad)
 
     def test_json_round_trip(self, quartet):
         for op in enumerate_ops(quartet, OpKind.TBR):
@@ -300,6 +308,25 @@ class TestHashSurvey:
             # group held distinct trees, and the re-check split it.
             assert tbr_size(tree) > 1 << 8
 
+    def test_forced_collisions_each_kind_alone(self, monkeypatch):
+        """The same exact re-check with one kind asked for at a time, so the
+        TBR count may take either of its counting routes."""
+        monkeypatch.setattr(rearrange, "_HASH_BITS", 8)
+        trees = [t for n in (4, 5, 6, 7) for t in all_trees(n)] + [random_tree(16, 3), random_tree(24, 4)]
+        for tree in trees:
+            exact = exact_multiplicities(tree)
+            for kind in OpKind:
+                want = exact[kind]
+                entry = op_survey(tree, (kind,))[kind]
+                assert entry.multiplicities == want
+                assert entry.report == NeighbourhoodReport(
+                    n=tree.n,
+                    kind=kind,
+                    op_count=sum(want.values()),
+                    neighbourhood_size=len(want),
+                    multiplicity_histogram=dict(Counter(want.values())),
+                )
+
     @pytest.mark.parametrize(
         "tree",
         [
@@ -321,3 +348,54 @@ class TestHashSurvey:
         assert tbr.multiplicity_histogram == {1: size - (2 * n - 6), 4: 2 * n - 6}
         assert survey[OpKind.SPR].report.neighbourhood_size == spr_size(n)
         assert survey[OpKind.NNI].report.neighbourhood_size == nni_size(n)
+
+
+REFERENCE_TREES = {
+    "T4-T7": [t for n in (4, 5, 6, 7) for t in all_trees(n)],
+    "random16-64": [random_tree(n, n) for n in range(16, 65, 8)],
+    "caterpillar64": [caterpillar(64)],
+    "complete64": [complete(64)],
+}
+
+
+class TestRootedPreparation:
+    """The sides built from the rooting at leaf 0 against an adjacency walk."""
+
+    @pytest.mark.parametrize("trees", REFERENCE_TREES.values(), ids=REFERENCE_TREES.keys())
+    def test_sides_match_adjacency_walk(self, trees):
+        for tree in trees:
+            for mask, want_a, want_b in reference_bisections(tree):
+                for side, (refs, scar, near) in zip(_bisect(tree, mask), (want_a, want_b)):
+                    assert tuple(sorted(side.refs, key=lambda r: -1 if r is None else r)) == refs
+                    assert side.scar_ref == scar
+                    assert frozenset(side.refs[k] for k in side.near) == near
+
+    @pytest.mark.parametrize("trees", REFERENCE_TREES.values(), ids=REFERENCE_TREES.keys())
+    def test_sums_hash_the_contributions(self, trees):
+        """Each prefix sum equals the hash sum of the splits it stands for."""
+        for tree in trees[::7]:
+            for mask, _, _ in reference_bisections(tree):
+                for side in _bisect(tree, mask):
+                    for ref, total in zip(side.refs, side.sums):
+                        parts = _contributions(side, ref, tree.full_mask)
+                        assert sum(map(_mix, parts)) & _M64 == total
+
+    @pytest.mark.parametrize(
+        "trees",
+        [list(all_trees(5)), list(all_trees(6)), list(all_trees(7))[::50], [random_tree(16, 5)]],
+        ids=["T5", "T6", "T7-sample", "random16"],
+    )
+    def test_enumerate_ops_order(self, trees):
+        """Bisections by mask, then refs of A, then refs of B, ascending; the
+        narrower kinds keep that order."""
+        for tree in trees:
+            tbr = [
+                RearrangementOp(mask, ra, rb)
+                for mask, (refs_a, scar_a, _), (refs_b, scar_b, _) in sorted(reference_bisections(tree))
+                for ra in refs_a
+                for rb in refs_b
+                if (ra, rb) != (scar_a, scar_b)
+            ]
+            assert enumerate_ops(tree, OpKind.TBR) == tbr
+            for kind in (OpKind.SPR, OpKind.NNI):
+                assert enumerate_ops(tree, kind) == [op for op in tbr if kind.includes(classify_op(tree, op))]

@@ -10,6 +10,7 @@ from treespace.verify import (
     SWEEP_BLOCK,
     asymptotic_suite,
     complete_tbr_size_sweep,
+    extremal_suite,
     formulas_suite,
     redundancy_suite,
 )
@@ -25,9 +26,10 @@ def test_formulas_suite_samples():
     result = formulas_suite(n_max=4, samples=2, seed=1)
     assert result.passed
     assert result.details["trees"]["sampled_n8"] == 2
+    assert result.details["trees"]["sampled_n64"] == 2
     # Five checks per tree, the TBR size and op count included: 3 trees of
-    # T_4 plus 2 samples for each of the 5 sampled n.
-    assert result.checks == 5 * (3 + 2 * 5)
+    # T_4 plus 2 samples for each of the 8 sampled n (8..12, 16, 32, 64).
+    assert result.checks == 5 * (3 + 2 * 8)
 
 
 def test_formulas_suite_evaluates_each_closed_form_once(monkeypatch):
@@ -43,6 +45,25 @@ def test_formulas_suite_evaluates_each_closed_form_once(monkeypatch):
     result = formulas_suite(n_max=5)
     assert result.passed and result.checks == 5 * 18
     assert calls == {"tbr_size": 18, "tbr_op_count": 18}
+
+
+def test_extremal_suite_opens_one_pool(monkeypatch):
+    """All n of one parallel suite call share one process pool, and the
+    result equals the serial one."""
+    import concurrent.futures
+
+    opened = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    parallel = extremal_suite(n_max=7, threads=2)
+    assert len(opened) == 1
+    assert parallel == extremal_suite(n_max=7, threads=1)
+    assert parallel.passed and len(opened) == 1
 
 
 def test_redundancy_suite_small():

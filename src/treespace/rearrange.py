@@ -53,8 +53,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, compress, count
-from typing import Callable, Iterable, Iterator
+from itertools import accumulate, compress, count, product
+from typing import Callable, Iterator
 
 from .errors import InvalidOp
 from .tree_core import CanonicalForm, Edge, PhyloTree, require_leaves
@@ -331,7 +331,7 @@ def _bisect(tree: PhyloTree, bisect_mask: int) -> tuple[_Side, _Side]:
 _Op = tuple[int, "int | None", "int | None", OpKind]
 
 
-def _pairs(side_a: _Side, side_b: _Side, kind: OpKind) -> Iterable[tuple[int, int]]:
+def _pairs(side_a: _Side, side_b: _Side, kind: OpKind) -> list[tuple[int, int]]:
     """Index pairs (ref a, ref b) of the operations of one bisection that are
     of ``kind`` or narrower.
 
@@ -343,27 +343,15 @@ def _pairs(side_a: _Side, side_b: _Side, kind: OpKind) -> Iterable[tuple[int, in
     """
     sa, sb = side_a.scar, side_b.scar
     if kind is OpKind.TBR:
-        cols = range(len(side_b.refs))
-        return ((i, j) for i in range(len(side_a.refs)) for j in cols if (i, j) != (sa, sb))
+        pairs = list(product(range(len(side_a.refs)), range(len(side_b.refs))))
+        del pairs[sa * len(side_b.refs) + sb]
+        return pairs
     if kind is OpKind.SPR:
         row = [j for j in range(len(side_b.refs)) if j != sb]
         col = [i for i in range(len(side_a.refs)) if i != sa]
     else:
         row, col = side_b.near, side_a.near
     return [(sa, j) for j in row] + [(i, sb) for i in col]
-
-
-def _pair_at(side_a: _Side, side_b: _Side, kind: OpKind, k: int) -> tuple[int, int]:
-    """The k-th pair of :func:`_pairs`."""
-    cols = len(side_b.refs)
-    if kind is OpKind.TBR:
-        return divmod(k + (k >= side_a.scar * cols + side_b.scar), cols)
-    if kind is OpKind.SPR:
-        if k < cols - 1:
-            return side_a.scar, k + (k >= side_b.scar)
-        k -= cols - 1
-        return k + (k >= side_a.scar), side_b.scar
-    return _pairs(side_a, side_b, kind)[k]
 
 
 def _reconnections(mask: int, side_a: _Side, side_b: _Side) -> Iterator[_Op]:
@@ -612,9 +600,8 @@ def op_survey(
     Output splits are recombined directly from the component partial splits,
     which is an independent route from apply_op's graph surgery (the two are
     cross-checked in the test suite).  Per kind, the hash keys of its
-    operations are counted (with TBR, only the SPR keys when all others are
-    distinct), and the operations of every key held by two or more are
-    re-keyed exactly (see the module docstring).
+    operations are counted, and the operations of every key held by two or
+    more are re-keyed exactly (see the module docstring).
     """
     require_leaves(tree)
     full = tree.full_mask
@@ -638,33 +625,27 @@ def op_survey(
     entries = {}
     for kind in kinds:
         keys, starts = _hash_keys(bisections, kind, width)
-        op_count, distinct = len(keys), len(set(keys))
-        scope = kind
-        if kind is OpKind.TBR:
-            # When the keys outside the SPR operations are distinct from each
-            # other and from the SPR keys, as they nearly always are, only SPR
-            # keys can be shared, and only those need counting.
-            spr_keys, spr_starts = _hash_keys(bisections, OpKind.SPR, width)
-            if distinct == op_count - len(spr_keys) + len(set(spr_keys)):
-                scope, keys, starts = OpKind.SPR, spr_keys, spr_starts
         counts = Counter(keys)
-        shared = {key for key, c in counts.items() if c > 1}
+        shared = set(compress(counts, map((1).__lt__, counts.values())))  # the keys counted more than once
         repeated: Counter = Counter()
+        last, pairs = -1, []
         for pos in compress(count(), map(shared.__contains__, keys)):
             k = bisect_right(starts, pos) - 1
-            _, side_a, side_b = bisections[k]
-            op = (k, *_pair_at(side_a, side_b, scope, pos - starts[k]))
+            if k != last:  # positions ascend, so each bisection's pairs are built once
+                _, side_a, side_b = bisections[k]
+                last, pairs = k, _pairs(side_a, side_b, kind)
+            op = (k, *pairs[pos - starts[k]])
             if op not in rechecked:
                 rechecked[op] = exact(*op)
             repeated[rechecked[op]] += 1
-        unshared = distinct - len(shared)
+        unshared = len(counts) - len(shared)
         histogram = Counter(repeated.values())
         if unshared:
             histogram[1] += unshared
         report = NeighbourhoodReport(
             n=tree.n,
             kind=kind,
-            op_count=op_count,
+            op_count=len(keys),
             neighbourhood_size=unshared + len(repeated),
             multiplicity_histogram=dict(histogram),
         )

@@ -309,8 +309,8 @@ class TestHashSurvey:
             assert tbr_size(tree) > 1 << 8
 
     def test_forced_collisions_each_kind_alone(self, monkeypatch):
-        """The same exact re-check with one kind asked for at a time, so the
-        TBR count may take either of its counting routes."""
+        """The same exact re-check with one kind asked for at a time, so each
+        kind's keys are counted and located without the others'."""
         monkeypatch.setattr(rearrange, "_HASH_BITS", 8)
         trees = [t for n in (4, 5, 6, 7) for t in all_trees(n)] + [random_tree(16, 3), random_tree(24, 4)]
         for tree in trees:

@@ -21,9 +21,6 @@ from .errors import (
 from .extremal import ExtremalScanResult, extremal_scan, is_caterpillar, is_complete
 from .generators import TreeFamily, all_trees, caterpillar, complete, perfect, random_tree, tree_count
 from .metrics import (
-    BinaryExpansion,
-    beta,
-    binary_expansion,
     caterpillar_gamma,
     caterpillar_tbr_size,
     complete_tbr_size,
@@ -33,7 +30,6 @@ from .metrics import (
     perfect_tbr_size,
     spr_op_count,
     spr_size,
-    tau,
     tbr_op_count,
     tbr_size,
 )
@@ -51,22 +47,14 @@ from .rearrange import (
     apply_op,
     classify_op,
     enumerate_ops,
-    neighbourhood,
     op_survey,
 )
 from .tree_core import (
     MAX_LEAVES,
     CanonicalForm,
-    Cluster,
-    LeafLabel,
     PhyloTree,
     Split,
     build_tree,
-    canonical_form,
-    clusters,
-    is_cherry,
-    restrict,
-    splits,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -52,26 +52,29 @@ def is_complete(tree: PhyloTree) -> bool:
     into two clusters, one of size 2^j and the other of size in
     [2^(j-1), 2^(j+1)) for some j.  Singleton leaf sets count as clusters,
     so a size-2 cluster always passes with j = 0.
+
+    Every cluster is one side of an edge, and the only two clusters it
+    splits into are the ones hanging from its end of that edge.  So one
+    pass over the tree's preorder checks both sides of the edge above each
+    position u: below u, the clusters of u's two children (the first is
+    u + 1); above u, the cluster of u's sibling and the n - |C(p)| leaves
+    above u's parent p.
     """
     n = require_leaves(tree)
     k = (n // 3).bit_length() - 1
     bound = 1 << (k + 1)
-    masks = tree.cluster_masks
-    if not any(m.bit_count() == bound for m in masks):
-        return False
-    for y in masks:
-        size = y.bit_count()
-        if not 3 <= size <= bound:
-            continue
-        ok = False
-        for z in masks:
-            if z != y and z & y == z and (y ^ z) in masks:
-                if _pair_balanced(z.bit_count(), size - z.bit_count()):
-                    ok = True
-                    break
-        if not ok:
+    _, parent, cluster = tree.preorder
+    size = [c.bit_count() for c in cluster]
+    found = False
+    for u, a in enumerate(size):
+        if 3 <= a <= bound and not _pair_balanced(size[u + 1], a - size[u + 1]):
             return False
-    return True
+        # Above position 0 is leaf 0 alone, so there b = 1 and p is not read.
+        b, p = n - a, parent[u]
+        if 3 <= b <= bound and not _pair_balanced(size[p] - a, n - size[p]):
+            return False
+        found = found or bound in (a, b)
+    return found
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,6 @@ keep every value exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotPerfectSize
 from .tree_core import PhyloTree, require_leaves
 
@@ -19,31 +17,19 @@ from .tree_core import PhyloTree, require_leaves
 def gamma(tree: PhyloTree) -> int:
     """Sum of |A|*|B| over all non-trivial splits A|B of the tree.
 
-    Computed by a single depth-first pass accumulating subtree leaf counts,
-    without materializing the splits themselves (``tree.splits()`` is the
-    independent reference route; the two are property-tested equal).
+    Leaf counts of the subtrees of the tree's rooted preorder are summed up
+    the parent positions, one pass, from ``is_leaf`` alone: no split or
+    cluster mask is read, so ``tree.splits()`` stays an independent route
+    (the two are property-tested equal).
     """
     n = require_leaves(tree)
-    root = tree.leaf_vertex(0)
-    start = tree.neighbors(root)[0]
-    parent = {start: root}
-    order = [start]
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in tree.neighbors(v):
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-                stack.append(w)
-    count: dict[int, int] = {}
+    vertex, parent, _ = tree.preorder
+    size = [1 if tree.is_leaf(v) else 0 for v in vertex]
     total = 0
-    for v in reversed(order):
-        if tree.is_leaf(v):
-            count[v] = 1
-        else:
-            count[v] = sum(count[w] for w in tree.neighbors(v) if w != parent[v])
-        a = count[v]
+    # Position 0 holds all n - 1 leaves but leaf 0: a trivial split.
+    for u in range(len(size) - 1, 0, -1):
+        a = size[u]
+        size[parent[u]] += a
         if 2 <= a <= n - 2:
             total += a * (n - a)
     return total
@@ -98,49 +84,10 @@ def caterpillar_tbr_size(n: int) -> int:
     return _exact_div(2 * n**3 - 12 * n**2 + 16 * n + 6, 3)
 
 
-@dataclass(frozen=True)
-class BinaryExpansion:
-    """Binary digits of m, lowest bit first, with the top bit always 1."""
-
-    m: int
-    alpha: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        """Index of the top bit."""
-        return len(self.alpha) - 1
-
-    @property
-    def tau(self) -> int:
-        """1 when the second-highest bit is set, else 0 (so tau(2**k) = 0)."""
-        return self.alpha[self.k - 1] if self.k >= 1 else 0
-
-    def beta(self, j: int) -> int:
-        """(1/2^j) * sum of alpha_i * 2^i over i = j..k, i.e. m >> j."""
-        if not 0 <= j <= self.k:
-            raise ValueError(f"beta index {j} outside 0..{self.k}")
-        return self.m >> j
-
-
-def binary_expansion(m: int) -> BinaryExpansion:
-    if m < 1:
-        raise ValueError("binary expansion needs m >= 1")
-    bits = tuple((m >> i) & 1 for i in range(m.bit_length()))
-    return BinaryExpansion(m=m, alpha=bits)
-
-
-def tau(m: int) -> int:
-    return binary_expansion(m).tau
-
-
-def beta(m: int, j: int) -> int:
-    return binary_expansion(m).beta(j)
-
-
 def gamma_complete(n: int) -> int:
     """Closed-form split-product sum of the complete (maximally balanced) tree.
 
-    With n = sum of alpha_i * 2^i (alpha_k = 1):
+    With n = sum of alpha_i * 2^i, alpha_i = n >> i & 1 (alpha_k = 1):
 
         sum_{j=1..k-1} [ (S_j - 2^j) * (2n - S_j) + alpha_{j-1} * 2^j * (n - 2^j) ]
             + (alpha_{k-1} - 1) * 2^(k-1) * (n - 2^(k-1))
@@ -148,15 +95,14 @@ def gamma_complete(n: int) -> int:
     where S_j = sum_{i=j..k} alpha_i * 2^i = (n >> j) << j.
     """
     require_leaves(n)
-    exp = binary_expansion(n)
-    k = exp.k
+    k = n.bit_length() - 1
     total = 0
     for j in range(1, k):
         s = (n >> j) << j
         total += (s - (1 << j)) * (2 * n - s)
-        if exp.alpha[j - 1]:
+        if n >> (j - 1) & 1:
             total += (1 << j) * (n - (1 << j))
-    total += (exp.alpha[k - 1] - 1) * (1 << (k - 1)) * (n - (1 << (k - 1)))
+    total += ((n >> (k - 1) & 1) - 1) * (1 << (k - 1)) * (n - (1 << (k - 1)))
     return total
 
 

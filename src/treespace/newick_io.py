@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import DegreeViolation, DuplicateLabel, EmptyLabel, NewickSyntaxError, TooFewLeaves
@@ -31,7 +32,6 @@ class NewickDoc:
     """A parsed Newick statement: the tree plus parse warnings."""
 
     tree: PhyloTree
-    text: str
     warnings: tuple[str, ...]
 
 
@@ -218,13 +218,19 @@ def parse_newick(text: str) -> NewickDoc:
         tree = PhyloTree({v: ()}, {v: name})
     else:
         tree = PhyloTree(adjacency, leaf_names)
-    return NewickDoc(tree=tree, text=text, warnings=tuple(warnings))
+    return NewickDoc(tree=tree, warnings=tuple(warnings))
 
 
 def _quote(name: str) -> str:
     if _NEEDS_QUOTES(name) is None:
         return name
     return "'" + name.replace("'", "''") + "'"
+
+
+@lru_cache(maxsize=16)  # one --emit-trees call writes every output on the same names
+def _leaf_text(names: tuple[str, ...]) -> dict[int, str]:
+    """The quoted label of each leaf, keyed by its one-bit mask."""
+    return {1 << i: _quote(name) for i, name in enumerate(names)}
 
 
 def newick_from_splits(masks: Iterable[int], names: Sequence[str]) -> str:
@@ -243,7 +249,7 @@ def newick_from_splits(masks: Iterable[int], names: Sequence[str]) -> str:
     n = len(names)
     if n < 3:
         raise TooFewLeaves(f"serialization needs n >= 3, got n = {n}")
-    text = {1 << i: _quote(name) for i, name in enumerate(names)}
+    text = dict(_leaf_text(tuple(names)))  # a copy: each cluster's text is added to it
     top = {}  # lowest leaf bit -> largest cluster built so far with that lowest leaf
     for m in sorted(masks, key=int.bit_count):
         if m & (m - 1):

@@ -23,9 +23,9 @@ of internal vertex ids.
 Counting a neighbourhood keys each operation's output tree by a hash: the sum
 modulo 2^64 of a fixed 64-bit mix of each of its 2n-3 split masks, the
 bipartition hashing of HashRF (Sul & Williams, 2008) and of Amenta, Clarke &
-St. John's majority tree (2003).  The tree is rooted once, at leaf 0, and its
-vertices numbered in preorder, so every subtree is one slice and the cluster
-C(v) below each vertex is the split of the edge above it.  Bisecting that
+St. John's majority tree (2003).  The survey reads the tree's preorder (its
+one rooting, at leaf 0), so every subtree is one slice and the cluster C(v)
+below each vertex is the split of the edge above it.  Bisecting that
 edge leaves side A = C(v) and side B, the rest, and every component edge
 keeps a cluster of the rooted tree with A at most added or removed.
 Reconnecting a component at edge r flips exactly the component edges between
@@ -102,14 +102,6 @@ class RearrangementOp:
             "reconnect_b": self.reconnect_b,
         }
 
-    @classmethod
-    def from_json(cls, record: dict) -> "RearrangementOp":
-        return cls(
-            bisect_mask=record["bisect_mask"],
-            reconnect_a=record["reconnect_a"],
-            reconnect_b=record["reconnect_b"],
-        )
-
 
 @dataclass(frozen=True)
 class NeighbourhoodReport:
@@ -163,7 +155,8 @@ def _mix(mask: int) -> int:
 
 
 class _Rooted:
-    """The tree rooted at leaf 0, its other vertices numbered in preorder.
+    """The tree's :attr:`~treespace.tree_core.PhyloTree.preorder`, with what
+    the survey adds to it.
 
     Position 0 is the neighbour of leaf 0.  ``parent[u]`` is the position
     above u (-1 above position 0), the subtree of u is the slice
@@ -174,20 +167,10 @@ class _Rooted:
     """
 
     def __init__(self, tree: PhyloTree):
-        root = tree.leaf_vertex(0)
-        parent: list[int] = []
-        cluster: list[int] = []
-        stack = [(tree.neighbors(root)[0], root, -1)]
-        while stack:
-            v, up, p = stack.pop()
-            u = len(parent)
-            parent.append(p)
-            cluster.append(1 << tree.vertex_leaf_index(v) if tree.is_leaf(v) else 0)
-            stack += [(w, v, u) for w in tree.neighbors(v) if w != up]
+        _, parent, cluster = tree.preorder
         end = list(range(1, len(parent) + 1))
         for u in range(len(parent) - 1, 0, -1):
             p = parent[u]
-            cluster[p] |= cluster[u]
             if end[u] > end[p]:
                 end[p] = end[u]
         self.parent, self.cluster, self.end = parent, cluster, end
@@ -301,7 +284,7 @@ def _side_b(rooted: _Rooted, v: int) -> _Side:
             parts.append(joined + d)
     prefix = rooted.prefix
     total = prefix[-1] - (prefix[stop] - prefix[v]) - hashes[p]
-    refs: list[int | None] = cluster[:p] + cluster[p + 1 : v] + cluster[stop:]
+    refs: list[int | None] = [*cluster[:p], *cluster[p + 1 : v], *cluster[stop:]]
     for k, u, kept in lifted:
         refs[k] ^= a
         total += kept - hashes[u]
@@ -583,12 +566,6 @@ class SurveyEntry:
     @cached_property
     def forms(self) -> frozenset[CanonicalForm]:
         return frozenset(self.multiplicities)
-
-
-def neighbourhood(tree: PhyloTree, kind: OpKind = OpKind.TBR) -> tuple[frozenset[CanonicalForm], NeighbourhoodReport]:
-    """Distinct trees reachable by one operation of ``kind``, plus the counts."""
-    entry = op_survey(tree, (kind,))[kind]
-    return entry.forms, entry.report
 
 
 def op_survey(

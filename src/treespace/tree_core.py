@@ -6,13 +6,17 @@ addressed by an integer index assigned from the sorted label order, so every
 bipartition of the leaf set fits in one integer bitmask.  The sorted set of
 edge bitmasks is a complete fingerprint of the labelled tree: two trees on
 the same leaf set are identical exactly when their split sets are equal.
+
+Every tree is rooted once, at leaf 0, by :attr:`PhyloTree.preorder`.  Split
+masks, the edge lookups, Gamma, the rearrangement survey and the
+complete-tree predicate all read that one traversal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     Cyclic,
@@ -82,40 +86,6 @@ class Split:
     def is_trivial(self) -> bool:
         return self.a == 1 or self.b == 1
 
-    @property
-    def complement_mask(self) -> int:
-        return self.mask ^ ((1 << self.n) - 1)
-
-    def side_a(self) -> tuple[int, ...]:
-        """Leaf indices on the ``mask`` side."""
-        return tuple(i for i in range(self.n) if self.mask >> i & 1)
-
-    def side_b(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if not self.mask >> i & 1)
-
-
-@dataclass(frozen=True, order=True)
-class Cluster:
-    """One side of a split: a leaf subset cut off by a single edge."""
-
-    mask: int
-    n: int
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def leaf_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.mask >> i & 1)
-
-
-@dataclass(frozen=True)
-class LeafLabel:
-    """A leaf name together with its index in the sorted label order."""
-
-    name: str
-    index: int
-
 
 @dataclass(frozen=True, order=True)
 class CanonicalForm:
@@ -134,14 +104,31 @@ class CanonicalForm:
         return len(self.leaf_names)
 
 
+class Preorder(NamedTuple):
+    """A tree rooted at leaf 0, its other vertices numbered in preorder.
+
+    Position 0 is the neighbour of leaf 0; children are visited in
+    descending vertex order.  Per position: its ``vertex`` id, the
+    ``parent`` position (-1 above position 0, where leaf 0 hangs) and the
+    ``cluster`` mask of the leaves below it.  The cluster below a position
+    is the normalized split mask of the edge above it, so the positions
+    number the edges as well, and every subtree is the slice that starts at
+    its top position.
+    """
+
+    vertex: tuple[int, ...]
+    parent: tuple[int, ...]
+    cluster: tuple[int, ...]
+
+
 class PhyloTree:
     """An immutable unrooted binary tree on uniquely labelled leaves.
 
     Vertices are opaque integer ids supplied by the caller; only the leaf
-    labels carry meaning.  All derived structure (leaf indices, per-edge
-    split masks, the canonical form) is computed once and cached.  Instances
-    are safe to share between threads; every mutation-like operation returns
-    a new tree.
+    labels carry meaning.  All derived structure (leaf indices, the rooted
+    preorder, per-edge split masks, the canonical form) is computed once and
+    cached.  Instances are safe to share between threads; every
+    mutation-like operation returns a new tree.
     """
 
     def __init__(self, adjacency: Mapping[int, Iterable[int]], leaf_names: Mapping[int, str]):
@@ -279,63 +266,46 @@ class PhyloTree:
         """Leaf index of a leaf vertex id."""
         return self._index_by_vertex[v]
 
-    def leaf_labels(self) -> tuple[LeafLabel, ...]:
-        return tuple(LeafLabel(name, i) for i, name in enumerate(self.leaf_order))
-
-    def leaf_set_mask(self, names: Iterable[str]) -> int:
-        mask = 0
-        for name in names:
-            mask |= 1 << self.leaf_index(name)
-        return mask
-
     # -- split machinery -------------------------------------------------
 
     @cached_property
-    def _edge_below(self) -> dict[Edge, tuple[int, int]]:
-        """Per edge: (vertex on the far side from leaf 0, mask of that side).
+    def preorder(self) -> Preorder:
+        """The tree rooted at leaf 0 (see :class:`Preorder`); empty for n = 1.
 
-        Computed by one DFS rooted at the leaf with index 0, so no mask ever
-        contains bit 0 and the masks are born normalized.
+        One stack walk from the neighbour of leaf 0, then one pass up the
+        positions ORs each cluster into its parent's, so no mask ever holds
+        bit 0.
         """
         if self.n <= 1:
-            return {}
+            return Preorder((), (), ())
         root = self._vertex_by_index[0]
-        index_of = self._index_by_vertex
-        adj = self._adj
-        start = adj[root][0]
-        parent = {start: root}
-        order = [start]
-        stack = [start]
+        adj, index_of = self._adj, self._index_by_vertex
+        vertex: list[int] = []
+        parent: list[int] = []
+        cluster: list[int] = []
+        stack = [(adj[root][0], root, -1)]
         while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w != parent[v]:
-                    parent[w] = v
-                    order.append(w)
-                    stack.append(w)
-        mask_of: dict[int, int] = {}
-        below: dict[Edge, tuple[int, int]] = {}
-        for v in reversed(order):
-            if v in self._leaf_vertices:
-                m = 1 << index_of[v]
-            else:
-                m = 0
-                for w in adj[v]:
-                    if w != parent[v]:
-                        m |= mask_of[w]
-            mask_of[v] = m
-            p = parent[v]
-            below[(v, p) if v < p else (p, v)] = (v, m)
-        return below
+            v, up, p = stack.pop()
+            u = len(vertex)
+            vertex.append(v)
+            parent.append(p)
+            cluster.append(1 << index_of[v] if v in index_of else 0)
+            stack += [(w, v, u) for w in adj[v] if w != up]
+        for u in range(len(vertex) - 1, 0, -1):
+            cluster[parent[u]] |= cluster[u]
+        return Preorder(tuple(vertex), tuple(parent), tuple(cluster))
 
     @cached_property
     def split_masks(self) -> tuple[int, ...]:
         """Sorted masks of all 2n-3 splits (normalized: bit 0 never set)."""
-        return tuple(sorted(m for _, m in self._edge_below.values()))
+        return tuple(sorted(self.preorder.cluster))
 
     @cached_property
-    def _edge_by_mask(self) -> dict[int, Edge]:
-        return {m: e for e, (_, m) in self._edge_below.items()}
+    def _edge_above(self) -> tuple[Edge, ...]:
+        """Per preorder position: the edge above it, endpoints in ascending order."""
+        vertex, parent, _ = self.preorder
+        ups = [vertex[p] if p >= 0 else self._vertex_by_index[0] for p in parent]
+        return tuple((v, w) if v < w else (w, v) for v, w in zip(vertex, ups))
 
     def splits(self) -> frozenset[Split]:
         """All splits of the tree, one per edge."""
@@ -348,15 +318,14 @@ class PhyloTree:
         if mask & 1:
             mask ^= self.full_mask
         try:
-            return self._edge_by_mask[mask]
-        except KeyError:
+            return self._edge_above[self.preorder.cluster.index(mask)]
+        except ValueError:
             raise UnknownLeaf(f"no edge induces split mask {mask:#x}") from None
 
     def edge_far_vertex(self, edge: Edge) -> int:
         """Endpoint of ``edge`` on the side away from leaf 0."""
         u, v = edge
-        key = (u, v) if u < v else (v, u)
-        return self._edge_below[key][0]
+        return self.preorder.vertex[self._edge_above.index((u, v) if u < v else (v, u))]
 
     @cached_property
     def cluster_masks(self) -> frozenset[int]:
@@ -368,15 +337,12 @@ class PhyloTree:
             out.add(m ^ full)
         return frozenset(out)
 
-    def clusters(self) -> frozenset[Cluster]:
-        return frozenset(Cluster(m, self.n) for m in self.cluster_masks)
-
     def is_cherry(self, pair: Iterable[str]) -> bool:
         """True when the two named leaves form a size-2 cluster."""
         names = list(pair)
         if len(names) != 2:
             return False
-        mask = self.leaf_set_mask(names)
+        mask = 1 << self.leaf_index(names[0]) | 1 << self.leaf_index(names[1])
         return mask.bit_count() == 2 and mask in self.cluster_masks
 
     @cached_property
@@ -470,26 +436,6 @@ def build_tree(
             return PhyloTree({v: ()}, {v: name})
         raise Disconnected("no edges and not a single-leaf tree")
     return PhyloTree(adjacency, names)
-
-
-def splits(tree: PhyloTree) -> frozenset[Split]:
-    return tree.splits()
-
-
-def canonical_form(tree: PhyloTree) -> CanonicalForm:
-    return tree.canonical_form()
-
-
-def restrict(tree: PhyloTree, leaves: Iterable[str]) -> PhyloTree:
-    return tree.restrict(leaves)
-
-
-def clusters(tree: PhyloTree) -> frozenset[Cluster]:
-    return tree.clusters()
-
-
-def is_cherry(tree: PhyloTree, pair: Iterable[str]) -> bool:
-    return tree.is_cherry(pair)
 
 
 def require_leaves(tree_or_n: "PhyloTree | int", minimum: int = 4) -> int:

@@ -1,8 +1,8 @@
 """Shared helpers: definitional rearrangement checks built only on restriction
 and subtree-swap surgery, independent of the scar-edge classification rules
 they are used to validate, a Newick writer independent of the split-set one,
-and bisection components from an adjacency walk, independent of the survey's
-rooted preparation."""
+bisection components and Gamma from an adjacency walk, independent of the
+tree's rooted preorder, and the cluster-set definition of a complete tree."""
 
 from __future__ import annotations
 
@@ -148,6 +148,51 @@ def reference_bisections(tree: PhyloTree) -> list[tuple[int, tuple, tuple]]:
         side_a, side_b = (other, one) if one[0] & 1 else (one, other)
         out.append((side_a[0], side_a[1:], side_b[1:]))
     return out
+
+
+def reference_gamma(tree: PhyloTree) -> int:
+    """Gamma as the sum of |A| * (n - |A|) over the non-trivial splits of
+    :func:`reference_bisections`, which walk the adjacency only."""
+    n = tree.n
+    sizes = (mask.bit_count() for mask, _, _ in reference_bisections(tree))
+    return sum(a * (n - a) for a in sizes if 2 <= a <= n - 2)
+
+
+def _pair_balanced(p: int, q: int) -> bool:
+    """One part a power of two 2^j, the other within [2^(j-1), 2^(j+1))."""
+    for a, b in ((p, q), (q, p)):
+        if a > 0 and a & (a - 1) == 0 and a <= 2 * b and b < 2 * a:
+            return True
+    return False
+
+
+def reference_is_complete(tree: PhyloTree) -> bool:
+    """The complete-tree conditions checked over every pair of clusters.
+
+    With k such that 3*2^k <= n < 3*2^(k+1): (i) some cluster has exactly
+    2^(k+1) leaves, and (ii) every cluster Y with 3 <= |Y| <= 2^(k+1) is the
+    union of two clusters, one of size 2^j and the other of size in
+    [2^(j-1), 2^(j+1)).  Quadratic in the number of clusters.
+    """
+    n = tree.n
+    k = (n // 3).bit_length() - 1
+    bound = 1 << (k + 1)
+    masks = tree.cluster_masks
+    if not any(m.bit_count() == bound for m in masks):
+        return False
+    for y in masks:
+        size = y.bit_count()
+        if not 3 <= size <= bound:
+            continue
+        ok = False
+        for z in masks:
+            if z != y and z & y == z and (y ^ z) in masks:
+                if _pair_balanced(z.bit_count(), size - z.bit_count()):
+                    ok = True
+                    break
+        if not ok:
+            return False
+    return True
 
 
 @pytest.fixture

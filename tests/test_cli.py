@@ -127,6 +127,7 @@ EMIT_TREES = [
     *((f"T6-{i}", t) for i, t in enumerate(itertools.islice(all_trees(6), 0, None, 26))),
     *((f"T7-{i}", t) for i, t in enumerate(itertools.islice(all_trees(7), 0, None, 237))),
     ("random16", random_tree(16, seed=3)),
+    ("quoted7", parse_newick("(('a b','it''s'),c,(('d e',f),('g''h',i)));").tree),
 ]
 
 

@@ -4,11 +4,16 @@ import sys
 
 import pytest
 
+from conftest import reference_is_complete
+
 from treespace import (
+    OpKind,
     RangeError,
     all_trees,
+    apply_op,
     caterpillar,
     complete,
+    enumerate_ops,
     extremal_scan,
     gamma_complete,
     is_caterpillar,
@@ -56,6 +61,29 @@ class TestIsComplete:
         t = parse_newick("((1,2),(3,(4,5)),(6,(7,8)));").tree
         assert {m.bit_count() for m in t.cluster_masks} == {1, 2, 3, 5, 6, 7}
         assert not is_complete(t)
+
+
+class TestIsCompleteReference:
+    """The one-pass predicate against the quadratic cluster-set definition."""
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_every_small_tree(self, n):
+        for t in all_trees(n):
+            assert is_complete(t) == reference_is_complete(t)
+
+    def test_named_shapes(self):
+        shapes = [f(n) for n in range(4, 65) for f in (caterpillar, complete)]
+        shapes += [perfect(n) for n in (4, 6, 8, 12, 16, 24, 32, 48, 64)]
+        for t in shapes:
+            assert is_complete(t) == reference_is_complete(t)
+
+    @pytest.mark.parametrize("n", [16, 32, 48, 64])
+    def test_nni_neighbours_of_complete(self, n):
+        t = complete(n)
+        neighbours = {apply_op(t, op) for op in enumerate_ops(t, OpKind.NNI)}
+        assert len(neighbours) == 2 * n - 6
+        for out in neighbours:
+            assert is_complete(out) == reference_is_complete(out)
 
 
 class TestScan:

@@ -1,4 +1,4 @@
-"""Closed forms: split statistic, neighbourhood sizes, binary-expansion helpers.
+"""Closed forms: split statistic and neighbourhood sizes.
 
 Frozen expected values were computed from first principles: split products
 enumerated by hand for the small named trees, and every formula plug-in
@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_gamma
+
 from treespace import (
     NotPerfectSize,
     TooFewLeaves,
-    beta,
-    binary_expansion,
+    all_trees,
     caterpillar,
     caterpillar_gamma,
     caterpillar_tbr_size,
@@ -29,7 +30,6 @@ from treespace import (
     random_tree,
     spr_op_count,
     spr_size,
-    tau,
     tbr_op_count,
     tbr_size,
 )
@@ -51,13 +51,24 @@ class TestGamma:
         with pytest.raises(TooFewLeaves):
             gamma(parse_newick("(1,2,3);").tree)
 
-    @given(st.integers(4, 20), st.integers(0, 10**9))
+    @given(st.integers(4, 64), st.integers(0, 10**9))
     @settings(max_examples=50, deadline=None)
     def test_agrees_with_split_enumeration(self, n, seed):
         """The one-pass subtree-count route equals the explicit split route."""
         t = random_tree(n, seed)
         by_splits = sum(s.a * s.b for s in t.splits() if not s.is_trivial)
         assert gamma(t) == by_splits
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_agrees_with_adjacency_oracle_exhaustively(self, n):
+        """gamma and splits() share the rooted preorder; the oracle does not."""
+        assert all(gamma(t) == reference_gamma(t) for t in all_trees(n))
+
+    @given(st.integers(8, 64), st.integers(0, 10**9))
+    @settings(max_examples=30, deadline=None)
+    def test_agrees_with_adjacency_oracle_random(self, n, seed):
+        t = random_tree(n, seed)
+        assert gamma(t) == reference_gamma(t)
 
     @given(st.integers(4, 64))
     @settings(max_examples=30, deadline=None)
@@ -114,25 +125,6 @@ class TestCaterpillarCubic:
     @settings(max_examples=40, deadline=None)
     def test_matches_tree_route(self, n):
         assert caterpillar_tbr_size(n) == tbr_size(caterpillar(n))
-
-
-class TestBinaryExpansion:
-    def test_tau_values(self):
-        assert tau(6) == 1 and tau(5) == 0 and tau(4) == 0
-        assert all(tau(1 << k) == 0 for k in range(1, 12))
-
-    def test_beta(self):
-        assert beta(12, 2) == 3  # (4 + 8) / 4
-
-    def test_expansion_of_seven(self):
-        e = binary_expansion(7)
-        assert e.alpha == (1, 1, 1) and e.k == 2 and e.tau == 1
-
-    @given(st.integers(1, 10**6))
-    def test_reconstruction(self, m):
-        e = binary_expansion(m)
-        assert sum(a << i for i, a in enumerate(e.alpha)) == m
-        assert e.alpha[e.k] == 1
 
 
 class TestCompleteClosedForm:

@@ -26,7 +26,6 @@ from treespace import (
     classify_op,
     complete,
     enumerate_ops,
-    neighbourhood,
     nni_size,
     parse_newick,
     random_tree,
@@ -149,25 +148,22 @@ class TestApply:
             with pytest.raises(InvalidOp):
                 call(quartet, bad)
 
-    def test_json_round_trip(self, quartet):
-        for op in enumerate_ops(quartet, OpKind.TBR):
-            assert RearrangementOp.from_json(op.to_json()) == op
-
 
 class TestNeighbourhood:
     def test_quartet_tbr(self, quartet):
-        forms, report = neighbourhood(quartet, OpKind.TBR)
+        entry = op_survey(quartet, (OpKind.TBR,))[OpKind.TBR]
+        forms, report = entry.forms, entry.report
         assert len(forms) == 2
         assert report.op_count == 8
         assert report.multiplicity_histogram == {4: 2}
 
     def test_t6_nni_is_six(self):
         for seed in range(3):
-            _, report = neighbourhood(random_tree(6, seed), OpKind.NNI)
+            report = op_survey(random_tree(6, seed), (OpKind.NNI,))[OpKind.NNI].report
             assert report.neighbourhood_size == 6
 
     def test_caterpillar6_tbr(self):
-        forms, report = neighbourhood(caterpillar(6), OpKind.TBR)
+        report = op_survey(caterpillar(6), (OpKind.TBR,))[OpKind.TBR].report
         assert report.neighbourhood_size == 34
         assert report.op_count == 52
 
@@ -186,9 +182,7 @@ class TestNeighbourhood:
     def test_neighbourhood_nesting(self):
         for seed in range(3):
             t = random_tree(8, seed)
-            nni, _ = neighbourhood(t, OpKind.NNI)
-            spr, _ = neighbourhood(t, OpKind.SPR)
-            tbr, _ = neighbourhood(t, OpKind.TBR)
+            nni, spr, tbr = (op_survey(t, (kind,))[kind].forms for kind in (OpKind.NNI, OpKind.SPR, OpKind.TBR))
             assert nni <= spr <= tbr
 
     def test_forest_symmetry(self):
@@ -263,7 +257,7 @@ class TestCountFormulas:
     @settings(max_examples=15, deadline=None)
     def test_neighbourhood_sizes_random(self, n, seed):
         t = random_tree(n, seed)
-        _, report = neighbourhood(t, OpKind.TBR)
+        report = op_survey(t, (OpKind.TBR,))[OpKind.TBR].report
         assert report.neighbourhood_size == tbr_size(t)
 
 

@@ -76,8 +76,8 @@ class TestSplits:
     def test_caterpillar6_nontrivial_splits(self):
         # Read off the spine: {1,2}, {1,2,3}, {1,2,3,4} against the rest.
         t = caterpillar(6)
-        nontrivial = {frozenset(x.side_b()) for x in t.splits() if not x.is_trivial}
-        assert nontrivial == {frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({0, 1, 2, 3})}
+        nontrivial = {x.mask ^ t.full_mask for x in t.splits() if not x.is_trivial}
+        assert nontrivial == {0b11, 0b111, 0b1111}
 
     def test_three_leaf_star_all_trivial(self):
         t = parse_newick("(1,2,3);").tree
@@ -178,12 +178,12 @@ class TestClusters:
     @pytest.mark.parametrize("n", [5, 7, 10])
     def test_caterpillar_has_two_cherries(self, n):
         t = caterpillar(n)
-        cherries = [c for c in t.clusters() if c.size == 2]
+        cherries = [m for m in t.cluster_masks if m.bit_count() == 2]
         assert len(cherries) == 2
 
     def test_perfect6_has_three_cherries(self):
         t = perfect(6)
-        assert sum(1 for c in t.clusters() if c.size == 2) == 3
+        assert sum(1 for m in t.cluster_masks if m.bit_count() == 2) == 3
 
     def test_clusters_are_both_sides(self):
         t = random_tree(7, 5)

@@ -9,11 +9,9 @@ against the predicates, over every labelled tree in T_n.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import RangeError
-from .generators import all_trees, insertion_prefixes
 from .metrics import caterpillar_tbr_size, complete_tbr_size, gamma_complete, tbr_size
 from .tree_core import CanonicalForm, PhyloTree, require_leaves
 
@@ -77,8 +75,7 @@ def is_complete(tree: PhyloTree) -> bool:
     return found
 
 
-@dataclass(frozen=True)
-class ExtremalScanResult:
+class ExtremalScanResult(NamedTuple):
     """Outcome of one exhaustive scan of T_n."""
 
     n: int
@@ -87,8 +84,8 @@ class ExtremalScanResult:
     min_value: int
     max_gamma: int
     min_gamma: int
-    argmax_forms: frozenset[CanonicalForm] = field(repr=False)
-    argmin_forms: frozenset[CanonicalForm] = field(repr=False)
+    argmax_forms: frozenset[CanonicalForm]
+    argmin_forms: frozenset[CanonicalForm]
     argmax_all_caterpillar: bool = False
     argmin_all_complete: bool = False
 
@@ -182,6 +179,8 @@ SHARD_PREFIX_LENGTH = 3
 
 def _scan_chunk(args: tuple[int, tuple[int, ...]]) -> _Accumulator:
     """Scan one shard of T_n: the trees whose insertion code starts with the prefix."""
+    from .generators import all_trees
+
     n, prefix = args
     acc = _Accumulator(n)
     for tree in all_trees(n, prefix):
@@ -205,6 +204,9 @@ def extremal_scan(n: int, threads: int = 1, pool: Executor | None = None) -> Ext
     is ``pool`` when given (a :func:`scan_pool`), otherwise one opened for
     this call.
     """
+    # Imported here, so that the predicates above load without the enumerator.
+    from .generators import all_trees, insertion_prefixes
+
     if not 4 <= n <= 8:
         raise RangeError(f"extremal scan supports 4 <= n <= 8, got {n}")
     acc = _Accumulator(n)

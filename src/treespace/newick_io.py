@@ -10,9 +10,8 @@ meaning for a purely topological tree and are rejected.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegreeViolation, DuplicateLabel, EmptyLabel, NewickSyntaxError, TooFewLeaves
 from .tree_core import PhyloTree
@@ -27,19 +26,22 @@ _LABEL_END = frozenset("(),:;'[]")
 _NEEDS_QUOTES = re.compile(r"[(),:;'\[\]\s]").search
 
 
-@dataclass(frozen=True)
-class NewickDoc:
+class NewickDoc(NamedTuple):
     """A parsed Newick statement: the tree plus parse warnings."""
 
     tree: PhyloTree
     warnings: tuple[str, ...]
 
 
-@dataclass
 class _Node:
-    pos: int
-    label: str | None = None
-    children: list["_Node"] = field(default_factory=list)
+    """A node of the parse tree: where it starts, its label, its children."""
+
+    __slots__ = ("pos", "label", "children")
+
+    def __init__(self, pos: int, label: str | None = None):
+        self.pos = pos
+        self.label = label
+        self.children: list[_Node] = []
 
 
 class _Parser:

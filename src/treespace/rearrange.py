@@ -51,10 +51,9 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, compress, count, product
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import InvalidOp
 from .tree_core import CanonicalForm, Edge, PhyloTree, require_leaves
@@ -80,8 +79,7 @@ _WITHIN = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class RearrangementOp:
+class RearrangementOp(NamedTuple):
     """One bisection-and-reconnection move.
 
     ``bisect_mask`` is the normalized split mask of the deleted edge; side A
@@ -103,25 +101,31 @@ class RearrangementOp:
         }
 
 
-@dataclass(frozen=True)
-class NeighbourhoodReport:
-    """Counts for one tree and one operation kind.
-
-    ``multiplicity_histogram`` maps output-tree multiplicity (how many
-    distinct operations produce that tree) to the number of such outputs.
-    """
-
+class _ReportFields(NamedTuple):
     n: int
     kind: OpKind
     op_count: int
     neighbourhood_size: int
     multiplicity_histogram: dict[int, int]
 
-    def __post_init__(self) -> None:
-        ops = sum(m * c for m, c in self.multiplicity_histogram.items())
-        size = sum(self.multiplicity_histogram.values())
-        if ops != self.op_count or size != self.neighbourhood_size:
+
+class NeighbourhoodReport(_ReportFields):
+    """Counts for one tree and one operation kind.
+
+    ``multiplicity_histogram`` maps output-tree multiplicity (how many
+    distinct operations produce that tree) to the number of such outputs.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, n: int, kind: OpKind, op_count: int, neighbourhood_size: int, multiplicity_histogram: dict[int, int]
+    ) -> "NeighbourhoodReport":
+        ops = sum(m * c for m, c in multiplicity_histogram.items())
+        size = sum(multiplicity_histogram.values())
+        if ops != op_count or size != neighbourhood_size:
             raise ValueError("multiplicity histogram disagrees with the counts")
+        return super().__new__(cls, n, kind, op_count, neighbourhood_size, multiplicity_histogram)
 
     def to_json(self) -> dict:
         return {
@@ -178,7 +182,6 @@ class _Rooted:
         self.prefix = list(accumulate(self.hashes, initial=0))
 
 
-@dataclass
 class _Side:
     """One component of a bisected tree and its reconnection choices.
 
@@ -190,11 +193,14 @@ class _Side:
     reconnected at ``refs[k]`` (see :func:`_contributions`).
     """
 
-    mask: int
-    refs: list[int | None]
-    scar: int
-    near: tuple[int, ...]
-    sums: list[int]
+    __slots__ = ("mask", "refs", "scar", "near", "sums")
+
+    def __init__(self, mask: int, refs: list[int | None], scar: int, near: tuple[int, ...], sums: list[int]):
+        self.mask = mask
+        self.refs = refs
+        self.scar = scar
+        self.near = near
+        self.sums = sums
 
     @property
     def single(self) -> bool:
@@ -539,6 +545,8 @@ class SurveyEntry:
     and ``forms`` are exact as well, but built on demand: ``singles`` walks
     the operations again and re-keys those whose hash no other operation
     shares, and ``repeated`` counts the re-keyed operations of shared hashes.
+    ``repeats`` reads ``repeated`` alone: an output of two or more operations
+    always shares its hash, so it never needs the walk.
     """
 
     def __init__(
@@ -562,6 +570,12 @@ class SurveyEntry:
     def multiplicities(self) -> dict[CanonicalForm, int]:
         names, repeated = self._names, self._repeated
         return {CanonicalForm(key, names): repeated.get(key, 1) for key in self.output_keys()}
+
+    @cached_property
+    def repeats(self) -> dict[CanonicalForm, int]:
+        """The outputs of two or more operations, each with its multiplicity."""
+        names = self._names
+        return {CanonicalForm(key, names): c for key, c in self._repeated.items() if c > 1}
 
     @cached_property
     def forms(self) -> frozenset[CanonicalForm]:

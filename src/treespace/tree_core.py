@@ -14,7 +14,6 @@ complete-tree predicate all read that one traversal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
@@ -49,28 +48,33 @@ def _ordered_names(names: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(names))
 
 
-@dataclass(frozen=True, order=True)
-class Split:
+class _SplitFields(NamedTuple):
+    mask: int
+    n: int
+
+
+class Split(_SplitFields):
     """A bipartition of the leaf set, induced by deleting one edge.
 
     ``mask`` holds the side that does not contain leaf index 0, one bit per
     leaf index.  Construction normalizes: a mask with bit 0 set is replaced
     by its complement.
+
+    Like every value type of this package, a split is a named tuple: it is
+    immutable, orders and hashes by its field tuple ``(mask, n)``, and so
+    also compares equal to the plain tuple of its fields.
     """
 
-    mask: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 < self.n:
+    def __new__(cls, mask: int, n: int) -> "Split":
+        if not 0 < n:
             raise ValueError("split needs a positive leaf count")
-        full = (1 << self.n) - 1
-        mask = self.mask
-        if mask & 1:
-            mask ^= full
-            object.__setattr__(self, "mask", mask)
-        if not 0 < mask <= full:
-            raise ValueError(f"mask {self.mask:#x} is not a proper bipartition of {self.n} leaves")
+        full = (1 << n) - 1
+        normal = mask ^ full if mask & 1 else mask
+        if not 0 < normal <= full:
+            raise ValueError(f"mask {normal:#x} is not a proper bipartition of {n} leaves")
+        return super().__new__(cls, normal, n)
 
     @property
     def a(self) -> int:
@@ -87,8 +91,7 @@ class Split:
         return self.a == 1 or self.b == 1
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Order-independent fingerprint of a labelled tree.
 
     Holds the sorted tuple of all edge split masks plus the sorted leaf

@@ -9,8 +9,7 @@ complete report.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import metrics
 from .errors import RangeError
@@ -38,13 +37,14 @@ RATIO_HALF_FROM = 72
 SAMPLE_NS = (8, 9, 10, 11, 12, 16, 32, 64)
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
+    """One suite's verdict, the number of checks, details and failures."""
+
     suite: str
     passed: bool
     checks: int
     details: dict
-    failures: list[dict] = field(default_factory=list)
+    failures: list[dict]
 
     def to_json(self) -> dict:
         return {
@@ -166,7 +166,7 @@ def redundancy_suite(n_max: int = 7) -> SuiteResult:
             spr = survey[OpKind.SPR]
             mults = set(tbr.report.multiplicity_histogram)
             col.check(mults <= {1, 4}, f"TBR multiplicities {sorted(mults)} not in {{1, 4}}", tree)
-            quadruple = frozenset(f for f, c in tbr.multiplicities.items() if c == 4)
+            quadruple = frozenset(f for f, c in tbr.repeats.items() if c == 4)
             col.check(
                 quadruple == nni.forms,
                 "multiplicity-4 TBR outputs differ from the NNI neighbourhood",

@@ -125,7 +125,7 @@ class TestParallelScan:
     @pytest.mark.parametrize("threads", [2, 3])
     @pytest.mark.parametrize("n", range(4, 9))
     def test_equals_serial(self, serial_scans, n, threads):
-        # Dataclass equality: every field, argmax_forms and argmin_forms included.
+        # Field-by-field equality, argmax_forms and argmin_forms included.
         assert extremal_scan(n, threads=threads) == serial_scans[n]
 
     def test_workers_build_their_own_trees(self, serial_scans, monkeypatch):

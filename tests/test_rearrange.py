@@ -343,6 +343,30 @@ class TestHashSurvey:
         assert survey[OpKind.SPR].report.neighbourhood_size == spr_size(n)
         assert survey[OpKind.NNI].report.neighbourhood_size == nni_size(n)
 
+    @staticmethod
+    def check_repeats(trees) -> int:
+        """Asserts ``repeats`` on every kind; returns how many outputs of one
+        operation the exact re-check saw."""
+        rechecked_singles = 0
+        for tree in trees:
+            for kind, entry in op_survey(tree).items():
+                want = {f: c for f, c in entry.multiplicities.items() if c > 1}
+                assert entry.repeats == want, (kind, tree)
+                rechecked_singles += sum(c == 1 for c in entry._repeated.values())
+        return rechecked_singles
+
+    def test_repeats_are_the_multiple_outputs(self):
+        """``repeats``, read from the exact re-check alone, holds exactly the
+        outputs of two or more operations."""
+        self.check_repeats(t for n in (4, 5, 6, 7) for t in all_trees(n))
+
+    def test_repeats_under_forced_collisions(self, monkeypatch):
+        """With 8-bit keys, distinct outputs of one operation each share a
+        hash and are re-checked too; ``repeats`` must still leave them out."""
+        monkeypatch.setattr(rearrange, "_HASH_BITS", 8)
+        trees = [t for n in (4, 5, 6) for t in all_trees(n)] + [random_tree(n, n) for n in range(7, 13)]
+        assert self.check_repeats(trees) > 0
+
 
 REFERENCE_TREES = {
     "T4-T7": [t for n in (4, 5, 6, 7) for t in all_trees(n)],

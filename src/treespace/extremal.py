@@ -2,18 +2,19 @@
 
 Over all trees on n leaves, the TBR neighbourhood is largest exactly for
 caterpillars and smallest exactly for complete (maximally balanced) trees.
-The scan checks both characterizations as canonical-form set equalities
-against the predicates, over every labelled tree in T_n.
+The scan tallies every labelled tree in T_n by its neighbourhood size and
+the two predicates, and checks both characterizations from the tally.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import RangeError
 from .metrics import caterpillar_tbr_size, complete_tbr_size, gamma_complete, tbr_size
-from .tree_core import CanonicalForm, PhyloTree, require_leaves
+from .tree_core import PhyloTree, require_leaves
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor, ProcessPoolExecutor
@@ -84,10 +85,10 @@ class ExtremalScanResult(NamedTuple):
     min_value: int
     max_gamma: int
     min_gamma: int
-    argmax_forms: frozenset[CanonicalForm]
-    argmin_forms: frozenset[CanonicalForm]
-    argmax_all_caterpillar: bool = False
-    argmin_all_complete: bool = False
+    argmax_count: int
+    argmin_count: int
+    argmax_all_caterpillar: bool
+    argmin_all_complete: bool
 
     def to_json(self) -> dict:
         return {
@@ -97,8 +98,8 @@ class ExtremalScanResult(NamedTuple):
             "min_value": self.min_value,
             "max_gamma": self.max_gamma,
             "min_gamma": self.min_gamma,
-            "argmax_count": len(self.argmax_forms),
-            "argmin_count": len(self.argmin_forms),
+            "argmax_count": self.argmax_count,
+            "argmin_count": self.argmin_count,
             "argmax_all_caterpillar": self.argmax_all_caterpillar,
             "argmin_all_complete": self.argmin_all_complete,
             "caterpillar_formula": caterpillar_tbr_size(self.n),
@@ -108,67 +109,39 @@ class ExtremalScanResult(NamedTuple):
 
 
 class _Accumulator:
-    """Associatively mergeable partial scan state."""
+    """Associatively mergeable partial scan state: the number of trees with
+    each (TBR neighbourhood size, is caterpillar, is complete)."""
 
     def __init__(self, n: int):
         self.n = n
-        self.count = 0
-        self.max_value: int | None = None
-        self.min_value: int | None = None
-        self.argmax: set[CanonicalForm] = set()
-        self.argmin: set[CanonicalForm] = set()
-        self.caterpillars: set[CanonicalForm] = set()
-        self.completes: set[CanonicalForm] = set()
+        self.counts: Counter[tuple[int, bool, bool]] = Counter()
 
     def add(self, tree: PhyloTree) -> None:
-        self.count += 1
-        value = tbr_size(tree)
-        form = tree.canonical_form()
-        self._take_max(value, {form})
-        self._take_min(value, {form})
-        if is_caterpillar(tree):
-            self.caterpillars.add(form)
-        if is_complete(tree):
-            self.completes.add(form)
-
-    def _take_max(self, value: int, forms: set[CanonicalForm]) -> None:
-        if self.max_value is None or value > self.max_value:
-            self.max_value = value
-            self.argmax = set(forms)
-        elif value == self.max_value:
-            self.argmax |= forms
-
-    def _take_min(self, value: int, forms: set[CanonicalForm]) -> None:
-        if self.min_value is None or value < self.min_value:
-            self.min_value = value
-            self.argmin = set(forms)
-        elif value == self.min_value:
-            self.argmin |= forms
+        self.counts[tbr_size(tree), is_caterpillar(tree), is_complete(tree)] += 1
 
     def merge(self, other: "_Accumulator") -> None:
-        self.count += other.count
-        if other.max_value is not None:
-            self._take_max(other.max_value, other.argmax)
-        if other.min_value is not None:
-            self._take_min(other.min_value, other.argmin)
-        self.caterpillars |= other.caterpillars
-        self.completes |= other.completes
+        self.counts.update(other.counts)
 
     def result(self) -> ExtremalScanResult:
+        counts = self.counts
+        top = max(v for v, _, _ in counts)
+        bottom = min(v for v, _, _ in counts)
         # tbr_size is 4*Gamma - (4n-2)(n-3), monotone in Gamma, so the
         # extremal Gamma values come straight back out of the sizes.
         offset = (4 * self.n - 2) * (self.n - 3)
         return ExtremalScanResult(
             n=self.n,
-            tree_count=self.count,
-            max_value=self.max_value,
-            min_value=self.min_value,
-            max_gamma=(self.max_value + offset) // 4,
-            min_gamma=(self.min_value + offset) // 4,
-            argmax_forms=frozenset(self.argmax),
-            argmin_forms=frozenset(self.argmin),
-            argmax_all_caterpillar=self.argmax == self.caterpillars,
-            argmin_all_complete=self.argmin == self.completes,
+            tree_count=counts.total(),
+            max_value=top,
+            min_value=bottom,
+            max_gamma=(top + offset) // 4,
+            min_gamma=(bottom + offset) // 4,
+            argmax_count=sum(c for (v, _, _), c in counts.items() if v == top),
+            argmin_count=sum(c for (v, _, _), c in counts.items() if v == bottom),
+            # The maximizers are exactly the caterpillars when every tree is
+            # at the maximum exactly when it is a caterpillar; likewise below.
+            argmax_all_caterpillar=all((v == top) == cat for v, cat, _ in counts),
+            argmin_all_complete=all((v == bottom) == comp for v, _, comp in counts),
         )
 
 

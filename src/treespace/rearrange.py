@@ -70,8 +70,7 @@ class OpKind(enum.Enum):
         return other in _WITHIN[self]
 
 
-# The kinds each kind includes.  Tuples, not sets: membership then compares
-# by identity instead of calling Enum.__hash__ once per operation.
+# The kinds each kind includes.
 _WITHIN = {
     OpKind.NNI: (OpKind.NNI,),
     OpKind.SPR: (OpKind.NNI, OpKind.SPR),
@@ -317,9 +316,6 @@ def _bisect(tree: PhyloTree, bisect_mask: int) -> tuple[_Side, _Side]:
     return _side_a(rooted, v), _side_b(rooted, v)
 
 
-_Op = tuple[int, "int | None", "int | None", OpKind]
-
-
 def _pairs(side_a: _Side, side_b: _Side, kind: OpKind) -> list[tuple[int, int]]:
     """Index pairs (ref a, ref b) of the operations of one bisection that are
     of ``kind`` or narrower.
@@ -343,23 +339,6 @@ def _pairs(side_a: _Side, side_b: _Side, kind: OpKind) -> list[tuple[int, int]]:
     return [(sa, j) for j in row] + [(i, sb) for i in col]
 
 
-def _reconnections(mask: int, side_a: _Side, side_b: _Side) -> Iterator[_Op]:
-    """Every operation on one bisection as (mask, ref a, ref b, kind).
-
-    Pairs come in lexicographic ref order, without the scar-scar pair, each
-    with its most specific kind.
-    """
-    kinds = dict.fromkeys(_pairs(side_a, side_b, OpKind.SPR), OpKind.SPR)
-    kinds.update(dict.fromkeys(_pairs(side_a, side_b, OpKind.NNI), OpKind.NNI))
-    skip = (side_a.scar, side_b.scar)
-    refs_a, refs_b = side_a.refs, side_b.refs
-    order_b = sorted(range(len(refs_b)), key=refs_b.__getitem__)
-    for i in sorted(range(len(refs_a)), key=refs_a.__getitem__):
-        for j in order_b:
-            if (i, j) != skip:
-                yield mask, refs_a[i], refs_b[j], kinds.get((i, j), OpKind.TBR)
-
-
 # -- public operations --------------------------------------------------------
 
 
@@ -372,14 +351,16 @@ def enumerate_ops(tree: PhyloTree, kind: OpKind = OpKind.TBR) -> list[Rearrangem
     one being the scar-scar pair that would rebuild the input tree.
     """
     require_leaves(tree)
-    within = _WITHIN[kind]
     rooted = _Rooted(tree)
     cluster = rooted.cluster
     ops = []
     for v in sorted(range(len(cluster)), key=cluster.__getitem__):
-        for mask, ra, rb, op_kind in _reconnections(cluster[v], _side_a(rooted, v), _side_b(rooted, v)):
-            if op_kind in within:
-                ops.append(RearrangementOp(mask, ra, rb))
+        side_a, side_b = _side_a(rooted, v), _side_b(rooted, v)
+        refs_a, refs_b = side_a.refs, side_b.refs
+        # Refs are distinct within a side, and a single leaf's one ref None
+        # is never compared with another value.
+        pairs = sorted((refs_a[i], refs_b[j]) for i, j in _pairs(side_a, side_b, kind))
+        ops += [RearrangementOp(cluster[v], ra, rb) for ra, rb in pairs]
     return ops
 
 
@@ -399,9 +380,11 @@ def _validated_sides(tree: PhyloTree, op: RearrangementOp) -> tuple[_Side, _Side
 def classify_op(tree: PhyloTree, op: RearrangementOp) -> OpKind:
     """Most specific class of the op: NNI before SPR before TBR."""
     side_a, side_b = _validated_sides(tree, op)
-    pair = (op.reconnect_a, op.reconnect_b)
-    reconnections = _reconnections(op.bisect_mask, side_a, side_b)
-    return next(kind for _, ra, rb, kind in reconnections if (ra, rb) == pair)
+    pair = (side_a.refs.index(op.reconnect_a), side_b.refs.index(op.reconnect_b))
+    for kind in (OpKind.NNI, OpKind.SPR):
+        if pair in _pairs(side_a, side_b, kind):
+            return kind
+    return OpKind.TBR
 
 
 def _component_edges(tree: PhyloTree, inside: int, outside: int) -> dict[int, Edge]:
@@ -495,9 +478,8 @@ def _contributions(side: _Side, ref: int | None, full: int) -> list[int]:
     return parts
 
 
-def _output_key(full: int, op: _Op, side_a: _Side, side_b: _Side) -> tuple[int, ...]:
+def _output_key(full: int, mask: int, ra: int | None, rb: int | None, side_a: _Side, side_b: _Side) -> tuple[int, ...]:
     """Exact key of one operation's output tree: its sorted normalized split masks."""
-    mask, ra, rb = op[:3]
     key = _contributions(side_a, ra, full) + _contributions(side_b, rb, full)
     key.append(mask)
     key.sort()
@@ -604,7 +586,7 @@ def op_survey(
 
     def exact(k: int, i: int, j: int) -> tuple[int, ...]:
         mask, side_a, side_b = bisections[k]
-        return _output_key(full, (mask, side_a.refs[i], side_b.refs[j]), side_a, side_b)
+        return _output_key(full, mask, side_a.refs[i], side_b.refs[j], side_a, side_b)
 
     def singles(kind: OpKind, shared: set[int]) -> Iterator[tuple[int, ...]]:
         for k, (mask, side_a, side_b) in enumerate(bisections):

@@ -400,50 +400,23 @@ class PhyloTree:
         return f"PhyloTree(n={self.n}, leaves={list(self.leaf_order)!r})"
 
 
-def build_tree(
-    edges: Iterable[Edge],
-    leaf_names: Mapping[int, str] | Iterable[tuple[int, str]] | Iterable[str],
-) -> PhyloTree:
-    """Build and validate a tree from an edge list.
-
-    ``leaf_names`` may be a mapping from leaf vertex id to label, an iterable
-    of (vertex, label) pairs, or a plain iterable of labels which are then
-    assigned to the degree-1 vertices in ascending vertex order.
-    """
+def build_tree(edges: Iterable[Edge], leaf_names: Mapping[int, str]) -> PhyloTree:
+    """Build and validate a tree from an edge list and a mapping from leaf
+    vertex id to label."""
     adjacency: dict[int, set[int]] = {}
     for u, v in edges:
         adjacency.setdefault(u, set()).add(v)
         adjacency.setdefault(v, set()).add(u)
-
-    names: dict[int, str]
-    if isinstance(leaf_names, Mapping):
-        names = dict(leaf_names)
-    else:
-        items = list(leaf_names)
-        if items and isinstance(items[0], str):
-            degree_one = sorted(v for v, ws in adjacency.items() if len(ws) == 1)
-            if not adjacency and len(items) == 1:
-                # A single isolated leaf has no edges; vertex id 0.
-                return PhyloTree({0: ()}, {0: items[0]})
-            if len(items) != len(degree_one):
-                raise EmptyLabel(
-                    f"{len(items)} labels supplied for {len(degree_one)} leaf vertices"
-                )
-            names = dict(zip(degree_one, items))
-        else:
-            names = {v: name for v, name in items}
-
     if not adjacency:
-        if len(names) == 1:
-            ((v, name),) = names.items()
-            return PhyloTree({v: ()}, {v: name})
-        raise Disconnected("no edges and not a single-leaf tree")
-    return PhyloTree(adjacency, names)
+        if len(leaf_names) != 1:
+            raise Disconnected("no edges and not a single-leaf tree")
+        adjacency = {v: set() for v in leaf_names}
+    return PhyloTree(adjacency, leaf_names)
 
 
-def require_leaves(tree_or_n: "PhyloTree | int", minimum: int = 4) -> int:
-    """Return the leaf count, raising TooFewLeaves below ``minimum``."""
+def require_leaves(tree_or_n: "PhyloTree | int") -> int:
+    """Return the leaf count, raising TooFewLeaves below 4."""
     n = tree_or_n.n if isinstance(tree_or_n, PhyloTree) else int(tree_or_n)
-    if n < minimum:
-        raise TooFewLeaves(f"need at least {minimum} leaves, got {n}")
+    if n < 4:
+        raise TooFewLeaves(f"need at least 4 leaves, got {n}")
     return n

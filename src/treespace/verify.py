@@ -56,16 +56,19 @@ class SuiteResult(NamedTuple):
         }
 
 
+#: Counterexamples kept per suite; the checks go on being counted past it.
+MAX_FAILURES = 20
+
+
 class _Collector:
-    def __init__(self, suite: str, max_failures: int = 20):
+    def __init__(self, suite: str):
         self.suite = suite
         self.checks = 0
         self.failures: list[dict] = []
-        self._max = max_failures
 
     def check(self, ok: bool, message: str, tree: PhyloTree | None = None) -> bool:
         self.checks += 1
-        if not ok and len(self.failures) < self._max:
+        if not ok and len(self.failures) < MAX_FAILURES:
             record = {"message": message}
             if tree is not None:
                 record["newick"] = serialize_newick(tree)
@@ -130,6 +133,8 @@ def formulas_suite(n_max: int = 7, samples: int = 0, seed: int = 0) -> SuiteResu
     each n in SAMPLE_NS, checked the same way: the TBR closed forms depend on
     the tree only through Gamma, which is computed per tree.
     """
+    if samples < 0:
+        raise RangeError(f"samples must be >= 0, got {samples}")
     col = _Collector("formulas")
     trees_checked: dict[str, int] = {}
     for n in _exhaustive_range(n_max):
@@ -198,8 +203,11 @@ def extremal_suite(n_max: int = 8, threads: int = 1) -> SuiteResult:
 
     The maximizers must be exactly the caterpillars and the minimizers
     exactly the complete trees, with the extreme values matching their
-    closed forms.
+    closed forms.  ``threads`` > 1 scans each T_n on that many worker
+    processes.
     """
+    if threads < 1:
+        raise RangeError(f"threads must be >= 1, got {threads}")
     col = _Collector("extremal")
     scans = {}
     with scan_pool(threads) if threads > 1 else nullcontext() as pool:

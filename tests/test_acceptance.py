@@ -150,8 +150,8 @@ def test_criterion_07_complete_closed_form():
 
 def test_criterion_08_extremal_characterizations():
     """For n in {5,6,7,8}: the arg-max set over all of T_n is exactly the
-    caterpillar set and the arg-min set exactly the complete set, as
-    canonical-form set equalities."""
+    caterpillar set and the arg-min set exactly the complete set, as set
+    equalities over the labelled trees."""
     with _announce(8, "extremal characterizations over T_5..T_8 (set equality)"):
         result = extremal_suite(n_max=8)
         assert result.passed, result.failures

@@ -238,6 +238,14 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {option} applies only to the ")
 
+    @pytest.mark.parametrize("suite,option,value", [
+        ("formulas", "--samples", "-1"), ("extremal", "--threads", "0"), ("extremal", "--threads", "-5"),
+    ])
+    def test_option_value_out_of_range_rejected(self, capsys, suite, option, value):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", "4", option, value)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {option[2:]} must be >= ")
+
     def test_threads_from_environment_only(self, capsys, monkeypatch):
         monkeypatch.setenv("TREESPACE_THREADS", "2")
         report = run_json(capsys, "verify", "--suite", "formulas", "--n-max", "4")

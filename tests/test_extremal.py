@@ -8,12 +8,14 @@ from conftest import reference_is_complete
 
 from treespace import (
     OpKind,
+    PhyloTree,
     RangeError,
     all_trees,
     apply_op,
     caterpillar,
     complete,
     enumerate_ops,
+    extremal,
     extremal_scan,
     gamma_complete,
     is_caterpillar,
@@ -21,6 +23,7 @@ from treespace import (
     parse_newick,
     perfect,
 )
+from treespace.verify import extremal_suite
 
 
 class TestIsCaterpillar:
@@ -90,22 +93,22 @@ class TestScan:
     def test_n4(self):
         scan = extremal_scan(4)
         assert scan.max_value == scan.min_value == 2
-        assert len(scan.argmax_forms) == len(scan.argmin_forms) == 3
+        assert scan.argmax_count == scan.argmin_count == 3
         assert scan.argmax_all_caterpillar and scan.argmin_all_complete
 
     def test_n6(self):
         scan = extremal_scan(6)
         assert (scan.max_value, scan.min_value) == (34, 30)
-        assert len(scan.argmax_forms) == 90  # labelled caterpillars: 6!/8
-        assert len(scan.argmin_forms) == 15  # labelled perfect trees: 6!/48
+        assert scan.argmax_count == 90  # labelled caterpillars: 6!/8
+        assert scan.argmin_count == 15  # labelled perfect trees: 6!/48
         assert scan.argmax_all_caterpillar and scan.argmin_all_complete
         assert scan.min_gamma == gamma_complete(6) == 24
 
     def test_n7(self):
         scan = extremal_scan(7)
         assert (scan.max_value, scan.min_value) == (72, 64)
-        assert len(scan.argmax_forms) == 630
-        assert len(scan.argmin_forms) == 315
+        assert scan.argmax_count == 630
+        assert scan.argmin_count == 315
         assert scan.argmax_all_caterpillar and scan.argmin_all_complete
 
     def test_range(self):
@@ -114,6 +117,34 @@ class TestScan:
 
     def test_threads_agree(self):
         assert extremal_scan(5, threads=2).to_json() == extremal_scan(5).to_json()
+
+
+class TestVerdictsCanFail:
+    """One tree of T_6 on which a predicate disagrees with the scan turns
+    that predicate's verdict False and fails the extremal suite."""
+
+    VERDICTS = {
+        "is_caterpillar": ("argmax_all_caterpillar", "max_value", "maximizer set is not exactly the caterpillar set"),
+        "is_complete": ("argmin_all_complete", "min_value", "minimizer set is not exactly the complete-tree set"),
+    }
+
+    @pytest.mark.parametrize("predicate", VERDICTS)
+    @pytest.mark.parametrize("flag", [False, True], ids=["extreme-unflagged", "flagged-not-extreme"])
+    def test_one_wrong_flag(self, monkeypatch, predicate, flag):
+        verdict, extreme, message = self.VERDICTS[predicate]
+        original = getattr(extremal, predicate)
+        # The theorem holds, so a tree the predicate holds for is at the
+        # extreme and any other tree is not.
+        target = next(t for t in all_trees(6) if original(t) != flag)
+        monkeypatch.setattr(extremal, predicate, lambda t: flag if t == target else original(t))
+        scan = extremal_scan(6)
+        assert (extremal.tbr_size(target) == getattr(scan, extreme)) != flag
+        assert not getattr(scan, verdict)
+        other = next(v for v, _, _ in self.VERDICTS.values() if v != verdict)
+        assert getattr(scan, other)
+        suite = extremal_suite(n_max=6)
+        assert not suite.passed
+        assert [f["message"] for f in suite.failures] == [f"n=6: {message}"]
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +156,7 @@ class TestParallelScan:
     @pytest.mark.parametrize("threads", [2, 3])
     @pytest.mark.parametrize("n", range(4, 9))
     def test_equals_serial(self, serial_scans, n, threads):
-        # Field-by-field equality, argmax_forms and argmin_forms included.
+        # Field-by-field equality, the argmax and argmin counts and verdicts included.
         assert extremal_scan(n, threads=threads) == serial_scans[n]
 
     def test_workers_build_their_own_trees(self, serial_scans, monkeypatch):
@@ -139,4 +170,14 @@ class TestParallelScan:
                 for attr in ("parse_newick", "serialize_newick"):
                     if hasattr(module, attr):
                         monkeypatch.setattr(module, attr, refuse)
+        assert extremal_scan(7, threads=2) == serial_scans[7]
+
+    def test_no_canonical_forms(self, serial_scans, monkeypatch):
+        """The scan tallies trees without computing their canonical forms."""
+
+        def refuse(tree):
+            raise AssertionError("the scan computed a canonical form")
+
+        monkeypatch.setattr(PhyloTree, "_canonical_form", property(refuse))
+        assert extremal_scan(7) == serial_scans[7]
         assert extremal_scan(7, threads=2) == serial_scans[7]

@@ -35,7 +35,7 @@ from treespace import (
     tbr_size,
 )
 from treespace import rearrange
-from treespace.rearrange import _M64, _bisect, _contributions, _mix, _output_key, _reconnections, op_survey
+from treespace.rearrange import _M64, _bisect, _contributions, _mix, _output_key, _pairs, op_survey
 
 
 def leaf_mask(tree, *names):
@@ -264,13 +264,11 @@ class TestCountFormulas:
 def exact_multiplicities(tree):
     """Per kind, output multiplicities keyed by every operation's sorted split masks."""
     counts = {kind: Counter() for kind in OpKind}
-    tallies = {op_kind: [c for kind, c in counts.items() if kind.includes(op_kind)] for op_kind in OpKind}
     for mask in tree.split_masks:
         side_a, side_b = _bisect(tree, mask)
-        for op in _reconnections(mask, side_a, side_b):
-            key = _output_key(tree.full_mask, op, side_a, side_b)
-            for counter in tallies[op[3]]:
-                counter[key] += 1
+        for kind, counter in counts.items():
+            for i, j in _pairs(side_a, side_b, kind):
+                counter[_output_key(tree.full_mask, mask, side_a.refs[i], side_b.refs[j], side_a, side_b)] += 1
     return {
         kind: {CanonicalForm(key, tree.leaf_order): c for key, c in counter.items()}
         for kind, counter in counts.items()

@@ -34,10 +34,6 @@ class TestBuildTree:
         assert len(t.vertices()) == 6  # 2n - 2
         assert len(t.edges()) == 5  # 2n - 3
 
-    def test_leaf_names_as_plain_list(self):
-        t = build_tree(QUARTET_EDGES, ["1", "2", "3", "4"])
-        assert t == build_tree(QUARTET_EDGES, QUARTET_NAMES)
-
     def test_path_graph_rejected(self):
         with pytest.raises(DegreeViolation):
             build_tree([(0, 1), (1, 2), (2, 3)], {0: "a", 3: "b"})

@@ -1,8 +1,9 @@
 """Verification-suite plumbing: structure, sweep consistency, failure capture."""
 
 import numpy as np
+import pytest
 
-from treespace import metrics, verify
+from treespace import RangeError, metrics, verify
 from treespace.metrics import complete_tbr_size
 from treespace.verify import (
     ASYMPTOTIC_C,
@@ -30,6 +31,12 @@ def test_formulas_suite_samples():
     # Five checks per tree, the TBR size and op count included: 3 trees of
     # T_4 plus 2 samples for each of the 8 sampled n (8..12, 16, 32, 64).
     assert result.checks == 5 * (3 + 2 * 8)
+
+
+@pytest.mark.parametrize("suite,options", [(formulas_suite, {"samples": -1}), (extremal_suite, {"threads": 0})])
+def test_suite_option_out_of_range(suite, options):
+    with pytest.raises(RangeError):
+        suite(n_max=4, **options)
 
 
 def test_formulas_suite_evaluates_each_closed_form_once(monkeypatch):

@@ -51,7 +51,7 @@ _EXPORTS = {
         "enumerate_ops",
         "op_survey",
     ),
-    "tree_core": ("MAX_LEAVES", "CanonicalForm", "PhyloTree", "Split", "build_tree"),
+    "tree_core": ("MAX_LEAVES", "CanonicalForm", "PhyloTree", "Split"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -148,7 +148,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if getattr(args, name) is not None and suite != owner:
             raise RangeError(f"--{name} applies only to the {owner} suite")
     samples = args.samples or 0
-    threads = _default_threads() if args.threads is None else args.threads
+    threads = 1 if args.threads is None else args.threads
     if suite == "formulas":
         options.update(samples=samples, seed=args.seed or 0)
     elif suite == "extremal":
@@ -200,14 +200,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_threads() -> int:
-    env = os.environ.get("TREESPACE_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="treespace", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -238,9 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=None, help="random trees per n in 8..12, 16, 32 and 64 (formulas; default 0)"
     )
     p.add_argument("--seed", type=int, default=None, help="seed of the samples (formulas; default 0)")
-    p.add_argument(
-        "--threads", type=int, default=None, help="worker processes (extremal; default $TREESPACE_THREADS or 1)"
-    )
+    p.add_argument("--threads", type=int, default=None, help="worker processes (extremal; default 1)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("table", help="closed-form tables per family")

@@ -171,19 +171,21 @@ def scan_pool(threads: int) -> ProcessPoolExecutor:
 def extremal_scan(n: int, threads: int = 1, pool: Executor | None = None) -> ExtremalScanResult:
     """Scan every tree in T_n (4 <= n <= 8) for TBR-neighbourhood extremes.
 
-    With ``threads`` > 1 a process pool scans the shards of T_n named by
-    insertion-code prefixes; each worker builds its own trees, and the
-    partial results merge to the same result as the serial scan.  The pool
-    is ``pool`` when given (a :func:`scan_pool`), otherwise one opened for
-    this call.
+    ``threads`` must be at least 1.  With ``threads`` > 1 a process pool
+    scans the shards of T_n named by insertion-code prefixes; each worker
+    builds its own trees, and the partial results merge to the same result
+    as the serial scan.  The pool is ``pool`` when given (a
+    :func:`scan_pool`), otherwise one opened for this call.
     """
     # Imported here, so that the predicates above load without the enumerator.
     from .generators import all_trees, insertion_prefixes
 
     if not 4 <= n <= 8:
         raise RangeError(f"extremal scan supports 4 <= n <= 8, got {n}")
+    if threads < 1:
+        raise RangeError(f"threads must be >= 1, got {threads}")
     acc = _Accumulator(n)
-    if threads <= 1:
+    if threads == 1:
         for tree in all_trees(n):
             acc.add(tree)
         return acc.result()

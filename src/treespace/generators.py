@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 from .errors import RangeError, TooManyLeaves
 from .metrics import perfect_form
-from .tree_core import MAX_LEAVES, Edge, PhyloTree, build_tree, require_leaves
+from .tree_core import MAX_LEAVES, Edge, PhyloTree, require_leaves
 
 
 class TreeFamily(enum.Enum):
@@ -46,7 +46,7 @@ def caterpillar(n: int) -> PhyloTree:
         edges.append((i, spine[i - 1]))
     edges.extend([(n - 2, spine[-1]), (n - 1, spine[-1])])
     edges.extend((spine[j], spine[j + 1]) for j in range(n - 3))
-    return build_tree(edges, _names(n))
+    return PhyloTree(edges, _names(n))
 
 
 class _Builder:
@@ -110,7 +110,7 @@ def complete(n: int) -> PhyloTree:
     left = b.balanced(list(range(half)))
     right = b.complete_rooted(list(range(half, n)))
     b.edges.append((left, right))
-    return build_tree(b.edges, _names(n))
+    return PhyloTree(b.edges, _names(n))
 
 
 def perfect(n: int) -> PhyloTree:
@@ -131,7 +131,7 @@ def perfect(n: int) -> PhyloTree:
         third = n // 3
         for i in range(3):
             b.edges.append((center, b.balanced(list(range(i * third, (i + 1) * third)))))
-    return build_tree(b.edges, _names(n))
+    return PhyloTree(b.edges, _names(n))
 
 
 def random_tree(n: int, seed: int) -> PhyloTree:
@@ -149,7 +149,7 @@ def random_tree(n: int, seed: int) -> PhyloTree:
         u, v = edges.pop(rng.randrange(len(edges)))
         w = n + leaf - 2
         edges.extend([(u, w), (w, v), (w, leaf)])
-    return build_tree(edges, _names(n))
+    return PhyloTree(edges, _names(n))
 
 
 def all_trees(n: int, prefix: Sequence[int] = ()) -> Iterator[PhyloTree]:
@@ -172,7 +172,7 @@ def all_trees(n: int, prefix: Sequence[int] = ()) -> Iterator[PhyloTree]:
 
     def grow(edges: list[Edge], leaf: int) -> Iterator[PhyloTree]:
         if leaf == n:
-            yield build_tree(edges, names)
+            yield PhyloTree(edges, names)
             return
         w = n + leaf - 2
         depth = leaf - 3

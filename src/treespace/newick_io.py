@@ -5,6 +5,10 @@ bifurcating input is accepted: the degree-2 root is suppressed and reported
 through the ``RootSuppressed`` warning.  Branch lengths are parsed and
 discarded (``BranchLengthsDiscarded`` warning); internal node labels have no
 meaning for a purely topological tree and are rejected.
+
+The parser reads the text once.  It keeps a stack of the open ``(`` nodes,
+appends a ``(parent, child)`` edge and a leaf name as it reads, and hands
+the edge list to :class:`PhyloTree`.
 """
 
 from __future__ import annotations
@@ -14,15 +18,21 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegreeViolation, DuplicateLabel, EmptyLabel, NewickSyntaxError, TooFewLeaves
-from .tree_core import PhyloTree
+from .tree_core import Edge, PhyloTree
 
 ROOT_SUPPRESSED = "RootSuppressed"
 BRANCH_LENGTHS_DISCARDED = "BranchLengthsDiscarded"
 
-# Characters that end an unquoted label, besides the whitespace skip_ws skips.
-_LABEL_END = frozenset("(),:;'[]")
-# Labels to quote on output: any structural character, or any character the
-# parser would skip as whitespace (str.isspace, which is exactly what \s matches).
+# Whitespace; \s matches exactly the characters str.isspace accepts.
+_SPACE = re.compile(r"\s*").match
+# An unquoted label (anything but structure or whitespace), then whitespace.
+_UNQUOTED = re.compile(r"([^(),:;'\[\]\s]*)\s*").match
+# A quoted label, '' standing for one quote, then whitespace.  The loop is
+# possessive: it never gives back a '' pair, so "'''a" is unterminated.
+_QUOTED = re.compile(r"'((?:[^']|'')*+)'\s*").match
+# The ',' or ')' after a subtree, with the whitespace around it.
+_SEPARATOR = re.compile(r"\s*([,)])\s*").match
+# Labels to quote on output: any structural character, or any whitespace.
 _NEEDS_QUOTES = re.compile(r"[(),:;'\[\]\s]").search
 
 
@@ -33,174 +43,16 @@ class NewickDoc(NamedTuple):
     warnings: tuple[str, ...]
 
 
-class _Node:
-    """A node of the parse tree: where it starts, its label, its children."""
-
-    __slots__ = ("pos", "label", "children")
-
-    def __init__(self, pos: int, label: str | None = None):
-        self.pos = pos
-        self.label = label
-        self.children: list[_Node] = []
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.saw_length = False
-
-    def error(self, message: str, expected: str | None = None, pos: int | None = None) -> NewickSyntaxError:
-        return NewickSyntaxError(message, self.pos if pos is None else pos, expected)
-
-    def skip_ws(self) -> None:
-        text = self.text
-        while self.pos < len(text) and text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> _Node:
-        self.skip_ws()
-        if not self.peek():
-            raise self.error("empty input", expected="a Newick statement")
-        root = self.subtree()
-        self.skip_ws()
-        if self.peek() != ";":
-            raise self.error("unterminated statement", expected="';'")
-        self.pos += 1
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("trailing characters after ';'")
-        return root
-
-    def subtree(self) -> _Node:
-        """One subtree, parsed with an explicit stack so nesting depth is unbounded."""
-        open_nodes: list[_Node] = []
-        while True:
-            self.skip_ws()
-            start = self.pos
-            if self.peek() == "(":
-                self.pos += 1
-                open_nodes.append(_Node(pos=start))
-                continue
-            node = _Node(pos=start, label=self.label())
-            self.branch_length()
-            # Attach the finished node, closing every ')' that follows it.
-            while open_nodes:
-                open_nodes[-1].children.append(node)
-                self.skip_ws()
-                if self.peek() == ",":
-                    self.pos += 1
-                    break
-                if self.peek() != ")":
-                    raise self.error("unbalanced parenthesis", expected="',' or ')'")
-                self.pos += 1
-                self.skip_ws()
-                if self.peek() and self.peek() not in ",():;":
-                    raise self.error("internal node labels are not supported")
-                self.branch_length()
-                node = open_nodes.pop()
-            else:
-                return node
-
-    def label(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        text = self.text
-        if self.peek() == "'":
-            self.pos += 1
-            out = []
-            while True:
-                if self.pos >= len(text):
-                    raise self.error("unterminated quoted label", pos=start)
-                ch = text[self.pos]
-                if ch == "'":
-                    if self.pos + 1 < len(text) and text[self.pos + 1] == "'":
-                        out.append("'")
-                        self.pos += 2
-                        continue
-                    self.pos += 1
-                    break
-                out.append(ch)
-                self.pos += 1
-            name = "".join(out)
-            if not name:
-                raise EmptyLabel(f"empty quoted label at position {start}")
-            return name
-        while self.pos < len(text) and not (text[self.pos] in _LABEL_END or text[self.pos].isspace()):
-            self.pos += 1
-        if self.pos == start:
-            raise EmptyLabel(f"missing leaf label at position {start}")
-        return text[start : self.pos]
-
-    def branch_length(self) -> None:
-        self.skip_ws()
-        if self.peek() != ":":
-            return
-        self.pos += 1
-        self.skip_ws()
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and (text[self.pos].isdigit() or text[self.pos] in "+-.eE"):
-            self.pos += 1
-        token = text[start : self.pos]
-        try:
-            float(token)
-        except ValueError:
-            raise self.error("malformed branch length", expected="a number", pos=start) from None
-        self.saw_length = True
-
-
-def _collect(root: _Node) -> tuple[dict[int, set[int]], dict[int, str], list[str]]:
-    """Turn the parse tree into adjacency + leaf labels, unrooting as needed.
-
-    Vertex ids are handed out in preorder, children left to right.
-    """
-    warnings: list[str] = []
-    adjacency: dict[int, set[int]] = {}
-    leaf_names: dict[int, str] = {}
-    kids = root.children
-    if not kids:
-        # A bare labelled leaf, e.g. "A;"
-        leaf_names[0] = root.label
-        return adjacency, leaf_names, warnings
-    if len(kids) == 1:
-        raise DegreeViolation(f"root at position {root.pos} has a single child")
-    if len(kids) > 3:
-        raise DegreeViolation(
-            f"root at position {root.pos} has {len(kids)} children; at most 3 are allowed"
-        )
-    # Preorder walk over (node, id of the vertex it hangs from); next node last.
-    if len(kids) == 2:
-        # Rooted bifurcating input: drop the root, join its children.  The
-        # first child's subtree takes ids from 0, so its top vertex is 0.
-        warnings.append(ROOT_SUPPRESSED)
-        stack: list[tuple[_Node, int | None]] = [(kids[1], 0), (kids[0], None)]
-        counter = 0
-    else:
-        stack = [(child, 0) for child in reversed(kids)]
-        counter = 1  # vertex 0 is the centre of the trifurcation
-    seen: set[str] = set()
-    while stack:
-        node, parent = stack.pop()
-        if not node.children:
-            if node.label in seen:
-                raise DuplicateLabel(f"label {node.label!r} reused at position {node.pos}")
-            seen.add(node.label)
-            leaf_names[counter] = node.label
-        elif len(node.children) != 2:
-            raise DegreeViolation(
-                f"internal node at position {node.pos} has {len(node.children)} children; "
-                "binary trees need exactly 2"
-            )
-        if parent is not None:
-            adjacency.setdefault(parent, set()).add(counter)
-            adjacency.setdefault(counter, set()).add(parent)
-        stack.extend((child, counter) for child in reversed(node.children))
-        counter += 1
-    return adjacency, leaf_names, warnings
+def _branch_length(text: str, pos: int) -> int:
+    """Check the branch length whose ':' is at ``pos``; return where it ends."""
+    start = end = _SPACE(text, pos + 1).end()
+    while end < len(text) and (text[end].isdigit() or text[end] in "+-.eE"):
+        end += 1
+    try:
+        float(text[start:end])
+    except ValueError:
+        raise NewickSyntaxError("malformed branch length", start, "a number") from None
+    return end
 
 
 def parse_newick(text: str) -> NewickDoc:
@@ -208,19 +60,94 @@ def parse_newick(text: str) -> NewickDoc:
 
     Raises NewickSyntaxError (with a character position) for malformed
     input, and DegreeViolation / DuplicateLabel / EmptyLabel for well-formed
-    strings describing an invalid tree.
+    strings describing an invalid tree.  Syntax and empty-label errors are
+    raised where they are read.  Degree and duplicate-label faults wait
+    until the statement has parsed; then the one whose node starts earliest
+    in the text is raised.
     """
-    parser = _Parser(text)
-    root = parser.parse()
-    adjacency, leaf_names, warnings = _collect(root)
-    if parser.saw_length:
+    pos = _SPACE(text).end()
+    if pos == len(text):
+        raise NewickSyntaxError("empty input", pos, "a Newick statement")
+    # Vertex ids are handed out in text order, which is preorder; 0 is the root.
+    edges: list[Edge] = []
+    names: dict[int, str] = {}
+    seen: set[str] = set()
+    start: list[int] = []  # text position of each vertex
+    kids: list[int] = []  # child count of each vertex
+    open_nodes: list[int] = []  # the '(' vertices not yet closed
+    faults: list[tuple[int, type, str]] = []  # (position, class, message)
+    saw_length = False
+    while True:
+        v = len(start)
+        start.append(pos)
+        kids.append(0)
+        if text.startswith("(", pos):
+            open_nodes.append(v)
+            pos = _SPACE(text, pos + 1).end()
+            continue
+        if text.startswith("'", pos):
+            m = _QUOTED(text, pos)
+            if m is None:
+                raise NewickSyntaxError("unterminated quoted label", pos)
+            if not m[1]:
+                raise EmptyLabel(f"empty quoted label at position {pos}")
+            name = m[1].replace("''", "'")
+        else:
+            m = _UNQUOTED(text, pos)
+            name = m[1]
+            if not name:
+                raise EmptyLabel(f"missing leaf label at position {pos}")
+        if name in seen:
+            faults.append((pos, DuplicateLabel, f"label {name!r} reused at position {pos}"))
+        seen.add(name)
+        names[v] = name
+        pos = m.end()
+        if text.startswith(":", pos):
+            pos, saw_length = _branch_length(text, pos), True
+        # Hang the finished node on its parent, closing every ')' that follows.
+        while open_nodes:
+            edges.append((open_nodes[-1], v))
+            kids[open_nodes[-1]] += 1
+            m = _SEPARATOR(text, pos)
+            if m is None:
+                raise NewickSyntaxError("unbalanced parenthesis", _SPACE(text, pos).end(), "',' or ')'")
+            pos = m.end()
+            if m[1] == ",":
+                break
+            if pos < len(text) and text[pos] not in ",():;":
+                raise NewickSyntaxError("internal node labels are not supported", pos)
+            if text.startswith(":", pos):
+                pos, saw_length = _branch_length(text, pos), True
+            v = open_nodes.pop()
+            if open_nodes and kids[v] != 2:
+                message = f"internal node at position {start[v]} has {kids[v]} children; binary trees need exactly 2"
+                faults.append((start[v], DegreeViolation, message))
+        else:
+            break
+    pos = _SPACE(text, pos).end()
+    if not text.startswith(";", pos):
+        raise NewickSyntaxError("unterminated statement", pos, "';'")
+    pos = _SPACE(text, pos + 1).end()
+    if pos != len(text):
+        raise NewickSyntaxError("trailing characters after ';'", pos)
+
+    # The root starts before every other node, so its fault comes first.
+    if kids[0] == 1:
+        raise DegreeViolation(f"root at position {start[0]} has a single child")
+    if kids[0] > 3:
+        raise DegreeViolation(f"root at position {start[0]} has {kids[0]} children; at most 3 are allowed")
+    if faults:
+        _, fault, message = min(faults)
+        raise fault(message)
+    warnings = []
+    if kids[0] == 2:
+        # Rooted bifurcating input: drop the root, join its children.
+        warnings.append(ROOT_SUPPRESSED)
+        a, b = (w for u, w in edges if u == 0)
+        edges = [e for e in edges if e[0]] + [(a, b)]
+    if saw_length:
         warnings.append(BRANCH_LENGTHS_DISCARDED)
-    if not adjacency:
-        ((v, name),) = leaf_names.items()
-        tree = PhyloTree({v: ()}, {v: name})
-    else:
-        tree = PhyloTree(adjacency, leaf_names)
-    return NewickDoc(tree=tree, warnings=tuple(warnings))
+    return NewickDoc(tree=PhyloTree(edges, names), warnings=tuple(warnings))
 
 
 def _quote(name: str) -> str:

@@ -66,17 +66,6 @@ class OpKind(enum.Enum):
     SPR = "spr"
     TBR = "tbr"
 
-    def includes(self, other: "OpKind") -> bool:
-        return other in _WITHIN[self]
-
-
-# The kinds each kind includes.
-_WITHIN = {
-    OpKind.NNI: (OpKind.NNI,),
-    OpKind.SPR: (OpKind.NNI, OpKind.SPR),
-    OpKind.TBR: (OpKind.NNI, OpKind.SPR, OpKind.TBR),
-}
-
 
 class RearrangementOp(NamedTuple):
     """One bisection-and-reconnection move.
@@ -431,29 +420,22 @@ def apply_op(tree: PhyloTree, op: RearrangementOp) -> PhyloTree:
     far = tree.edge_far_vertex(edge)
     near = edge[0] if edge[1] == far else edge[1]
     next_id = max(tree.vertices()) + 1
-    adjacency: dict[int, set[int]] = {}
-
-    def add_edge(u: int, v: int) -> None:
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
-
+    edges: list[Edge] = []
     joints = []
     for inside, outside, ref in ((far, near, op.reconnect_a), (near, far, op.reconnect_b)):
         if tree.is_leaf(inside):
             joints.append(inside)
             continue
-        edges = _component_edges(tree, inside, outside)
-        x, y = edges.pop(ref)
-        for u, v in edges.values():
-            add_edge(u, v)
-        add_edge(x, next_id)
-        add_edge(next_id, y)
+        component = _component_edges(tree, inside, outside)
+        x, y = component.pop(ref)
+        edges += component.values()
+        edges += [(x, next_id), (next_id, y)]
         joints.append(next_id)
         next_id += 1
-    add_edge(joints[0], joints[1])
+    edges.append((joints[0], joints[1]))
 
     names = {v: tree.leaf_name(v) for v in tree.vertices() if tree.is_leaf(v)}
-    return PhyloTree(adjacency, names)
+    return PhyloTree(edges, names)
 
 
 # -- fast canonical assembly ---------------------------------------------------

@@ -7,6 +7,11 @@ bipartition of the leaf set fits in one integer bitmask.  The sorted set of
 edge bitmasks is a complete fingerprint of the labelled tree: two trees on
 the same leaf set are identical exactly when their split sets are equal.
 
+There is one way to build a tree: :class:`PhyloTree` takes an edge list and
+the label of each leaf vertex, and validates them.  The Newick parser, the
+generators, restriction and :func:`treespace.rearrange.apply_op` all hand
+it edge lists; an empty edge list with one label is the one-leaf tree.
+
 Every tree is rooted once, at leaf 0, by :attr:`PhyloTree.preorder`.  Split
 masks, the edge lookups, Gamma, the rearrangement survey and the
 complete-tree predicate all read that one traversal.
@@ -127,29 +132,30 @@ class Preorder(NamedTuple):
 class PhyloTree:
     """An immutable unrooted binary tree on uniquely labelled leaves.
 
-    Vertices are opaque integer ids supplied by the caller; only the leaf
-    labels carry meaning.  All derived structure (leaf indices, the rooted
-    preorder, per-edge split masks, the canonical form) is computed once and
-    cached.  Instances are safe to share between threads; every
+    Built from an edge list, each edge a pair of vertex ids, and the label
+    of each leaf vertex.  Vertices are opaque integer ids supplied by the
+    caller; only the leaf labels carry meaning.  The constructor checks that
+    the edges form a tree (no self-loop, |E| = |V| - 1, connected), that
+    every vertex has degree 1 or 3, that exactly the leaves are labelled,
+    uniquely, and that there are at most MAX_LEAVES leaves.  All derived
+    structure (leaf indices, the rooted preorder, per-edge split masks, the
+    canonical form) is computed once and cached.  Instances are safe to share between threads; every
     mutation-like operation returns a new tree.
     """
 
-    def __init__(self, adjacency: Mapping[int, Iterable[int]], leaf_names: Mapping[int, str]):
-        adj: dict[int, tuple[int, ...]] = {}
-        edges: set[Edge] = set()
-        for v, nbrs in adjacency.items():
-            nbrs = tuple(sorted(set(nbrs)))
-            adj[v] = nbrs
-            for w in nbrs:
-                if w == v:
-                    raise Cyclic(f"self-loop at vertex {v}")
-                edges.add((v, w) if v < w else (w, v))
-        for u, w in edges:
-            if u not in adj or w not in adj[u] or u not in adj.get(w, ()):
-                raise Disconnected(f"edge {u}-{w} is not symmetric in the adjacency")
-
-        self._adj = adj
-        self._edges: tuple[Edge, ...] = tuple(sorted(edges))
+    def __init__(self, edges: Iterable[Edge], leaf_names: Mapping[int, str]):
+        nbrs: dict[int, list[int]] = {}
+        pairs: list[Edge] = []
+        for u, v in edges:
+            if u == v:
+                raise Cyclic(f"self-loop at vertex {v}")
+            nbrs.setdefault(u, []).append(v)
+            nbrs.setdefault(v, []).append(u)
+            pairs.append((u, v) if u < v else (v, u))
+        for v in leaf_names:
+            nbrs.setdefault(v, [])  # a leaf on no edge: the one-leaf tree
+        self._adj = {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
+        self._edges: tuple[Edge, ...] = tuple(sorted(pairs))
         self._leaf_name: dict[int, str] = dict(leaf_names)
         self._validate()
 
@@ -383,8 +389,8 @@ class PhyloTree:
             adj[b].discard(v)
             adj[a].add(b)
             adj[b].add(a)
-        names = {v: self._leaf_name[v] for v in keep}
-        return PhyloTree(adj, names)
+        edges = [(v, w) for v, ws in adj.items() for w in ws if v < w]
+        return PhyloTree(edges, {v: self._leaf_name[v] for v in keep})
 
     # -- identity ---------------------------------------------------------
 
@@ -398,20 +404,6 @@ class PhyloTree:
 
     def __repr__(self) -> str:
         return f"PhyloTree(n={self.n}, leaves={list(self.leaf_order)!r})"
-
-
-def build_tree(edges: Iterable[Edge], leaf_names: Mapping[int, str]) -> PhyloTree:
-    """Build and validate a tree from an edge list and a mapping from leaf
-    vertex id to label."""
-    adjacency: dict[int, set[int]] = {}
-    for u, v in edges:
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
-    if not adjacency:
-        if len(leaf_names) != 1:
-            raise Disconnected("no edges and not a single-leaf tree")
-        adjacency = {v: set() for v in leaf_names}
-    return PhyloTree(adjacency, leaf_names)
 
 
 def require_leaves(tree_or_n: "PhyloTree | int") -> int:

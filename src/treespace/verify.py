@@ -206,8 +206,6 @@ def extremal_suite(n_max: int = 8, threads: int = 1) -> SuiteResult:
     closed forms.  ``threads`` > 1 scans each T_n on that many worker
     processes.
     """
-    if threads < 1:
-        raise RangeError(f"threads must be >= 1, got {threads}")
     col = _Collector("extremal")
     scans = {}
     with scan_pool(threads) if threads > 1 else nullcontext() as pool:

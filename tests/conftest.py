@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from treespace import PhyloTree, build_tree
+from treespace import PhyloTree
 from treespace.newick_io import _quote
 from treespace.tree_core import Edge
 
@@ -36,7 +36,7 @@ def swap_clusters(tree: PhyloTree, y_mask: int, z_mask: int) -> PhyloTree:
     edges: list[Edge] = [e for e in tree.edges() if e not in dropped]
     edges += [(ay, rz), (az, ry)]
     names = {v: tree.leaf_name(v) for v in tree.vertices() if tree.is_leaf(v)}
-    return build_tree(edges, names)
+    return PhyloTree(edges, names)
 
 
 def restriction_preserved(tree: PhyloTree, result: PhyloTree, kept_mask: int) -> bool:

@@ -22,7 +22,6 @@ PUBLIC = {
     "CanonicalForm",
     "PhyloTree",
     "Split",
-    "build_tree",
     # newick_io
     "BRANCH_LENGTHS_DISCARDED",
     "ROOT_SUPPRESSED",

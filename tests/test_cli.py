@@ -246,13 +246,6 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {option[2:]} must be >= ")
 
-    def test_threads_from_environment_only(self, capsys, monkeypatch):
-        monkeypatch.setenv("TREESPACE_THREADS", "2")
-        report = run_json(capsys, "verify", "--suite", "formulas", "--n-max", "4")
-        assert report["inputs"] == {"suite": "formulas", "n_max": 4, "samples": 0, "threads": 2}
-        report = run_json(capsys, "verify", "--suite", "extremal", "--n-max", "5")
-        assert report["inputs"]["threads"] == 2 and report["results"]["passed"]
-
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):

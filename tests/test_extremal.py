@@ -118,6 +118,11 @@ class TestScan:
     def test_threads_agree(self):
         assert extremal_scan(5, threads=2).to_json() == extremal_scan(5).to_json()
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(RangeError, match=f"threads must be >= 1, got {threads}"):
+            extremal_scan(5, threads=threads)
+
 
 class TestVerdictsCanFail:
     """One tree of T_6 on which a predicate disagrees with the scan turns

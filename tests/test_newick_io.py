@@ -1,5 +1,7 @@
 """Parser and serializer: round trips, determinism, and the negative corpus."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +71,17 @@ class TestParse:
         assert doc.tree.n == 2 and ROOT_SUPPRESSED in doc.warnings
 
 
+# Inputs with several faults, each with the error that is raised and the
+# position it names: syntax errors come first, then the degree or
+# duplicate-label fault whose node starts earliest in the text.
+PRECEDENCE = [
+    ("'''a", NewickSyntaxError, 0),  # '' is a quote inside the label, which never closes
+    ("(1,(2),3", NewickSyntaxError, 8),  # unclosed, before the one-child node counts
+    ("((1,1,(2)),3,4);", DegreeViolation, 1),  # three children, before the duplicate and (2)
+    ("(1,1,(2,3,4));", DuplicateLabel, 3),  # before the three-child node
+    ("(a,a,b)x;", NewickSyntaxError, 7),  # an internal label, before the duplicate counts
+]
+
 NEGATIVE_CORPUS = [
     ("", NewickSyntaxError),
     (";", EmptyLabel),
@@ -90,6 +103,7 @@ NEGATIVE_CORPUS = [
     ("('abc,1,2);", NewickSyntaxError),
     ("(1,2,(3,4)oops);", NewickSyntaxError),
     ("(1,2,'');", EmptyLabel),
+    *((text, exc) for text, exc, _ in PRECEDENCE),
 ]
 
 
@@ -106,6 +120,13 @@ class TestNegativeCorpus:
         with pytest.raises(NewickSyntaxError) as info:
             parse_newick(text)
         assert 0 <= info.value.position <= len(text)
+
+    @pytest.mark.parametrize("text,exc,position", PRECEDENCE)
+    def test_first_fault_wins(self, text, exc, position):
+        with pytest.raises(TreeError) as info:
+            parse_newick(text)
+        assert type(info.value) is exc
+        assert re.search(rf"\bat position {position}\b", str(info.value))
 
     def test_non_syntax_errors_name_positions(self):
         for text in ["(1,,2);", "(1,2,(3,3));", "(1,(2),3);"]:
@@ -220,3 +241,68 @@ class TestRoundTrip:
         text = newick_from_splits(t.split_masks, t.leaf_order)
         assert parse_newick(text).tree == t
         assert text == reference_newick(t)
+
+    @given(st.integers(4, 64), st.integers(0, 10**9), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_free_form_text(self, n, seed, rooted, rng):
+        """Text written unrooted or rooted at an edge, with whitespace, quoted
+        labels and branch lengths, parses back to the tree it was written from."""
+        drawn = random_tree(n, seed)
+        suffixes = ["", "", " it's", "\tx y", "''"]
+        names = {v: drawn.leaf_name(v) + rng.choice(suffixes) for v in drawn.vertices() if drawn.is_leaf(v)}
+        tree = PhyloTree(drawn.edges(), names)
+        text, has_lengths = free_form_newick(tree, rooted, rng)
+        doc = parse_newick(text)
+        assert doc.tree == tree
+        warnings = (ROOT_SUPPRESSED,) * rooted + (BRANCH_LENGTHS_DISCARDED,) * has_lengths
+        assert doc.warnings == warnings
+
+
+_SPACES = [" ", "\t", "\n", "\r", "\x0b", "\x85", "\u3000"]
+_LENGTHS = ["1", "0.25", "2e-3", "+1.5", "-3", "1E5", ".5"]
+
+
+def free_form_newick(tree: PhyloTree, rooted: bool, rng) -> tuple[str, bool]:
+    """Newick text of ``tree`` and whether it holds a branch length.
+
+    A writer of its own: rooted at a random edge or unrooted at a random
+    internal vertex, children in random order, random whitespace between
+    tokens, labels quoted when they must be and sometimes when they need not,
+    and random branch lengths.
+    """
+    has_length = False
+
+    def space() -> str:
+        return rng.choice(_SPACES) * rng.randint(1, 2) if rng.random() < 0.3 else ""
+
+    def length() -> str:
+        nonlocal has_length
+        if rng.random() < 0.1:
+            has_length = True
+            return space() + ":" + space() + rng.choice(_LENGTHS)
+        return ""
+
+    def label(name: str) -> str:
+        if set(name) & set(" \t'") or rng.random() < 0.2:
+            return "'" + name.replace("'", "''") + "'"
+        return name
+
+    def render(v: int, up: int) -> str:
+        if tree.is_leaf(v):
+            text = label(tree.leaf_name(v))
+        else:
+            kids = [w for w in tree.neighbors(v) if w != up]
+            rng.shuffle(kids)
+            text = "(" + ",".join(render(w, v) for w in kids) + space() + ")"
+        return space() + text + space() + length()
+
+    if rooted:
+        u, w = rng.choice(tree.edges())
+        body = render(u, w) + "," + render(w, u)
+    else:
+        centre = rng.choice([v for v in tree.vertices() if not tree.is_leaf(v)])
+        kids = list(tree.neighbors(centre))
+        rng.shuffle(kids)
+        body = ",".join(render(w, centre) for w in kids)
+    text = space() + "(" + body + space() + ")" + length() + space() + ";" + space()
+    return text, has_length

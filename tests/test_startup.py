@@ -39,7 +39,7 @@ ALL = READ | {f"treespace.{m}" for m in ("metrics", "rearrange", "generators", "
 
 
 def loaded_modules(tmp_path: Path, *argv: str) -> set[str]:
-    env = {k: v for k, v in os.environ.items() if k != "TREESPACE_THREADS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(treespace.__file__).parents[1])
     listing = tmp_path / "modules.txt"
     proc = subprocess.run(

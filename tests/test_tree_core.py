@@ -16,7 +16,6 @@ from treespace import (
     TooFewLeaves,
     TooManyLeaves,
     UnknownLeaf,
-    build_tree,
     caterpillar,
     parse_newick,
     perfect,
@@ -29,35 +28,43 @@ QUARTET_NAMES = {1: "1", 2: "2", 3: "3", 4: "4"}
 
 class TestBuildTree:
     def test_quartet_counts(self):
-        t = build_tree(QUARTET_EDGES, QUARTET_NAMES)
+        t = PhyloTree(QUARTET_EDGES, QUARTET_NAMES)
         assert t.n == 4
         assert len(t.vertices()) == 6  # 2n - 2
         assert len(t.edges()) == 5  # 2n - 3
 
     def test_path_graph_rejected(self):
         with pytest.raises(DegreeViolation):
-            build_tree([(0, 1), (1, 2), (2, 3)], {0: "a", 3: "b"})
+            PhyloTree([(0, 1), (1, 2), (2, 3)], {0: "a", 3: "b"})
 
     def test_disjoint_cherries_rejected(self):
         with pytest.raises(Disconnected):
-            build_tree([(0, 1), (2, 3)], {0: "a", 1: "b", 2: "c", 3: "d"})
+            PhyloTree([(0, 1), (2, 3)], {0: "a", 1: "b", 2: "c", 3: "d"})
+        with pytest.raises(Disconnected):  # a labelled vertex on no edge
+            PhyloTree([(0, 1)], {0: "a", 1: "b", 2: "c"})
+        with pytest.raises(Disconnected):
+            PhyloTree([], {})
 
     def test_cycle_rejected(self):
         with pytest.raises(Cyclic):
-            build_tree([(0, 1), (1, 2), (2, 0)], {})
+            PhyloTree([(0, 1), (1, 2), (2, 0)], {})
+        with pytest.raises(Cyclic):
+            PhyloTree([(0, 1), (1, 1)], {0: "a"})
+        with pytest.raises(Cyclic):  # the same edge twice
+            PhyloTree([(0, 1), (1, 0)], {0: "a", 1: "b"})
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(DuplicateLabel):
-            build_tree(QUARTET_EDGES, {1: "x", 2: "x", 3: "3", 4: "4"})
+            PhyloTree(QUARTET_EDGES, {1: "x", 2: "x", 3: "3", 4: "4"})
 
     def test_leaf_cap(self):
         with pytest.raises(TooManyLeaves):
             caterpillar(65)
 
     def test_degenerate_sizes(self):
-        single = build_tree([], {0: "only"})
+        single = PhyloTree([], {0: "only"})
         assert single.n == 1 and single.edges() == ()
-        pair = build_tree([(0, 1)], {0: "a", 1: "b"})
+        pair = PhyloTree([(0, 1)], {0: "a", 1: "b"})
         assert pair.n == 2 and len(pair.edges()) == 1
 
 
@@ -101,16 +108,16 @@ class TestSplits:
         assert s.is_trivial
 
     def test_too_few_leaves(self):
-        pair = build_tree([(0, 1)], {0: "a", 1: "b"})
+        pair = PhyloTree([(0, 1)], {0: "a", 1: "b"})
         with pytest.raises(TooFewLeaves):
             pair.splits()
 
 
 class TestCanonicalForm:
     def test_vertex_numbering_invariance(self):
-        other = build_tree([(10, 70), (20, 70), (70, 80), (80, 30), (80, 40)],
-                           {10: "1", 20: "2", 30: "3", 40: "4"})
-        base = build_tree(QUARTET_EDGES, QUARTET_NAMES)
+        other = PhyloTree([(10, 70), (20, 70), (70, 80), (80, 30), (80, 40)],
+                          {10: "1", 20: "2", 30: "3", 40: "4"})
+        base = PhyloTree(QUARTET_EDGES, QUARTET_NAMES)
         assert base.canonical_form() == other.canonical_form()
 
     def test_different_topologies_differ(self):
@@ -134,7 +141,7 @@ class TestCanonicalForm:
         edges = [(relabel[u], relabel[v]) for u, v in t.edges()]
         rng.shuffle(edges)
         names = {relabel[v]: t.leaf_name(v) for v in ids if t.is_leaf(v)}
-        assert build_tree(edges, names).canonical_form() == t.canonical_form()
+        assert PhyloTree(edges, names).canonical_form() == t.canonical_form()
 
     def test_numeric_aware_leaf_order(self):
         t = caterpillar(12)

@@ -27,9 +27,10 @@ BRANCH_LENGTHS_DISCARDED = "BranchLengthsDiscarded"
 _SPACE = re.compile(r"\s*").match
 # An unquoted label (anything but structure or whitespace), then whitespace.
 _UNQUOTED = re.compile(r"([^(),:;'\[\]\s]*)\s*").match
-# A quoted label, '' standing for one quote, then whitespace.  The loop is
-# possessive: it never gives back a '' pair, so "'''a" is unterminated.
-_QUOTED = re.compile(r"'((?:[^']|'')*+)'\s*").match
+# A quoted label, '' standing for one quote, then whitespace.  The closing
+# quote may not be followed by another, so a '' pair is never split and
+# "'''a" is unterminated.
+_QUOTED = re.compile(r"'((?:[^']|'')*)'(?!')\s*").match
 # The ',' or ')' after a subtree, with the whitespace around it.
 _SEPARATOR = re.compile(r"\s*([,)])\s*").match
 # Labels to quote on output: any structural character, or any whitespace.

@@ -51,13 +51,27 @@ class TestParse:
         t = parse_newick("('a b',c,('it''s',d));").tree
         assert set(t.leaf_order) == {"a b", "c", "it's", "d"}
 
+    @pytest.mark.parametrize("label,name", [("''''", "'"), ("'a'''", "a'"), ("'''a'", "'a"), ("'a''''b'", "a''b")])
+    def test_quote_pairs_never_split(self, label, name):
+        assert parse_newick(f"({label},c,d);").tree.leaf_order == (name, "c", "d")
+
+    def test_regexes_compile_on_python_3_10(self):
+        """Possessive quantifiers and atomic groups need Python 3.11; the package supports 3.10."""
+        from treespace import newick_io
+
+        bound = [getattr(f, "__self__", None) for f in vars(newick_io).values()]
+        patterns = [p.pattern for p in bound if isinstance(p, re.Pattern)]
+        assert len(patterns) >= 4
+        for pattern in patterns:
+            assert not re.search(r"[*+?}]\+|\(\?>", pattern), pattern
+
     def test_whitespace_tolerated(self):
         t = parse_newick(" ( 1 , 2 , ( 3 , 4 ) ) ; ").tree
         assert t == parse_newick("(1,2,(3,4));").tree
 
     @pytest.mark.parametrize("space", [" ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u3000", "\u2028"])
     def test_whitespace_ends_unquoted_labels(self, space):
-        """Any character skip_ws skips ends an unquoted label, as a space does."""
+        """Any character the parser skips as whitespace ends an unquoted label, as a space does."""
         with pytest.raises(NewickSyntaxError):
             parse_newick(f"(a{space}b,c,d);")
         assert parse_newick(f"(a{space},c,d);").tree.leaf_order == ("a", "c", "d")

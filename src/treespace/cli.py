@@ -131,6 +131,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     from .generators import TreeFamily, generate
     from .newick_io import serialize_newick
 
+    if args.seed is not None and args.family != "random":
+        raise RangeError("--seed applies only to the random family")
     tree = generate(TreeFamily(args.family), args.n, seed=args.seed)
     print(serialize_newick(tree))
     return 0
@@ -220,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a named tree family as Newick")
     p.add_argument("--family", choices=FAMILY_CHOICES, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="seed of the random family (default 0)")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("verify", help="run a verification suite")

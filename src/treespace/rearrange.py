@@ -32,12 +32,13 @@ Reconnecting a component at edge r flips exactly the component edges between
 r and the component's root, so the hash of its contributed splits, for every
 r at once, is a base sum plus a prefix sum down the slice of v (side A) or
 down the rest of the preorder (side B): O(n) per bisection, with no walk of
-its own.  The keys of all operations of one bisection are then the sums of
-its two hash lists, built a row at a time, and all keys are counted at once.
-The count stays exact: equal trees always share a hash, so a hash with one
-operation is one distinct output tree, and the operations of every shared
-hash (the four behind each NNI neighbour, plus any true collision) are
-re-keyed by their sorted split masks and split.
+its own.  The operations of a kind in one bisection are two blocks, rows of
+A by cols of B (:func:`_blocks`), their keys the sums of the two hash lists
+built a block at a time, and all keys are counted at once.  The count stays
+exact: equal trees always share a hash, so a hash with one operation is one
+distinct output tree, and the operations of every shared hash (the four
+behind each NNI neighbour, plus any true collision) are located by position
+in their block, re-keyed by their sorted split masks and split.
 
 Enumeration is the brute-force oracle used to verify every closed-form count
 in :mod:`treespace.metrics`, so it never consults those formulas.
@@ -52,8 +53,8 @@ import enum
 from bisect import bisect_right
 from collections import Counter
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, compress, count, product
-from typing import Callable, Iterator, NamedTuple
+from itertools import accumulate, compress, count
+from typing import Callable, Container, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidOp
 from .tree_core import CanonicalForm, Edge, PhyloTree, require_leaves
@@ -305,27 +306,29 @@ def _bisect(tree: PhyloTree, bisect_mask: int) -> tuple[_Side, _Side]:
     return _side_a(rooted, v), _side_b(rooted, v)
 
 
-def _pairs(side_a: _Side, side_b: _Side, kind: OpKind) -> list[tuple[int, int]]:
-    """Index pairs (ref a, ref b) of the operations of one bisection that are
-    of ``kind`` or narrower.
+def _blocks(side_a: _Side, side_b: _Side, kind: OpKind) -> tuple[tuple[Sequence[int], Sequence[int]], ...]:
+    """The operations of one bisection that are of ``kind`` or narrower, as
+    two blocks (rows of A, cols of B): each row with each col is one index
+    pair (ref a, ref b), row by row.
 
     This is the one place the classification rule of the module docstring
-    is applied.  Every pair but scar-scar, which rebuilds the input tree, is
-    TBR (row by row).  The SPR pairs are the rest of the scar row, then the
-    rest of the scar column; they are NNI where the component not at its
-    scar reconnects at an edge touching its own scar.
+    is applied.  Side A's scar is ref 0 (:func:`_side_a` and :func:`_single`
+    put it there).  The first block is the scar row, the second the other
+    rows: every pair but scar-scar, which rebuilds the input tree, is TBR.
+    SPR keeps the scar row and the scar column, and NNI keeps, of those, the
+    pairs whose other ref touches its own scar.
     """
-    sa, sb = side_a.scar, side_b.scar
-    if kind is OpKind.TBR:
-        pairs = list(product(range(len(side_a.refs)), range(len(side_b.refs))))
-        del pairs[sa * len(side_b.refs) + sb]
-        return pairs
-    if kind is OpKind.SPR:
-        row = [j for j in range(len(side_b.refs)) if j != sb]
-        col = [i for i in range(len(side_a.refs)) if i != sa]
-    else:
-        row, col = side_b.near, side_a.near
-    return [(sa, j) for j in row] + [(i, sb) for i in col]
+    sb = side_b.scar
+    if kind is OpKind.NNI:
+        return ((0,), side_b.near), (side_a.near, (sb,))
+    width = len(side_b.refs)
+    cols = range(width) if kind is OpKind.TBR else (sb,)
+    return ((0,), (*range(sb), *range(sb + 1, width))), (range(1, len(side_a.refs)), cols)
+
+
+def _pairs(side_a: _Side, side_b: _Side, kind: OpKind) -> list[tuple[int, int]]:
+    """Index pairs (ref a, ref b) of the operations of :func:`_blocks`, in order."""
+    return [(i, j) for rows, cols in _blocks(side_a, side_b, kind) for i in rows for j in cols]
 
 
 # -- public operations --------------------------------------------------------
@@ -353,32 +356,29 @@ def enumerate_ops(tree: PhyloTree, kind: OpKind = OpKind.TBR) -> list[Rearrangem
     return ops
 
 
-def _validated_sides(tree: PhyloTree, op: RearrangementOp) -> tuple[_Side, _Side]:
-    side_a, side_b = _bisect(tree, op.bisect_mask)
-    for side, ref, label in ((side_a, op.reconnect_a, "a"), (side_b, op.reconnect_b, "b")):
-        if side.single:
-            if ref is not None:
-                raise InvalidOp(f"component {label} is a single leaf; reconnect_{label} must be None")
-        elif ref not in side.refs:
-            raise InvalidOp(f"reconnect_{label}={ref!r} is not an edge of component {label}")
-    if side_a.scar_ref == op.reconnect_a and side_b.scar_ref == op.reconnect_b:
-        raise InvalidOp("op reproduces the input tree")
-    return side_a, side_b
+def _check_ref(label: str, ref: int | None, refs: Container[int] | None) -> None:
+    """Raises InvalidOp unless ``ref`` is in ``refs``, component ``label``'s refs (None: a single leaf)."""
+    if refs is None:
+        if ref is not None:
+            raise InvalidOp(f"component {label} is a single leaf; reconnect_{label} must be None")
+    elif ref not in refs:
+        raise InvalidOp(f"reconnect_{label}={ref!r} is not an edge of component {label}")
 
 
 def classify_op(tree: PhyloTree, op: RearrangementOp) -> OpKind:
     """Most specific class of the op: NNI before SPR before TBR."""
-    side_a, side_b = _validated_sides(tree, op)
+    side_a, side_b = _bisect(tree, op.bisect_mask)
+    for side, ref, label in ((side_a, op.reconnect_a, "a"), (side_b, op.reconnect_b, "b")):
+        _check_ref(label, ref, None if side.single else side.refs)
+    if side_a.scar_ref == op.reconnect_a and side_b.scar_ref == op.reconnect_b:
+        raise InvalidOp("op reproduces the input tree")
     pair = (side_a.refs.index(op.reconnect_a), side_b.refs.index(op.reconnect_b))
-    for kind in (OpKind.NNI, OpKind.SPR):
-        if pair in _pairs(side_a, side_b, kind):
-            return kind
-    return OpKind.TBR
+    return next((kind for kind in (OpKind.NNI, OpKind.SPR) if pair in _pairs(side_a, side_b, kind)), OpKind.TBR)
 
 
-def _component_edges(tree: PhyloTree, inside: int, outside: int) -> dict[int, Edge]:
+def _component_edges(tree: PhyloTree, inside: int, outside: int) -> tuple[dict[int, Edge], int]:
     """Edges of the component of ``inside`` once the edge to ``outside`` is
-    cut and ``inside`` spliced out, keyed by their refs.
+    cut and ``inside`` spliced out, keyed by their refs, and the scar's ref.
 
     A walk of the adjacency of its own: each edge's ref is the leaf set on
     its far side from ``inside``, or its complement in the component when
@@ -402,8 +402,9 @@ def _component_edges(tree: PhyloTree, inside: int, outside: int) -> dict[int, Ed
     component = cx | cy
     low = component & -component
     refs = {component ^ m if m & low else m: edge for m, edge in edges.items()}
-    refs[cy if cx & low else cx] = (x, y)  # the scar
-    return refs
+    scar = cy if cx & low else cx
+    refs[scar] = (x, y)
+    return refs, scar
 
 
 def apply_op(tree: PhyloTree, op: RearrangementOp) -> PhyloTree:
@@ -411,27 +412,35 @@ def apply_op(tree: PhyloTree, op: RearrangementOp) -> PhyloTree:
 
     Each component is walked afresh (:func:`_component_edges`), the chosen
     reconnection edge of each is subdivided and the two fresh vertices are
-    joined (a single-leaf component is joined directly).  The result is
+    joined (a single-leaf component is joined directly).  The op is checked
+    against those walks alone, never the survey's sides.  The result is
     validated from scratch, and is never equal to the input because the
-    scar-scar pair is unrepresentable.
+    scar-scar pair is rejected.
     """
-    _validated_sides(tree, op)
+    if op.bisect_mask not in tree.split_masks:  # normalized masks never hold bit 0
+        raise InvalidOp(f"no edge of the tree induces split mask {op.bisect_mask:#x}")
     edge = tree.edge_with_mask(op.bisect_mask)
     far = tree.edge_far_vertex(edge)
     near = edge[0] if edge[1] == far else edge[1]
     next_id = max(tree.vertices()) + 1
     edges: list[Edge] = []
     joints = []
-    for inside, outside, ref in ((far, near, op.reconnect_a), (near, far, op.reconnect_b)):
+    at_scars = True
+    for inside, outside, ref, label in ((far, near, op.reconnect_a, "a"), (near, far, op.reconnect_b, "b")):
         if tree.is_leaf(inside):
+            _check_ref(label, ref, None)
             joints.append(inside)
             continue
-        component = _component_edges(tree, inside, outside)
+        component, scar = _component_edges(tree, inside, outside)
+        _check_ref(label, ref, component)
+        at_scars = at_scars and ref == scar
         x, y = component.pop(ref)
         edges += component.values()
         edges += [(x, next_id), (next_id, y)]
         joints.append(next_id)
         next_id += 1
+    if at_scars:
+        raise InvalidOp("op reproduces the input tree")
     edges.append((joints[0], joints[1]))
 
     names = {v: tree.leaf_name(v) for v in tree.vertices() if tree.is_leaf(v)}
@@ -469,36 +478,33 @@ def _output_key(full: int, mask: int, ra: int | None, rb: int | None, side_a: _S
 
 
 _Bisection = tuple[int, _Side, _Side]
+_Placed = tuple[int, int, Sequence[int], Sequence[int]]  # (start, bisection, rows, cols)
 
 
-def _hash_keys(bisections: list[_Bisection], kind: OpKind, width: int) -> tuple[list[int], list[int]]:
-    """Hash keys of the operations of ``kind`` or narrower, in :func:`_pairs`
-    order per bisection, and the position where each bisection's keys start.
-
-    Each row (TBR) or the scar row and the scar column (SPR) of a bisection
-    is one comprehension over the sums of the other side, less the scar-scar
-    key.
-    """
+def _hash_keys(bisections: list[_Bisection], kind: OpKind, width: int) -> tuple[list[int], list[_Placed]]:
+    """Hash keys of the operations of ``kind`` or narrower, in :func:`_blocks`
+    order per bisection, and each block placed at the position of its first key."""
     keys: list[int] = []
-    starts: list[int] = []
-    for mask, side_a, side_b in bisections:
-        starts.append(len(keys))
-        base = _mix(mask)
-        sums_a, sums_b = side_a.sums, side_b.sums
-        if kind is OpKind.TBR:
-            for x in sums_a:
-                x += base
-                keys += [(x + y) & width for y in sums_b]
-            del keys[starts[-1] + side_a.scar * len(sums_b) + side_b.scar]
-        elif kind is OpKind.SPR:
-            x, y = base + sums_a[side_a.scar], base + sums_b[side_b.scar]
-            row, col = [(x + z) & width for z in sums_b], [(y + z) & width for z in sums_a]
-            del row[side_b.scar], col[side_a.scar]
-            keys += row
-            keys += col
-        else:
-            keys += [(base + sums_a[i] + sums_b[j]) & width for i, j in _pairs(side_a, side_b, kind)]
-    return keys, starts
+    placed: list[_Placed] = []
+    for k, (mask, side_a, side_b) in enumerate(bisections):
+        base, sums_a, sums_b = _mix(mask), side_a.sums, side_b.sums
+        for rows, cols in _blocks(side_a, side_b, kind):
+            placed.append((len(keys), k, rows, cols))
+            ys = [sums_b[j] for j in cols]
+            keys += [(x + y) & width for x in [base + sums_a[i] for i in rows] for y in ys]
+    return keys, placed
+
+
+def _locator(placed: list[_Placed]) -> Callable[[int], tuple[int, int, int]]:
+    """Maps a key position of :func:`_hash_keys` to its operation (bisection, ref a, ref b)."""
+    starts = [start for start, _, _, _ in placed]
+
+    def locate(pos: int) -> tuple[int, int, int]:
+        start, k, rows, cols = placed[bisect_right(starts, pos) - 1]
+        r, c = divmod(pos - start, len(cols))
+        return k, rows[r], cols[c]
+
+    return locate
 
 
 class SurveyEntry:
@@ -506,9 +512,9 @@ class SurveyEntry:
 
     ``report`` comes from the hash count.  :meth:`output_keys`,
     ``multiplicities`` (output tree to the number of operations producing it)
-    and ``forms`` are exact as well, but built on demand: ``singles`` walks
-    the operations again and re-keys those whose hash no other operation
-    shares, and ``repeated`` counts the re-keyed operations of shared hashes.
+    and ``forms`` are exact as well, but built on demand: ``singles`` re-keys
+    each operation whose kept hash key no other shares, and ``repeated``
+    counts the re-keyed operations of shared hashes.
     ``repeats`` reads ``repeated`` alone: an output of two or more operations
     always shares its hash, so it never needs the walk.
     """
@@ -570,26 +576,17 @@ def op_survey(
         mask, side_a, side_b = bisections[k]
         return _output_key(full, mask, side_a.refs[i], side_b.refs[j], side_a, side_b)
 
-    def singles(kind: OpKind, shared: set[int]) -> Iterator[tuple[int, ...]]:
-        for k, (mask, side_a, side_b) in enumerate(bisections):
-            base, sums_a, sums_b = _mix(mask), side_a.sums, side_b.sums
-            for i, j in _pairs(side_a, side_b, kind):
-                if (base + sums_a[i] + sums_b[j]) & width not in shared:
-                    yield exact(k, i, j)
+    def singles(keys: list[int], shared: set[int], locate: Callable) -> Iterator[tuple[int, ...]]:
+        return (exact(*locate(pos)) for pos, key in enumerate(keys) if key not in shared)
 
     entries = {}
     for kind in kinds:
-        keys, starts = _hash_keys(bisections, kind, width)
+        keys, placed = _hash_keys(bisections, kind, width)
+        locate = _locator(placed)
         counts = Counter(keys)
         shared = set(compress(counts, map((1).__lt__, counts.values())))  # the keys counted more than once
         repeated: Counter = Counter()
-        last, pairs = -1, []
-        for pos in compress(count(), map(shared.__contains__, keys)):
-            k = bisect_right(starts, pos) - 1
-            if k != last:  # positions ascend, so each bisection's pairs are built once
-                _, side_a, side_b = bisections[k]
-                last, pairs = k, _pairs(side_a, side_b, kind)
-            op = (k, *pairs[pos - starts[k]])
+        for op in map(locate, compress(count(), map(shared.__contains__, keys))):
             if op not in rechecked:
                 rechecked[op] = exact(*op)
             repeated[rechecked[op]] += 1
@@ -604,5 +601,5 @@ def op_survey(
             neighbourhood_size=unshared + len(repeated),
             multiplicity_histogram=dict(histogram),
         )
-        entries[kind] = SurveyEntry(report, tree.leaf_order, partial(singles, kind, shared), repeated)
+        entries[kind] = SurveyEntry(report, tree.leaf_order, partial(singles, keys, shared, locate), repeated)
     return entries

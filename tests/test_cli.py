@@ -1,5 +1,6 @@
 """Command-line surface: reports, determinism, exit codes."""
 
+import contextlib
 import io
 import itertools
 import json
@@ -10,13 +11,15 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treespace
 from conftest import reference_newick
 from treespace import rearrange
-from treespace.cli import main
+from treespace.cli import FAMILY_CHOICES, OP_CHOICES, SUITE_CHOICES, TABLE_N_CAP, main
 from treespace.generators import all_trees, random_tree
-from treespace.newick_io import parse_newick
+from treespace.newick_io import parse_newick, serialize_newick
 from treespace.rearrange import OpKind, apply_op, enumerate_ops
 
 
@@ -194,6 +197,11 @@ class TestGenerate:
         assert code == 2
         assert "2**k" in err
 
+    @pytest.mark.parametrize("family", ["caterpillar", "complete", "perfect"])
+    def test_seed_outside_random_rejected(self, capsys, family):
+        code, out, err = run(capsys, "generate", "--family", family, "--n", "6", "--seed", "3")
+        assert (code, out, err) == (2, "", "error: --seed applies only to the random family\n")
+
     def test_random_deterministic(self, capsys):
         _, out1, _ = run(capsys, "generate", "--family", "random", "--n", "9", "--seed", "5")
         _, out2, _ = run(capsys, "generate", "--family", "random", "--n", "9", "--seed", "5")
@@ -342,3 +350,102 @@ class TestTable:
         code, _, err = run(capsys, "table", "--what", "gamma", "--family", "complete",
                            "--n-max", str(2**20 + 1))
         assert code == 2
+
+
+# The CLI grammar of the contract fuzz test: per subcommand, each option
+# with its valid values and its invalid ones (negative, huge, non-numeric or
+# unknown), or None for a flag.  Every call stays small: trees have at most
+# 12 leaves, a valid verify --n-max is at most 5 and is always given outside
+# the asymptotic suite (whose defaults run to n = 7 or 8), --samples is at
+# most 1, --threads is one of -1, 0, 1 and 2, and a table --n-max is at most
+# 64 or past the cap.
+_NOT_INT = ["x", "1e3", ""]
+_GRAMMAR = {
+    "info": {"input": (["-"], ["/no/such/file.nwk", "."])},
+    "neighbourhood": {
+        "input": (["-"], ["/no/such/file.nwk", "."]),
+        "--op": (OP_CHOICES, ["xyz"]),
+        "--emit-trees": None,
+        "--multiplicities": None,
+        "--emit-ops": None,
+    },
+    "generate": {
+        "--family": (FAMILY_CHOICES, ["star"]),
+        "--n": (["4", "6", "9", "12"], ["-1", "0", "3", "65", str(10**30), *_NOT_INT]),
+        "--seed": (["0", "7", "-1", str(2**70)], _NOT_INT),
+    },
+    "verify": {
+        "--suite": (SUITE_CHOICES, ["all"]),
+        "--n-max": (["4", "5"], ["-1", "0", "3", "9", str(10**30), *_NOT_INT]),
+        "--samples": (["0", "1"], ["-1", *_NOT_INT]),
+        "--seed": (["0", "3", "-1", str(2**70)], _NOT_INT),
+        "--threads": (["1", "2"], ["-1", "0", *_NOT_INT]),
+    },
+    "table": {
+        "--what": (["gamma", "tbr-size"], ["size"]),
+        "--family": (["caterpillar", "complete", "perfect"], ["random"]),
+        "--n-max": (["4", "12", "64"], ["-1", "3", str(TABLE_N_CAP + 1), str(10**30), *_NOT_INT]),
+        "--format": (["json", "csv"], ["xml"]),
+    },
+}
+_REQUIRED = {"generate": ("--family", "--n"), "verify": ("--suite",), "table": ("--what", "--family", "--n-max")}
+_EXTRA = ["--bogus", "-h", "--version", "extra", "--n-max=4", "--"]
+
+
+@st.composite
+def _cli_calls(draw) -> tuple[list[str], bytes]:
+    command = draw(st.sampled_from([*_GRAMMAR, "bogus"]))
+    argv = [command]
+    suite = None
+    for option, values in _GRAMMAR.get(command, {}).items():
+        if (command, option) == ("verify", "--n-max"):
+            present = suite not in (None, "asymptotic") or draw(st.booleans())  # keep the exhaustive suites small
+        elif option in _REQUIRED.get(command, ()):
+            present = draw(st.integers(0, 9)) < 9  # left out one time in ten
+        else:
+            present = draw(st.booleans())
+        for _ in range(present + (present and draw(st.integers(0, 9)) == 9)):  # repeated one time in ten
+            if values is None:
+                argv.append(option)
+                continue
+            valid, invalid = values
+            value = draw(st.sampled_from(invalid if draw(st.integers(0, 3)) == 3 else valid))
+            argv += [value] if option == "input" else [option, value]
+            if option == "--suite":
+                suite = value
+    if draw(st.integers(0, 3)) == 3:
+        argv += draw(st.lists(st.sampled_from(_EXTRA), min_size=1, max_size=2))
+    trees = st.builds(
+        lambda n, seed: serialize_newick(random_tree(n, seed)).encode(), st.integers(4, 12), st.integers(0, 99)
+    )
+    lines = st.one_of(trees, st.binary(max_size=40), st.text("(),:;' ab1\t\r\x0b", max_size=30).map(str.encode))
+    stdin = draw(st.one_of(trees, st.lists(lines, max_size=3).map(b"\n".join)))
+    return argv, stdin
+
+
+def _call(argv: list[str], stdin: bytes) -> tuple[object, str, str]:
+    """main(argv) in-process with ``stdin`` as its input: (exit code, stdout, stderr)."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage errors, --help, --version
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestContractFuzz:
+    @given(_cli_calls())
+    @settings(max_examples=100, deadline=None)
+    def test_exit_codes_and_determinism(self, call):
+        """Every argv and stdin ends in exit code 0, 1 or 2 with no traceback,
+        and a second run gives the same bytes."""
+        argv, stdin = call
+        code, out, err = first = _call(argv, stdin)
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err
+        assert _call(argv, stdin) == first

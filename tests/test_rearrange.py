@@ -153,6 +153,27 @@ class TestApply:
             with pytest.raises(InvalidOp):
                 call(quartet, bad)
 
+    def test_independent_of_the_survey_sides(self, monkeypatch):
+        """apply_op validates and performs every op without the rooted
+        preparation or the sides the survey is built on."""
+        trees = list(all_trees(6))
+        expected = [(tree, op, apply_op(tree, op)) for tree in trees for op in enumerate_ops(tree, OpKind.TBR)]
+
+        def refuse(*args):
+            raise AssertionError("apply_op used the survey's bisection sides")
+
+        for name in ("_Rooted", "_side_a", "_side_b"):
+            monkeypatch.setattr(rearrange, name, refuse)
+        for tree, op, want in expected:
+            assert apply_op(tree, op) == want
+        op = expected[0][1]
+        for bad in (
+            RearrangementOp(op.bisect_mask ^ trees[0].full_mask, op.reconnect_a, op.reconnect_b),
+            RearrangementOp(0, op.reconnect_a, op.reconnect_b),
+        ):
+            with pytest.raises(InvalidOp):
+                apply_op(trees[0], bad)
+
 
 class TestNeighbourhood:
     def test_quartet_tbr(self, quartet):
@@ -420,3 +441,25 @@ class TestRootedPreparation:
             assert enumerate_ops(tree, OpKind.TBR) == tbr
             for kind in (OpKind.SPR, OpKind.NNI):
                 assert enumerate_ops(tree, kind) == [op for op in tbr if classify_op(tree, op) in WITHIN[kind]]
+
+    @pytest.mark.parametrize("trees", REFERENCE_TREES.values(), ids=REFERENCE_TREES.keys())
+    def test_enumerate_ops_follows_the_scar_rule(self, trees):
+        """Each kind's ops, built from the adjacency walk's (refs, scar, near)
+        by the module docstring's rule: SPR when a component reconnects at
+        its scar (a single leaf always does), NNI when the other one then
+        reconnects at an edge touching its own scar."""
+        for tree in trees:
+            want = {kind: [] for kind in OpKind}
+            for mask, (refs_a, scar_a, near_a), (refs_b, scar_b, near_b) in sorted(reference_bisections(tree)):
+                for ra in refs_a:
+                    for rb in refs_b:
+                        if (ra, rb) == (scar_a, scar_b):
+                            continue
+                        op = RearrangementOp(mask, ra, rb)
+                        want[OpKind.TBR].append(op)
+                        if ra == scar_a or rb == scar_b:
+                            want[OpKind.SPR].append(op)
+                        if (ra == scar_a and rb in near_b) or (rb == scar_b and ra in near_a):
+                            want[OpKind.NNI].append(op)
+            for kind, ops in want.items():
+                assert enumerate_ops(tree, kind) == ops, kind

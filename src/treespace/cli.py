@@ -138,6 +138,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
@@ -145,16 +153,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     options = {} if args.n_max is None else {"n_max": args.n_max}
     if suite == "asymptotic" and options:
         raise RangeError("the asymptotic suite takes no n_max")
-    # Each option belongs to one suite; elsewhere it would be silently ignored.
-    for name, owner in (("samples", "formulas"), ("seed", "formulas"), ("threads", "extremal")):
-        if getattr(args, name) is not None and suite != owner:
-            raise RangeError(f"--{name} applies only to the {owner} suite")
+    # Each option belongs to some suites; elsewhere it would be silently ignored.
+    for name in ("samples", "seed"):
+        if getattr(args, name) is not None and suite != "formulas":
+            raise RangeError(f"--{name} applies only to the formulas suite")
+    if args.threads is not None and suite == "asymptotic":
+        raise RangeError("--threads applies only to the exhaustive suites")
     samples = args.samples or 0
-    threads = 1 if args.threads is None else args.threads
     if suite == "formulas":
         options.update(samples=samples, seed=args.seed or 0)
-    elif suite == "extremal":
-        options["threads"] = threads
+    if suite != "asymptotic":
+        options["threads"] = _usable_cpus() if args.threads is None else args.threads
     # The suite function is read from the module at call time, so a wrapper
     # installed on verify.<suite>_suite (a profiler, a tracer) sees the call.
     result = getattr(verify, f"{suite}_suite")(**options)
@@ -162,7 +171,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "suite": suite,
         "n_max": args.n_max,
         "samples": samples,
-        "threads": threads,
+        "threads": args.threads,
     }
     _emit(_report("verify", inputs, result.to_json(), seed=args.seed))
     return 0 if result.passed else 1
@@ -232,7 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=None, help="random trees per n in 8..12, 16, 32 and 64 (formulas; default 0)"
     )
     p.add_argument("--seed", type=int, default=None, help="seed of the samples (formulas; default 0)")
-    p.add_argument("--threads", type=int, default=None, help="worker processes (extremal; default 1)")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker processes (formulas, redundancy, extremal; default: the CPUs this process may use)",
+    )
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("table", help="closed-form tables per family")

@@ -145,11 +145,6 @@ class _Accumulator:
         )
 
 
-#: Length of the insertion-code prefixes that shard T_n between workers:
-#: 3 * 5 * 7 = 105 shards of equal size once n >= 6.
-SHARD_PREFIX_LENGTH = 3
-
-
 def _scan_chunk(args: tuple[int, tuple[int, ...]]) -> _Accumulator:
     """Scan one shard of T_n: the trees whose insertion code starts with the prefix."""
     from .generators import all_trees
@@ -161,24 +156,31 @@ def _scan_chunk(args: tuple[int, tuple[int, ...]]) -> _Accumulator:
     return acc
 
 
-def scan_pool(threads: int) -> ProcessPoolExecutor:
-    """A process pool to share between :func:`extremal_scan` calls."""
+def scan_pool(threads: int, n: int) -> ProcessPoolExecutor:
+    """A process pool to share between scans of T_n and smaller trees.
+
+    It has ``threads`` workers, but never more than T_n has shards: a worker
+    beyond that would have nothing to scan.
+    """
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=threads)
+    from .generators import shards
+
+    return ProcessPoolExecutor(max_workers=min(threads, len(shards(n, threads)[0])))
 
 
 def extremal_scan(n: int, threads: int = 1, pool: Executor | None = None) -> ExtremalScanResult:
     """Scan every tree in T_n (4 <= n <= 8) for TBR-neighbourhood extremes.
 
     ``threads`` must be at least 1.  With ``threads`` > 1 a process pool
-    scans the shards of T_n named by insertion-code prefixes; each worker
-    builds its own trees, and the partial results merge to the same result
-    as the serial scan.  The pool is ``pool`` when given (a
-    :func:`scan_pool`), otherwise one opened for this call.
+    scans the shards of T_n that :func:`generators.shards` names by
+    insertion-code prefix; each worker builds its own trees, and the partial
+    results merge to the same result as the serial scan.  The pool is
+    ``pool`` when given (a :func:`scan_pool`), otherwise one opened for this
+    call.
     """
     # Imported here, so that the predicates above load without the enumerator.
-    from .generators import all_trees, insertion_prefixes
+    from .generators import all_trees, shards
 
     if not 4 <= n <= 8:
         raise RangeError(f"extremal scan supports 4 <= n <= 8, got {n}")
@@ -189,9 +191,8 @@ def extremal_scan(n: int, threads: int = 1, pool: Executor | None = None) -> Ext
         for tree in all_trees(n):
             acc.add(tree)
         return acc.result()
-    shards = [(n, prefix) for prefix in insertion_prefixes(n, min(SHARD_PREFIX_LENGTH, n - 3))]
-    chunksize = max(1, len(shards) // (4 * threads))
-    with scan_pool(threads) if pool is None else nullcontext(pool) as pool:
-        for part in pool.map(_scan_chunk, shards, chunksize=chunksize):
+    prefixes, chunksize = shards(n, threads)
+    with scan_pool(threads, n) if pool is None else nullcontext(pool) as pool:
+        for part in pool.map(_scan_chunk, [(n, prefix) for prefix in prefixes], chunksize=chunksize):
             acc.merge(part)
     return acc.result()

@@ -191,6 +191,19 @@ def insertion_prefixes(n: int, length: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(2 * leaf - 3) for leaf in range(3, 3 + length)))
 
 
+#: Length of the insertion-code prefixes that shard T_n between pool workers:
+#: 3 * 5 * 7 = 105 shards of equal size once n >= 6.
+SHARD_PREFIX_LENGTH = 3
+
+
+def shards(n: int, threads: int) -> tuple[list[tuple[int, ...]], int]:
+    """How ``threads`` pool workers split T_n: the insertion-code prefixes of
+    the shards, in enumeration order (3 for n = 4, 15 for n = 5, 105 from
+    n = 6 on), and the number of shards handed to a worker at a time."""
+    prefixes = list(insertion_prefixes(n, min(SHARD_PREFIX_LENGTH, n - 3)))
+    return prefixes, max(1, len(prefixes) // (4 * threads))
+
+
 def tree_count(n: int) -> int:
     """|T_n| = (2n-5)!! for n >= 3."""
     count = 1

@@ -9,12 +9,12 @@ complete report.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from . import metrics
 from .errors import RangeError
 from .extremal import extremal_scan, scan_pool
-from .generators import all_trees, random_tree
+from .generators import all_trees, random_tree, shards
 from .newick_io import serialize_newick
 from .rearrange import OpKind, op_survey
 from .tree_core import PhyloTree
@@ -75,6 +75,11 @@ class _Collector:
             self.failures.append(record)
         return ok
 
+    def merge(self, checks: int, failures: list[dict]) -> None:
+        """Add a later part's checks and failures, keeping the first MAX_FAILURES."""
+        self.checks += checks
+        self.failures.extend(failures[: MAX_FAILURES - len(self.failures)])
+
     def result(self, details: dict) -> SuiteResult:
         return SuiteResult(
             suite=self.suite,
@@ -120,29 +125,103 @@ def _check_formula_tree(col: _Collector, tree: PhyloTree) -> None:
     )
 
 
+def _check_redundancy_tree(col: _Collector, tree: PhyloTree) -> None:
+    n = tree.n
+    survey = op_survey(tree)
+    tbr = survey[OpKind.TBR]
+    nni = survey[OpKind.NNI]
+    spr = survey[OpKind.SPR]
+    mults = set(tbr.report.multiplicity_histogram)
+    col.check(mults <= {1, 4}, f"TBR multiplicities {sorted(mults)} not in {{1, 4}}", tree)
+    quadruple = frozenset(f for f, c in tbr.repeats.items() if c == 4)
+    col.check(
+        quadruple == nni.forms,
+        "multiplicity-4 TBR outputs differ from the NNI neighbourhood",
+        tree,
+    )
+    slack = 3 * (2 * n - 6)
+    col.check(
+        tbr.report.op_count - tbr.report.neighbourhood_size == slack,
+        f"|O_TBR| - |N_TBR| = {tbr.report.op_count - tbr.report.neighbourhood_size} != {slack}",
+        tree,
+    )
+    col.check(
+        spr.report.op_count - spr.report.neighbourhood_size == slack,
+        f"|O_SPR| - |N_SPR| = {spr.report.op_count - spr.report.neighbourhood_size} != {slack}",
+        tree,
+    )
+    col.check(
+        nni.report.multiplicity_histogram == {4: 2 * n - 6},
+        f"NNI multiplicity histogram {nni.report.multiplicity_histogram} != {{4: {2 * n - 6}}}",
+        tree,
+    )
+
+
+TreeCheck = Callable[[_Collector, PhyloTree], None]
+
+
 def _exhaustive_range(n_max: int) -> range:
     if not 4 <= n_max <= 8:
         raise RangeError(f"exhaustive suites support 4 <= n_max <= 8, got {n_max}")
     return range(4, n_max + 1)
 
 
-def formulas_suite(n_max: int = 7, samples: int = 0, seed: int = 0) -> SuiteResult:
+def _suite_pool(threads: int, n_max: int):
+    """One :func:`scan_pool` for every n of a suite call, or none for one thread."""
+    if threads < 1:
+        raise RangeError(f"threads must be >= 1, got {threads}")
+    return scan_pool(threads, n_max) if threads > 1 else nullcontext()
+
+
+def _check_shard(args: tuple[TreeCheck, int, tuple[int, ...]]) -> tuple[int, list[dict], int]:
+    """Run a per-tree check over the trees of T_n whose insertion code starts
+    with the prefix: (checks, first failures, trees).  The pool's entry."""
+    check, n, prefix = args
+    col = _Collector("")
+    trees = 0
+    for tree in all_trees(n, prefix):
+        check(col, tree)
+        trees += 1
+    return col.checks, col.failures, trees
+
+
+def _check_exhaustive(col: _Collector, check: TreeCheck, n_max: int, threads: int) -> dict[str, int]:
+    """Run ``check`` on every tree of T_4 .. T_{n_max}; the trees checked per n.
+
+    With ``threads`` > 1 a pool checks the shards of each T_n, and their
+    parts merge in enumeration order, so the checks and the failures kept
+    are those of the serial run.
+    """
+    trees_checked: dict[str, int] = {}
+    ns = _exhaustive_range(n_max)  # before the pool is sized from n_max
+    with _suite_pool(threads, n_max) as pool:
+        for n in ns:
+            if pool is None:
+                parts = [_check_shard((check, n, ()))]
+            else:
+                prefixes, chunksize = shards(n, threads)
+                parts = pool.map(_check_shard, [(check, n, prefix) for prefix in prefixes], chunksize=chunksize)
+            count = 0
+            for checks, failures, trees in parts:
+                col.merge(checks, failures)
+                count += trees
+            trees_checked[f"exhaustive_n{n}"] = count
+    return trees_checked
+
+
+def formulas_suite(n_max: int = 7, samples: int = 0, seed: int = 0, threads: int = 1) -> SuiteResult:
     """Enumerated neighbourhood and operation counts equal the closed forms.
 
     Exhaustive over T_4 .. T_{n_max}; optionally ``samples`` random trees for
     each n in SAMPLE_NS, checked the same way: the TBR closed forms depend on
-    the tree only through Gamma, which is computed per tree.
+    the tree only through Gamma, which is computed per tree.  ``threads`` > 1
+    checks the shards of each T_n on that many worker processes (the samples
+    stay in this process); the result equals the serial one.
     """
     if samples < 0:
         raise RangeError(f"samples must be >= 0, got {samples}")
     col = _Collector("formulas")
-    trees_checked: dict[str, int] = {}
-    for n in _exhaustive_range(n_max):
-        count = 0
-        for tree in all_trees(n):
-            _check_formula_tree(col, tree)
-            count += 1
-        trees_checked[f"exhaustive_n{n}"] = count
+    trees_checked = _check_exhaustive(col, _check_formula_tree, n_max, threads)
     if samples:
         for n in SAMPLE_NS:
             for i in range(samples):
@@ -152,50 +231,18 @@ def formulas_suite(n_max: int = 7, samples: int = 0, seed: int = 0) -> SuiteResu
     return col.result({"trees": trees_checked})
 
 
-def redundancy_suite(n_max: int = 7) -> SuiteResult:
+def redundancy_suite(n_max: int = 7, threads: int = 1) -> SuiteResult:
     """Structure of repeated TBR outputs.
 
     Every output tree is produced by either 1 or 4 operations; the ones with
     multiplicity 4 are exactly the NNI neighbourhood (each reachable by 4
     distinct NNI operations), so op count minus neighbourhood size is
-    3*(2n-6) for TBR and SPR alike.
+    3*(2n-6) for TBR and SPR alike.  ``threads`` > 1 checks the shards of
+    each T_n on that many worker processes; the result equals the serial
+    one.
     """
     col = _Collector("redundancy")
-    trees_checked: dict[str, int] = {}
-    for n in _exhaustive_range(n_max):
-        count = 0
-        for tree in all_trees(n):
-            survey = op_survey(tree)
-            tbr = survey[OpKind.TBR]
-            nni = survey[OpKind.NNI]
-            spr = survey[OpKind.SPR]
-            mults = set(tbr.report.multiplicity_histogram)
-            col.check(mults <= {1, 4}, f"TBR multiplicities {sorted(mults)} not in {{1, 4}}", tree)
-            quadruple = frozenset(f for f, c in tbr.repeats.items() if c == 4)
-            col.check(
-                quadruple == nni.forms,
-                "multiplicity-4 TBR outputs differ from the NNI neighbourhood",
-                tree,
-            )
-            slack = 3 * (2 * n - 6)
-            col.check(
-                tbr.report.op_count - tbr.report.neighbourhood_size == slack,
-                f"|O_TBR| - |N_TBR| = {tbr.report.op_count - tbr.report.neighbourhood_size} != {slack}",
-                tree,
-            )
-            col.check(
-                spr.report.op_count - spr.report.neighbourhood_size == slack,
-                f"|O_SPR| - |N_SPR| = {spr.report.op_count - spr.report.neighbourhood_size} != {slack}",
-                tree,
-            )
-            col.check(
-                nni.report.multiplicity_histogram == {4: 2 * n - 6},
-                f"NNI multiplicity histogram {nni.report.multiplicity_histogram} != {{4: {2 * n - 6}}}",
-                tree,
-            )
-            count += 1
-        trees_checked[f"exhaustive_n{n}"] = count
-    return col.result({"trees": trees_checked})
+    return col.result({"trees": _check_exhaustive(col, _check_redundancy_tree, n_max, threads)})
 
 
 def extremal_suite(n_max: int = 8, threads: int = 1) -> SuiteResult:
@@ -204,12 +251,13 @@ def extremal_suite(n_max: int = 8, threads: int = 1) -> SuiteResult:
     The maximizers must be exactly the caterpillars and the minimizers
     exactly the complete trees, with the extreme values matching their
     closed forms.  ``threads`` > 1 scans each T_n on that many worker
-    processes.
+    processes, one pool for every n.
     """
     col = _Collector("extremal")
     scans = {}
-    with scan_pool(threads) if threads > 1 else nullcontext() as pool:
-        for n in _exhaustive_range(n_max):
+    ns = _exhaustive_range(n_max)  # before the pool is sized from n_max
+    with _suite_pool(threads, n_max) as pool:
+        for n in ns:
             scan = extremal_scan(n, threads, pool)
             col.check(
                 scan.max_value == metrics.caterpillar_tbr_size(n),

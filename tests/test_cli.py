@@ -238,16 +238,59 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite,option,value", [
         ("redundancy", "--samples", "3"), ("asymptotic", "--samples", "0"), ("extremal", "--seed", "1"),
-        ("formulas", "--threads", "2"), ("redundancy", "--threads", "1"), ("asymptotic", "--threads", "4"),
+        ("asymptotic", "--threads", "4"),
     ])
     def test_option_of_another_suite_rejected(self, capsys, suite, option, value):
         n_max = () if suite == "asymptotic" else ("--n-max", "4")
         code, out, err = run(capsys, "verify", "--suite", suite, *n_max, option, value)
         assert code == 2 and out == ""
-        assert err.startswith(f"error: {option} applies only to the ")
+        owner = "the exhaustive suites" if option == "--threads" else "the formulas suite"
+        assert err == f"error: {option} applies only to {owner}\n"
+
+    @pytest.mark.parametrize("suite,value", [("formulas", "2"), ("redundancy", "1"), ("extremal", "2")])
+    def test_exhaustive_suites_take_threads(self, capsys, suite, value):
+        report = run_json(capsys, "verify", "--suite", suite, "--n-max", "4", "--threads", value)
+        assert report["results"]["passed"] and report["inputs"]["threads"] == int(value)
+
+    def test_results_do_not_depend_on_threads(self, capsys):
+        """--threads changes only how the trees are shared between processes,
+        and the report echoes it as given: null when it is left out."""
+        reports = {
+            threads: run_json(capsys, "verify", "--suite", "formulas", "--n-max", "6", *threads)
+            for threads in [(), ("--threads", "1"), ("--threads", "2")]
+        }
+        assert [r["inputs"]["threads"] for r in reports.values()] == [None, 1, 2]
+        results = [r["results"] for r in reports.values()]
+        assert results[0] == results[1] == results[2] and results[0]["passed"]
+
+    @pytest.mark.parametrize("suite,n_max,shards", [("formulas", "4", 3), ("extremal", "5", 15), ("redundancy", "6", 105)])
+    def test_pool_never_outnumbers_shards(self, capsys, monkeypatch, suite, n_max, shards):
+        """A pool gets at most one worker per shard of the largest T_n.  The
+        stand-in pool records its size and runs the shards in this process."""
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        report = run_json(capsys, "verify", "--suite", suite, "--n-max", n_max, "--threads", "100000")
+        assert report["results"]["passed"] and sizes == [shards]
 
     @pytest.mark.parametrize("suite,option,value", [
         ("formulas", "--samples", "-1"), ("extremal", "--threads", "0"), ("extremal", "--threads", "-5"),
+        ("formulas", "--threads", "0"), ("redundancy", "--threads", "0"),
     ])
     def test_option_value_out_of_range_rejected(self, capsys, suite, option, value):
         code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", "4", option, value)

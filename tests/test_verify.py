@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from treespace import RangeError, metrics, verify
+from treespace.generators import all_trees
 from treespace.metrics import complete_tbr_size
+from treespace.newick_io import serialize_newick
 from treespace.verify import (
     ASYMPTOTIC_C,
     RATIO_HALF_FROM,
@@ -33,7 +35,10 @@ def test_formulas_suite_samples():
     assert result.checks == 5 * (3 + 2 * 8)
 
 
-@pytest.mark.parametrize("suite,options", [(formulas_suite, {"samples": -1}), (extremal_suite, {"threads": 0})])
+@pytest.mark.parametrize("suite,options", [
+    (formulas_suite, {"samples": -1}), (extremal_suite, {"threads": 0}),
+    (formulas_suite, {"threads": 0}), (redundancy_suite, {"threads": -1}),
+])
 def test_suite_option_out_of_range(suite, options):
     with pytest.raises(RangeError):
         suite(n_max=4, **options)
@@ -75,6 +80,27 @@ def test_extremal_suite_opens_one_pool(monkeypatch):
 
 def test_redundancy_suite_small():
     assert redundancy_suite(n_max=5).passed
+
+
+@pytest.mark.parametrize("suite", [formulas_suite, redundancy_suite])
+def test_suite_independent_of_worker_count(suite):
+    assert suite(7, threads=2) == suite(7)
+
+
+def test_failures_independent_of_worker_count(monkeypatch):
+    """With a wrong closed form every tree fails.  The pool forks inside the
+    suite call, so its workers see the patch too, and the shards' failures
+    merge to the serial run's: the first MAX_FAILURES trees, in enumeration
+    order."""
+    monkeypatch.setattr(metrics, "nni_size", lambda n: -1)
+    serial = formulas_suite(6)
+    parallel = formulas_suite(6, threads=2)
+    assert not serial.passed and (serial.checks, serial.passed) == (parallel.checks, parallel.passed)
+    assert serial.checks == 5 * (3 + 15 + 105)
+    assert serial.failures == parallel.failures
+    first = [tree for n in (4, 5, 6) for tree in all_trees(n)][: verify.MAX_FAILURES]
+    assert [f["newick"] for f in parallel.failures] == [serialize_newick(tree) for tree in first]
+    assert all(f["message"].startswith("|N_NNI| = ") for f in parallel.failures)
 
 
 def test_sweep_matches_exact_closed_form():

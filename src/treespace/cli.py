@@ -56,9 +56,10 @@ def _read_trees(source: str) -> list[tuple[PhyloTree, tuple[str, ...]]]:
         with open(source, "rb") as handle:
             data = handle.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # drops a leading byte order mark
     except UnicodeDecodeError as exc:
-        raise TreeError(f"input is not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}") from None
+        at = exc.start + len(data) - len(exc.object)  # exc.object lacks the mark
+        raise TreeError(f"input is not UTF-8 text: byte {data[at]:#04x} at offset {at}") from None
     docs = []
     # Only "\n" ends a line: str.splitlines would also cut at characters such
     # as "\x0b" or "\x85", which may sit inside a quoted label.
@@ -100,7 +101,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_neighbourhood(args: argparse.Namespace) -> int:
-    from .newick_io import newick_from_splits, serialize_newick
+    from .newick_io import serialize_newick
     from .rearrange import OpKind, enumerate_ops, op_survey
 
     docs = _read_trees(args.input)
@@ -120,9 +121,7 @@ def cmd_neighbourhood(args: argparse.Namespace) -> int:
         return 0
     # With --emit-trees the report omits the kind; the op input already names it.
     del results["kind"]
-    names = tree.leaf_order
-    for newick in sorted(newick_from_splits(key, names) for key in entry.output_keys()):
-        print(newick)
+    sys.stdout.write("".join(newick + "\n" for newick in sorted(entry.newicks())))
     _emit(_report("neighbourhood", inputs, results), stream=sys.stderr)
     return 0
 

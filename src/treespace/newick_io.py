@@ -9,13 +9,16 @@ meaning for a purely topological tree and are rejected.
 The parser reads the text once.  It keeps a stack of the open ``(`` nodes,
 appends a ``(parent, child)`` edge and a leaf name as it reads, and hands
 the edge list to :class:`PhyloTree`.
+
+The writer builds the text of every subtree of the tree's preorder once
+(:func:`cluster_texts`); ``neighbourhood --emit-trees`` cuts the same texts
+into the pieces it splices each neighbour from.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import DegreeViolation, DuplicateLabel, EmptyLabel, NewickSyntaxError, TooFewLeaves
 from .tree_core import Edge, PhyloTree
@@ -157,39 +160,39 @@ def _quote(name: str) -> str:
     return "'" + name.replace("'", "''") + "'"
 
 
-@lru_cache(maxsize=16)  # one --emit-trees call writes every output on the same names
-def _leaf_text(names: tuple[str, ...]) -> dict[int, str]:
-    """The quoted label of each leaf, keyed by its one-bit mask."""
-    return {1 << i: _quote(name) for i, name in enumerate(names)}
+def cluster_texts(tree: PhyloTree) -> tuple[str, list[str]]:
+    """The quoted label of leaf 0, and per :attr:`~PhyloTree.preorder`
+    position the Newick text of the subtree below it, for n >= 2.
 
-
-def newick_from_splits(masks: Iterable[int], names: Sequence[str]) -> str:
-    """Deterministic Newick text of the tree with these splits, for n >= 3.
-
-    ``masks`` are the normalized masks (bit 0 never set) of all 2n-3 splits
-    of one binary tree on the leaves ``names`` (index order).  Rooted at leaf
-    0, each mask is the cluster below one edge.  The text is rooted at the
-    internal vertex adjacent to leaf 0 and children are ordered by their
-    smallest leaf index, so isomorphic labelled trees give identical text.
-
-    Clusters are built smallest first.  Clusters sharing a lowest leaf are
-    nested, so the largest one built so far with cluster m's lowest leaf is
-    m's first child, and the rest of m is its second child.
+    Children are ordered by their smallest leaf index.  Positions are
+    written last to first, so both children of a vertex are written before
+    it: the first child is the next position, the second the other child
+    seen.
     """
-    n = len(names)
-    if n < 3:
-        raise TooFewLeaves(f"serialization needs n >= 3, got n = {n}")
-    text = dict(_leaf_text(tuple(names)))  # a copy: each cluster's text is added to it
-    top = {}  # lowest leaf bit -> largest cluster built so far with that lowest leaf
-    for m in sorted(masks, key=int.bit_count):
-        if m & (m - 1):
-            low = m & -m
-            first = top.get(low, low)
-            text[m] = "(" + text[first] + "," + text[m ^ first] + ")"
-            top[low] = m
-    return "(" + text[1] + "," + text[((1 << n) - 1) ^ 1][1:-1] + ");"
+    _, parent, cluster = tree.preorder
+    names = {1 << i: _quote(name) for i, name in enumerate(tree.leaf_order)}  # by one-bit mask
+    texts = [names.get(c, "") for c in cluster]  # "" at the internal positions
+    second = {}  # internal position -> its second child
+    for u in range(len(cluster) - 1, -1, -1):
+        if not texts[u]:
+            x, y = u + 1, second[u]
+            cx, cy = cluster[x], cluster[y]
+            first, last = (x, y) if (cx & -cx) < (cy & -cy) else (y, x)
+            texts[u] = "(" + texts[first] + "," + texts[last] + ")"
+        p = parent[u]
+        if p + 1 != u:
+            second[p] = u
+    return names[1], texts
 
 
 def serialize_newick(tree: PhyloTree) -> str:
-    """Deterministic Newick text for a tree with n >= 3 (see :func:`newick_from_splits`)."""
-    return newick_from_splits(tree.split_masks, tree.leaf_order)
+    """Deterministic Newick text for a tree with n >= 3.
+
+    The text is rooted at the vertex adjacent to leaf 0 and children are
+    ordered by their smallest leaf index (see :func:`cluster_texts`), so
+    isomorphic labelled trees give identical text.
+    """
+    if tree.n < 3:
+        raise TooFewLeaves(f"serialization needs n >= 3, got n = {tree.n}")
+    leaf0, texts = cluster_texts(tree)
+    return "(" + leaf0 + "," + texts[0][1:-1] + ");"

@@ -40,6 +40,19 @@ distinct output tree, and the operations of every shared hash (the four
 behind each NNI neighbour, plus any true collision) are located by position
 in their block, re-keyed by their sorted split masks and split.
 
+The Newick text of each output, written as
+:func:`treespace.newick_io.serialize_newick` writes it, is spliced from
+per-bisection pieces cut from the input tree's per-position subtree texts
+(:func:`treespace.newick_io.cluster_texts`).  The output of (ref a, ref b)
+is side B's text with a hole at ref b, and side A's text rooted at ref a
+in the hole.  A's text at ref a does not depend on ref b: one rerooting
+pass down the slice of v gives it at every ref (:func:`_texts_a`).  Where
+the hole sits depends only on B, ref b and A's lowest leaf: one pass down
+the rest of the preorder, rebuilding only the ancestors of v, gives the
+text left and right of it at every ref (:func:`_holes_b`).  Each operation
+of :func:`_blocks` then costs one concatenation, and as the text is
+canonical a set of the texts holds each distinct output once.
+
 Enumeration is the brute-force oracle used to verify every closed-form count
 in :mod:`treespace.metrics`, so it never consults those formulas.
 :func:`apply_op` performs a move by graph surgery over a fresh walk of the
@@ -53,10 +66,11 @@ import enum
 from bisect import bisect_right
 from collections import Counter
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, compress, count
+from itertools import accumulate, chain, compress, count
 from typing import Callable, Container, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidOp
+from .newick_io import cluster_texts
 from .tree_core import CanonicalForm, Edge, PhyloTree, require_leaves
 
 
@@ -507,6 +521,109 @@ def _locator(placed: list[_Placed]) -> Callable[[int], tuple[int, int, int]]:
     return locate
 
 
+# -- Newick splice ---------------------------------------------------------------
+
+
+def _join(t: str, c: int, u: str, d: int) -> str:
+    """Newick text of a vertex whose children have texts t, u and disjoint clusters c, d."""
+    return "(" + t + "," + u + ")" if (c & -c) < (d & -d) else "(" + u + "," + t + ")"
+
+
+def _texts_a(rooted: _Rooted, texts: list[str], v: int) -> list[str]:
+    """Newick text of side A rooted at each of its refs, in :func:`_side_a`'s order.
+
+    Rooted at the scar, A is the subtree of v.  Rooted at the edge above a
+    vertex w below x, its children are the subtree of w and the rest of A
+    hung from w's parent q: q's other child beside the rest of A hung from
+    q's parent, or y's subtree when q is x.  The same holds below y.
+    """
+    cluster, parent, end = rooted.cluster, rooted.parent, rooted.end
+    a, x, stop = cluster[v], v + 1, end[v]
+    out = [texts[v]]
+    if x == stop:
+        return out
+    y = end[x]
+    rest = [""] * stop  # per vertex w below x or y: the rest of A, hung from w's parent
+    rest[x], rest[y] = texts[y], texts[x]
+    for w in chain(range(x + 1, y), range(y + 1, stop)):
+        q = parent[w]
+        d = q + 1 if q + 1 != w else end[q + 1]  # the sibling of w
+        rest[w] = _join(texts[d], cluster[d], rest[q], a ^ cluster[q])
+        out.append(_join(texts[w], cluster[w], rest[w], a ^ cluster[w]))
+    return out
+
+
+def _holes_b(rooted: _Rooted, texts: list[str], v: int, lead: str) -> tuple[list[str], list[str]]:
+    """Side B's Newick text left and right of a hole at each of its refs, in
+    :func:`_side_b`'s order, for v > 0.
+
+    Reconnecting A at ref b gives the text left + (A's text) + right.  B
+    stays rooted at leaf 0 and v's sibling s hangs where v's parent p hung,
+    so only the ancestors of v change text, once each, with C(u) ^ A as
+    their cluster.  Going down, the subtree that holds the hole also holds
+    A, which can move it before its sibling.  The vertex next to leaf 0 is
+    written without its parentheses, after ``lead``: "(", leaf 0 and ",".
+    """
+    cluster, parent, end = rooted.cluster, rooted.parent, rooted.end
+    a = cluster[v]
+    low_a = a & -a
+    p, stop = parent[v], end[v]
+
+    def sibling(u: int) -> int:
+        q = parent[u]
+        return q + 1 if q + 1 != u else end[q + 1]
+
+    text, kept = list(texts), list(cluster)  # per position: its text and cluster in B (p holds s's)
+    s = sibling(v)
+    text[p], kept[p] = texts[s], cluster[s]
+    c = p
+    while (u := parent[c]) >= 0:
+        d = sibling(c)
+        text[u], kept[u] = _join(text[c], kept[c], texts[d], cluster[d]), cluster[u] ^ a
+        c = u
+    size = len(cluster)
+    left, right = [""] * size, [""] * size  # per position: the output's text before and after its subtree's inside
+    lefts: list[str] = []
+    rights: list[str] = []
+    for u in chain(range(p), range(p + 1, v), range(stop, size)):
+        w = p if parent[u] == p else u  # s hangs where p hung
+        q = parent[w]
+        if q < 0:
+            before, after = lead, ");"
+        else:
+            d, m = sibling(w), cluster[u] | a
+            if (kept[d] & -kept[d]) < (m & -m):
+                before, after = left[q] + text[d] + ",(", ")" + right[q]
+            else:
+                before, after = left[q] + "(", ")," + text[d] + right[q]
+        left[u], right[u] = before, after
+        m = kept[u]
+        if (m & -m) < low_a:
+            lefts.append(before + text[u] + ",")
+            rights.append(after)
+        else:
+            lefts.append(before)
+            rights.append("," + text[u] + after)
+    return lefts, rights
+
+
+def _newicks(tree: PhyloTree, rooted: _Rooted, bisections: list[_Bisection], kind: OpKind) -> set[str]:
+    """The Newick text of each distinct output of the operations of ``kind`` or narrower."""
+    leaf0, texts = cluster_texts(tree)
+    lead = "(" + leaf0 + ","
+    outputs: set[str] = set()
+    for v, (_, side_a, side_b) in enumerate(bisections):
+        text_a = _texts_a(rooted, texts, v)
+        if v:
+            lefts, rights = _holes_b(rooted, texts, v, lead)
+        else:  # B is leaf 0 alone, so A's root is the vertex next to leaf 0
+            text_a, lefts, rights = [t[1:-1] for t in text_a], [lead], [");"]
+        for rows, cols in _blocks(side_a, side_b, kind):
+            holes = [(lefts[j], rights[j]) for j in cols]
+            outputs.update([f"{left}{text_a[i]}{right}" for i in rows for left, right in holes])
+    return outputs
+
+
 class SurveyEntry:
     """Survey output for one operation kind.
 
@@ -516,7 +633,8 @@ class SurveyEntry:
     each operation whose kept hash key no other shares, and ``repeated``
     counts the re-keyed operations of shared hashes.
     ``repeats`` reads ``repeated`` alone: an output of two or more operations
-    always shares its hash, so it never needs the walk.
+    always shares its hash, so it never needs the walk.  :meth:`newicks`
+    reads no key at all: it splices each output's text from the sides.
     """
 
     def __init__(
@@ -525,11 +643,18 @@ class SurveyEntry:
         names: tuple[str, ...],
         singles: Callable[[], Iterator[tuple[int, ...]]],
         repeated: Counter,
+        newicks: Callable[[], set[str]],
     ):
         self.report = report
         self._names = names
         self._singles = singles
         self._repeated = repeated
+        self._newicks = newicks
+
+    def newicks(self) -> set[str]:
+        """The Newick text of each distinct output tree, as
+        :func:`~treespace.newick_io.serialize_newick` writes it."""
+        return self._newicks()
 
     def output_keys(self) -> Iterator[tuple[int, ...]]:
         """The sorted normalized split masks of each distinct output tree, once each."""
@@ -601,5 +726,11 @@ def op_survey(
             neighbourhood_size=unshared + len(repeated),
             multiplicity_histogram=dict(histogram),
         )
-        entries[kind] = SurveyEntry(report, tree.leaf_order, partial(singles, keys, shared, locate), repeated)
+        entries[kind] = SurveyEntry(
+            report,
+            tree.leaf_order,
+            partial(singles, keys, shared, locate),
+            repeated,
+            partial(_newicks, tree, rooted, bisections, kind),
+        )
     return entries

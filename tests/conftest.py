@@ -1,6 +1,6 @@
 """Shared helpers: definitional rearrangement checks built only on restriction
 and subtree-swap surgery, independent of the scar-edge classification rules
-they are used to validate, a Newick writer independent of the split-set one,
+they are used to validate, a Newick writer independent of the preorder one,
 bisection components and Gamma from an adjacency walk, independent of the
 tree's rooted preorder, and the cluster-set definition of a complete tree."""
 
@@ -84,8 +84,8 @@ def reference_newick(tree: PhyloTree) -> str:
     """Newick text in serialize_newick's format, by recursion over vertices.
 
     Rooted at the neighbour of leaf index 0, children ordered by their
-    smallest leaf index.  It reads only the adjacency, never the split set,
-    so it checks the split-set writer instead of sharing its route.
+    smallest leaf index.  It reads only the adjacency, never the preorder,
+    so it checks the preorder writer instead of sharing its route.
     """
 
     def render(v: int, parent: int) -> tuple[int, str]:

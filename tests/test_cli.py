@@ -180,6 +180,25 @@ class TestEmitOracle:
         assert (out, err) == expected
 
 
+@pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("label,tree", EMIT_TREES[-2:], ids=[label for label, _ in EMIT_TREES[-2:]])
+def test_emit_reads_no_output_key(capsys, tmp_path, monkeypatch, kind, label, tree):
+    """--emit-trees splices each output's text from the survey's sides; it
+    never lists the exact output keys."""
+    path = tmp_path / f"{label}.nwk"
+    path.write_text(reference_newick(tree) + "\n")
+    expected = oracle_emit(tree, kind, str(path))
+
+    def refuse(*args):
+        raise AssertionError("the emit path read the output keys")
+
+    monkeypatch.setattr(rearrange.SurveyEntry, "output_keys", refuse)
+    code, out, err = run(capsys, "neighbourhood", str(path), "--op", kind.value,
+                         "--emit-trees", "--multiplicities", "--emit-ops")
+    assert code == 0
+    assert (out, err) == expected
+
+
 class TestGenerate:
     def test_caterpillar5_literal(self, capsys):
         code, out, _ = run(capsys, "generate", "--family", "caterpillar", "--n", "5")
@@ -335,6 +354,30 @@ class TestErrorPaths:
         code, out, err = run(capsys, "info", str(path) if source == "file" else "-")
         assert code == 2 and out == ""
         assert err == "error: input is not UTF-8 text: byte 0xff at offset 8\n"
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_byte_order_mark_dropped(self, capsys, tmp_path, monkeypatch, source):
+        """A leading UTF-8 byte order mark is not part of the first tree."""
+        data = b"\xef\xbb\xbf((a,b),c,(d,e));\n"
+        path = tmp_path / "bom.nwk"
+        path.write_bytes(data)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        (row,) = run_json(capsys, "info", str(path) if source == "file" else "-")["results"]
+        assert row["newick"] == "(a,b,(c,(d,e)));" and row["warnings"] == []
+
+    def test_byte_order_mark_counts_in_offsets(self, capsys, tmp_path):
+        path = tmp_path / "bom.nwk"
+        path.write_bytes(b"\xef\xbb\xbf(1,2,(3,\xff4));\n")
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: input is not UTF-8 text: byte 0xff at offset 11\n"
+
+    def test_byte_order_mark_only_at_the_start(self, capsys, tmp_path):
+        """A byte order mark anywhere else stays in the text."""
+        path = tmp_path / "bom2.nwk"
+        path.write_bytes(b"(a,b,(c,d));\n\xef\xbb\xbf(a,b,(c,d));\n")
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_deep_nesting_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "deep.nwk"

@@ -25,7 +25,6 @@ from treespace import (
     serialize_newick,
 )
 from treespace.generators import complete
-from treespace.newick_io import newick_from_splits
 
 
 class TestParse:
@@ -250,9 +249,9 @@ class TestRoundTrip:
 
     @given(st.integers(3, 64), st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
-    def test_newick_from_splits(self, n, seed):
+    def test_serialize_matches_reference_writer(self, n, seed):
         t = parse_newick("(1,2,3);").tree if n == 3 else random_tree(n, seed)
-        text = newick_from_splits(t.split_masks, t.leaf_order)
+        text = serialize_newick(t)
         assert parse_newick(text).tree == t
         assert text == reference_newick(t)
 

@@ -18,6 +18,7 @@ from treespace import (
     InvalidOp,
     NeighbourhoodReport,
     OpKind,
+    PhyloTree,
     RearrangementOp,
     TooFewLeaves,
     all_trees,
@@ -463,3 +464,29 @@ class TestRootedPreparation:
                             want[OpKind.NNI].append(op)
             for kind, ops in want.items():
                 assert enumerate_ops(tree, kind) == ops, kind
+
+
+SPLICE_TREES = {
+    "T4-T7": ([t for n in (4, 5, 6, 7) for t in all_trees(n)], tuple(OpKind)),
+    "random8-16": ([random_tree(n, n) for n in range(8, 17, 2)], tuple(OpKind)),
+    "random20-64": ([random_tree(n, n) for n in range(20, 65, 4)], (OpKind.NNI,)),
+    "caterpillar64-complete64": ([caterpillar(64), complete(64)], (OpKind.NNI,)),
+    "quoted7": ([parse_newick("(('a b','it''s'),c,(('d e',f),('g''h',i)));").tree], tuple(OpKind)),
+}
+
+
+class TestNewickSplice:
+    @pytest.mark.parametrize("trees,kinds", SPLICE_TREES.values(), ids=SPLICE_TREES.keys())
+    def test_texts_are_the_exact_outputs(self, trees, kinds):
+        """Each spliced text, parsed back, is the tree of one exact output
+        key, one to one, and there are as many texts as neighbours."""
+        parsed: dict[str, PhyloTree] = {}  # the outputs of small trees recur across inputs
+        for tree in trees:
+            for kind, entry in op_survey(tree, kinds).items():
+                texts = entry.newicks()
+                for text in texts.difference(parsed):
+                    parsed[text] = parse_newick(text).tree
+                outputs = [parsed[text] for text in texts]
+                assert all(out.leaf_order == tree.leaf_order for out in outputs)
+                assert Counter(out.split_masks for out in outputs) == Counter(entry.output_keys()), (kind, tree)
+                assert len(texts) == entry.report.neighbourhood_size

@@ -24,7 +24,6 @@ _EXPORTS = {
         "TooFewLeaves",
         "TooManyLeaves",
         "TreeError",
-        "UnknownLeaf",
     ),
     "extremal": ("ExtremalScanResult", "extremal_scan", "is_caterpillar", "is_complete"),
     "generators": ("TreeFamily", "all_trees", "caterpillar", "complete", "perfect", "random_tree", "tree_count"),
@@ -47,11 +46,10 @@ _EXPORTS = {
         "OpKind",
         "RearrangementOp",
         "apply_op",
-        "classify_op",
         "enumerate_ops",
         "op_survey",
     ),
-    "tree_core": ("MAX_LEAVES", "CanonicalForm", "PhyloTree", "Split"),
+    "tree_core": ("MAX_LEAVES", "CanonicalForm", "PhyloTree"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -25,10 +25,6 @@ class EmptyLabel(TreeError):
     """A leaf label is empty or missing."""
 
 
-class UnknownLeaf(TreeError):
-    """A referenced leaf label does not occur in the tree."""
-
-
 class TooFewLeaves(TreeError):
     """The operation needs more leaves than the tree (or size) has."""
 

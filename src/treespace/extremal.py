@@ -92,16 +92,7 @@ class ExtremalScanResult(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "n": self.n,
-            "tree_count": self.tree_count,
-            "max_value": self.max_value,
-            "min_value": self.min_value,
-            "max_gamma": self.max_gamma,
-            "min_gamma": self.min_gamma,
-            "argmax_count": self.argmax_count,
-            "argmin_count": self.argmin_count,
-            "argmax_all_caterpillar": self.argmax_all_caterpillar,
-            "argmin_all_complete": self.argmin_all_complete,
+            **self._asdict(),
             "caterpillar_formula": caterpillar_tbr_size(self.n),
             "complete_formula": complete_tbr_size(self.n),
             "gamma_complete_formula": gamma_complete(self.n),

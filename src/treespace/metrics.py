@@ -19,8 +19,9 @@ def gamma(tree: PhyloTree) -> int:
 
     Leaf counts of the subtrees of the tree's rooted preorder are summed up
     the parent positions, one pass, from ``is_leaf`` alone: no split or
-    cluster mask is read, so ``tree.splits()`` stays an independent route
-    (the two are property-tested equal).
+    cluster mask is read.  The test suite's ``reference_gamma`` walks the
+    adjacency instead, an independent route (the two are property-tested
+    equal).
     """
     n = require_leaves(tree)
     vertex, parent, _ = tree.preorder

@@ -97,11 +97,7 @@ class RearrangementOp(NamedTuple):
     reconnect_b: int | None
 
     def to_json(self) -> dict:
-        return {
-            "bisect_mask": self.bisect_mask,
-            "reconnect_a": self.reconnect_a,
-            "reconnect_b": self.reconnect_b,
-        }
+        return self._asdict()
 
 
 class _ReportFields(NamedTuple):
@@ -132,10 +128,8 @@ class NeighbourhoodReport(_ReportFields):
 
     def to_json(self) -> dict:
         return {
-            "n": self.n,
+            **self._asdict(),
             "kind": self.kind.value,
-            "op_count": self.op_count,
-            "neighbourhood_size": self.neighbourhood_size,
             "multiplicity_histogram": {str(m): c for m, c in sorted(self.multiplicity_histogram.items())},
         }
 
@@ -208,10 +202,6 @@ class _Side:
     @property
     def single(self) -> bool:
         return self.refs[0] is None
-
-    @property
-    def scar_ref(self) -> int | None:
-        return self.refs[self.scar]
 
 
 def _single(mask: int) -> _Side:
@@ -311,15 +301,6 @@ def _side_b(rooted: _Rooted, v: int) -> _Side:
     return _Side((cluster[0] | 1) ^ a, refs, index(s), near, sums)
 
 
-def _bisect(tree: PhyloTree, bisect_mask: int) -> tuple[_Side, _Side]:
-    rooted = _Rooted(tree)
-    try:
-        v = rooted.cluster.index(bisect_mask)
-    except ValueError:
-        raise InvalidOp(f"no edge of the tree induces split mask {bisect_mask:#x}") from None
-    return _side_a(rooted, v), _side_b(rooted, v)
-
-
 def _blocks(side_a: _Side, side_b: _Side, kind: OpKind) -> tuple[tuple[Sequence[int], Sequence[int]], ...]:
     """The operations of one bisection that are of ``kind`` or narrower, as
     two blocks (rows of A, cols of B): each row with each col is one index
@@ -379,40 +360,34 @@ def _check_ref(label: str, ref: int | None, refs: Container[int] | None) -> None
         raise InvalidOp(f"reconnect_{label}={ref!r} is not an edge of component {label}")
 
 
-def classify_op(tree: PhyloTree, op: RearrangementOp) -> OpKind:
-    """Most specific class of the op: NNI before SPR before TBR."""
-    side_a, side_b = _bisect(tree, op.bisect_mask)
-    for side, ref, label in ((side_a, op.reconnect_a, "a"), (side_b, op.reconnect_b, "b")):
-        _check_ref(label, ref, None if side.single else side.refs)
-    if side_a.scar_ref == op.reconnect_a and side_b.scar_ref == op.reconnect_b:
-        raise InvalidOp("op reproduces the input tree")
-    pair = (side_a.refs.index(op.reconnect_a), side_b.refs.index(op.reconnect_b))
-    return next((kind for kind in (OpKind.NNI, OpKind.SPR) if pair in _pairs(side_a, side_b, kind)), OpKind.TBR)
+def _hang(tree: PhyloTree, v: int, up: int, edges: dict[int, Edge]) -> int:
+    """The leaf mask below ``v`` with the tree hung from its neighbour ``up``.
+
+    A walk of the adjacency of its own.  Each edge below ``v`` goes into
+    ``edges`` as (upper end, lower end), keyed by the leaf mask below it.
+    """
+    if tree.is_leaf(v):
+        return 1 << tree.vertex_leaf_index(v)
+    m = 0
+    for w in tree.neighbors(v):
+        if w != up:
+            c = _hang(tree, w, v, edges)
+            edges[c] = (v, w)
+            m |= c
+    return m
 
 
 def _component_edges(tree: PhyloTree, inside: int, outside: int) -> tuple[dict[int, Edge], int]:
     """Edges of the component of ``inside`` once the edge to ``outside`` is
     cut and ``inside`` spliced out, keyed by their refs, and the scar's ref.
 
-    A walk of the adjacency of its own: each edge's ref is the leaf set on
-    its far side from ``inside``, or its complement in the component when
-    that holds the component's smallest leaf.
+    Each edge's ref is the leaf set on its far side from ``inside``
+    (:func:`_hang`), or its complement in the component when that holds the
+    component's smallest leaf.
     """
     edges: dict[int, Edge] = {}
-
-    def below(v: int, up: int) -> int:
-        if tree.is_leaf(v):
-            return 1 << tree.vertex_leaf_index(v)
-        m = 0
-        for w in tree.neighbors(v):
-            if w != up:
-                c = below(w, v)
-                edges[c] = (v, w)
-                m |= c
-        return m
-
     x, y = (w for w in tree.neighbors(inside) if w != outside)
-    cx, cy = below(x, inside), below(y, inside)
+    cx, cy = _hang(tree, x, inside, edges), _hang(tree, y, inside, edges)
     component = cx | cy
     low = component & -component
     refs = {component ^ m if m & low else m: edge for m, edge in edges.items()}
@@ -424,18 +399,22 @@ def _component_edges(tree: PhyloTree, inside: int, outside: int) -> tuple[dict[i
 def apply_op(tree: PhyloTree, op: RearrangementOp) -> PhyloTree:
     """Perform the move by explicit graph surgery and return the new tree.
 
-    Each component is walked afresh (:func:`_component_edges`), the chosen
-    reconnection edge of each is subdivided and the two fresh vertices are
-    joined (a single-leaf component is joined directly).  The op is checked
-    against those walks alone, never the survey's sides.  The result is
+    The bisected edge is found by a walk of the tree hung from leaf 0
+    (:func:`_hang`), each component is walked afresh
+    (:func:`_component_edges`), the chosen reconnection edge of each is
+    subdivided and the two fresh vertices are joined (a single-leaf
+    component is joined directly).  The op is checked against those walks
+    alone, never the tree's preorder or the survey's sides.  The result is
     validated from scratch, and is never equal to the input because the
     scar-scar pair is rejected.
     """
-    if op.bisect_mask not in tree.split_masks:  # normalized masks never hold bit 0
+    leaf0 = min(filter(tree.is_leaf, tree.vertices()), key=tree.vertex_leaf_index)
+    hung: dict[int, Edge] = {}  # (near, far) by mask; no key holds bit 0, so an unnormalized mask names no edge
+    for top in tree.neighbors(leaf0):  # none in the one-leaf tree
+        hung[_hang(tree, top, leaf0, hung)] = (leaf0, top)
+    if op.bisect_mask not in hung:
         raise InvalidOp(f"no edge of the tree induces split mask {op.bisect_mask:#x}")
-    edge = tree.edge_with_mask(op.bisect_mask)
-    far = tree.edge_far_vertex(edge)
-    near = edge[0] if edge[1] == far else edge[1]
+    near, far = hung[op.bisect_mask]
     next_id = max(tree.vertices()) + 1
     edges: list[Edge] = []
     joints = []

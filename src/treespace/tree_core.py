@@ -9,12 +9,13 @@ the same leaf set are identical exactly when their split sets are equal.
 
 There is one way to build a tree: :class:`PhyloTree` takes an edge list and
 the label of each leaf vertex, and validates them.  The Newick parser, the
-generators, restriction and :func:`treespace.rearrange.apply_op` all hand
-it edge lists; an empty edge list with one label is the one-leaf tree.
+generators and :func:`treespace.rearrange.apply_op` all hand it edge
+lists; an empty edge list with one label is the one-leaf tree.
 
 Every tree is rooted once, at leaf 0, by :attr:`PhyloTree.preorder`.  Split
-masks, the edge lookups, Gamma, the rearrangement survey and the
-complete-tree predicate all read that one traversal.
+masks, Gamma, the rearrangement survey and the complete-tree predicate all
+read that one traversal; :func:`~treespace.rearrange.apply_op` walks the
+adjacency instead, so that it stays an independent oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import (
     EmptyLabel,
     TooFewLeaves,
     TooManyLeaves,
-    UnknownLeaf,
 )
 
 #: Structural cap so that one split always fits a 64-bit mask.  Closed-form
@@ -51,49 +51,6 @@ def _ordered_names(names: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(names, key=lambda s: (int(s), s)))
     except ValueError:
         return tuple(sorted(names))
-
-
-class _SplitFields(NamedTuple):
-    mask: int
-    n: int
-
-
-class Split(_SplitFields):
-    """A bipartition of the leaf set, induced by deleting one edge.
-
-    ``mask`` holds the side that does not contain leaf index 0, one bit per
-    leaf index.  Construction normalizes: a mask with bit 0 set is replaced
-    by its complement.
-
-    Like every value type of this package, a split is a named tuple: it is
-    immutable, orders and hashes by its field tuple ``(mask, n)``, and so
-    also compares equal to the plain tuple of its fields.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, mask: int, n: int) -> "Split":
-        if not 0 < n:
-            raise ValueError("split needs a positive leaf count")
-        full = (1 << n) - 1
-        normal = mask ^ full if mask & 1 else mask
-        if not 0 < normal <= full:
-            raise ValueError(f"mask {normal:#x} is not a proper bipartition of {n} leaves")
-        return super().__new__(cls, normal, n)
-
-    @property
-    def a(self) -> int:
-        """Size of the side stored in ``mask``."""
-        return self.mask.bit_count()
-
-    @property
-    def b(self) -> int:
-        """Size of the complementary side (the one containing leaf 0)."""
-        return self.n - self.a
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.a == 1 or self.b == 1
 
 
 class CanonicalForm(NamedTuple):
@@ -139,8 +96,8 @@ class PhyloTree:
     every vertex has degree 1 or 3, that exactly the leaves are labelled,
     uniquely, and that there are at most MAX_LEAVES leaves.  All derived
     structure (leaf indices, the rooted preorder, per-edge split masks, the
-    canonical form) is computed once and cached.  Instances are safe to share between threads; every
-    mutation-like operation returns a new tree.
+    canonical form) is computed once and cached.  Instances are safe to
+    share between threads.
     """
 
     def __init__(self, edges: Iterable[Edge], leaf_names: Mapping[int, str]):
@@ -235,9 +192,6 @@ class PhyloTree:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def is_leaf(self, v: int) -> bool:
         return v in self._leaf_vertices
 
@@ -250,10 +204,6 @@ class PhyloTree:
         return _ordered_names(self._leaf_name.values())
 
     @cached_property
-    def _index_by_name(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.leaf_order)}
-
-    @cached_property
     def _vertex_by_index(self) -> tuple[int, ...]:
         by_name = {name: v for v, name in self._leaf_name.items()}
         return tuple(by_name[name] for name in self.leaf_order)
@@ -261,15 +211,6 @@ class PhyloTree:
     @cached_property
     def _index_by_vertex(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self._vertex_by_index)}
-
-    def leaf_index(self, name: str) -> int:
-        try:
-            return self._index_by_name[name]
-        except KeyError:
-            raise UnknownLeaf(f"no leaf labelled {name!r}") from None
-
-    def leaf_vertex(self, index: int) -> int:
-        return self._vertex_by_index[index]
 
     def vertex_leaf_index(self, v: int) -> int:
         """Leaf index of a leaf vertex id."""
@@ -310,87 +251,11 @@ class PhyloTree:
         return tuple(sorted(self.preorder.cluster))
 
     @cached_property
-    def _edge_above(self) -> tuple[Edge, ...]:
-        """Per preorder position: the edge above it, endpoints in ascending order."""
-        vertex, parent, _ = self.preorder
-        ups = [vertex[p] if p >= 0 else self._vertex_by_index[0] for p in parent]
-        return tuple((v, w) if v < w else (w, v) for v, w in zip(vertex, ups))
-
-    def splits(self) -> frozenset[Split]:
-        """All splits of the tree, one per edge."""
-        if self.n < 3:
-            raise TooFewLeaves(f"splits need n >= 3, got n = {self.n}")
-        return frozenset(Split(m, self.n) for m in self.split_masks)
-
-    def edge_with_mask(self, mask: int) -> Edge:
-        """The edge inducing the split with this normalized mask."""
-        if mask & 1:
-            mask ^= self.full_mask
-        try:
-            return self._edge_above[self.preorder.cluster.index(mask)]
-        except ValueError:
-            raise UnknownLeaf(f"no edge induces split mask {mask:#x}") from None
-
-    def edge_far_vertex(self, edge: Edge) -> int:
-        """Endpoint of ``edge`` on the side away from leaf 0."""
-        u, v = edge
-        return self.preorder.vertex[self._edge_above.index((u, v) if u < v else (v, u))]
-
-    @cached_property
-    def cluster_masks(self) -> frozenset[int]:
-        """Both sides of every split, as plain leaf-index masks."""
-        full = self.full_mask
-        out = set()
-        for m in self.split_masks:
-            out.add(m)
-            out.add(m ^ full)
-        return frozenset(out)
-
-    def is_cherry(self, pair: Iterable[str]) -> bool:
-        """True when the two named leaves form a size-2 cluster."""
-        names = list(pair)
-        if len(names) != 2:
-            return False
-        mask = 1 << self.leaf_index(names[0]) | 1 << self.leaf_index(names[1])
-        return mask.bit_count() == 2 and mask in self.cluster_masks
-
-    @cached_property
     def _canonical_form(self) -> CanonicalForm:
         return CanonicalForm(self.split_masks, self.leaf_order)
 
     def canonical_form(self) -> CanonicalForm:
         return self._canonical_form
-
-    # -- restriction ------------------------------------------------------
-
-    def restrict(self, leaves: Iterable[str]) -> "PhyloTree":
-        """Minimal subtree connecting ``leaves``, degree-2 vertices suppressed.
-
-        Returns the one- or two-leaf degenerate tree for |leaves| <= 2.
-        """
-        keep_names = set(leaves)
-        if not keep_names:
-            raise TooFewLeaves("restriction needs at least one leaf")
-        keep = {self._vertex_by_index[self.leaf_index(name)] for name in keep_names}
-
-        adj: dict[int, set[int]] = {v: set(ws) for v, ws in self._adj.items()}
-        # Shed leaves outside the kept set, then any chains exposed by that.
-        prune = [v for v in adj if len(adj[v]) <= 1 and v not in keep]
-        while prune:
-            v = prune.pop()
-            for w in adj.pop(v):
-                adj[w].discard(v)
-                if len(adj[w]) <= 1 and w not in keep:
-                    prune.append(w)
-        # Splice out degree-2 vertices (kept leaves never have degree 2).
-        for v in [v for v, ws in adj.items() if len(ws) == 2]:
-            a, b = adj.pop(v)
-            adj[a].discard(v)
-            adj[b].discard(v)
-            adj[a].add(b)
-            adj[b].add(a)
-        edges = [(v, w) for v, ws in adj.items() for w in ws if v < w]
-        return PhyloTree(edges, {v: self._leaf_name[v] for v in keep})
 
     # -- identity ---------------------------------------------------------
 

@@ -47,13 +47,7 @@ class SuiteResult(NamedTuple):
     failures: list[dict]
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "checks": self.checks,
-            "details": self.details,
-            "failures": self.failures,
-        }
+        return self._asdict()
 
 
 #: Counterexamples kept per suite; the checks go on being counted past it.

@@ -1,10 +1,13 @@
-"""Shared helpers: definitional rearrangement checks built only on restriction
-and subtree-swap surgery, independent of the scar-edge classification rules
-they are used to validate, a Newick writer independent of the preorder one,
-bisection components and Gamma from an adjacency walk, independent of the
-tree's rooted preorder, and the cluster-set definition of a complete tree."""
+"""Shared helpers: restriction, and definitional rearrangement checks built
+only on restriction and subtree-swap surgery, independent of the scar-edge
+classification rules they are used to validate, a Newick writer independent
+of the preorder one, bisection components and Gamma from an adjacency walk,
+independent of the tree's rooted preorder, and the cluster-set definition of
+a complete tree."""
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import pytest
 
@@ -17,21 +20,76 @@ def names_of_mask(tree: PhyloTree, mask: int) -> set[str]:
     return {tree.leaf_order[i] for i in range(tree.n) if mask >> i & 1}
 
 
-def cluster_attachment(tree: PhyloTree, mask: int) -> tuple[int, int]:
-    """(root vertex of the cluster's subtree, vertex it attaches to)."""
-    edge = tree.edge_with_mask(mask)
-    far = tree.edge_far_vertex(edge)
-    near = edge[0] + edge[1] - far
-    if mask & 1:  # cluster holds leaf 0, so it is the near side
-        return near, far
-    return far, near
+def leaf_zero(tree: PhyloTree) -> int:
+    """The vertex of leaf index 0."""
+    return min(filter(tree.is_leaf, tree.vertices()), key=tree.vertex_leaf_index)
 
 
-def swap_clusters(tree: PhyloTree, y_mask: int, z_mask: int) -> PhyloTree:
-    """Exchange the pendant subtrees of two disjoint clusters."""
+def cluster_masks(tree: PhyloTree) -> frozenset[int]:
+    """Both sides of every split, as plain leaf-index masks."""
+    return frozenset(m ^ side for m in tree.split_masks for side in (0, tree.full_mask))
+
+
+def is_cherry(tree: PhyloTree, first: str, second: str) -> bool:
+    """True when the two named leaves form a size-2 cluster."""
+    return (1 << tree.leaf_order.index(first) | 1 << tree.leaf_order.index(second)) in cluster_masks(tree)
+
+
+def restrict(tree: PhyloTree, leaves: Iterable[str]) -> PhyloTree:
+    """Minimal subtree connecting ``leaves``, degree-2 vertices suppressed.
+
+    Returns the one- or two-leaf degenerate tree for |leaves| <= 2.
+    """
+    keep_names = set(leaves)
+    keep = {v for v in tree.vertices() if tree.is_leaf(v) and tree.leaf_name(v) in keep_names}
+    assert keep and len(keep) == len(keep_names), "restriction needs leaves of the tree"
+
+    adj: dict[int, set[int]] = {v: set(tree.neighbors(v)) for v in tree.vertices()}
+    # Shed leaves outside the kept set, then any chains exposed by that.
+    prune = [v for v in adj if len(adj[v]) <= 1 and v not in keep]
+    while prune:
+        v = prune.pop()
+        for w in adj.pop(v):
+            adj[w].discard(v)
+            if len(adj[w]) <= 1 and w not in keep:
+                prune.append(w)
+    # Splice out degree-2 vertices (kept leaves never have degree 2).
+    for v in [v for v, ws in adj.items() if len(ws) == 2]:
+        a, b = adj.pop(v)
+        adj[a].discard(v)
+        adj[b].discard(v)
+        adj[a].add(b)
+        adj[b].add(a)
+    edges = [(v, w) for v, ws in adj.items() for w in ws if v < w]
+    return PhyloTree(edges, {v: tree.leaf_name(v) for v in keep})
+
+
+def cluster_attachments(tree: PhyloTree) -> dict[int, tuple[int, int]]:
+    """Per cluster (either side of a split, as a leaf-index mask): the root
+    vertex of its subtree and the vertex it attaches to.
+
+    One walk of the adjacency, with the tree hung from leaf 0.
+    """
+    full = tree.full_mask
+    out: dict[int, tuple[int, int]] = {}
+
+    def below(v: int, up: int) -> int:
+        kids = [w for w in tree.neighbors(v) if w != up]
+        m = sum(below(w, v) for w in kids) if kids else 1 << tree.vertex_leaf_index(v)
+        out[m], out[m ^ full] = (v, up), (up, v)
+        return m
+
+    root = leaf_zero(tree)
+    below(tree.neighbors(root)[0], root)
+    return out
+
+
+def swap_clusters(tree: PhyloTree, attachments: dict[int, tuple[int, int]], y_mask: int, z_mask: int) -> PhyloTree:
+    """Exchange the pendant subtrees of two disjoint clusters, given the
+    tree's :func:`cluster_attachments`."""
     assert y_mask & z_mask == 0
-    ry, ay = cluster_attachment(tree, y_mask)
-    rz, az = cluster_attachment(tree, z_mask)
+    ry, ay = attachments[y_mask]
+    rz, az = attachments[z_mask]
     dropped = {tuple(sorted((ry, ay))), tuple(sorted((rz, az)))}
     edges: list[Edge] = [e for e in tree.edges() if e not in dropped]
     edges += [(ay, rz), (az, ry)]
@@ -48,7 +106,7 @@ def restriction_preserved(tree: PhyloTree, result: PhyloTree, kept_mask: int) ->
     outside = kept_mask ^ tree.full_mask
     x = (outside & -outside).bit_length() - 1
     leaves = names_of_mask(tree, kept_mask) | {tree.leaf_order[x]}
-    return tree.restrict(leaves) == result.restrict(leaves)
+    return restrict(tree, leaves) == restrict(result, leaves)
 
 
 def spr_definitional(tree: PhyloTree, result: PhyloTree, bisect_mask: int) -> bool:
@@ -67,15 +125,16 @@ def nni_definitional(tree: PhyloTree, result: PhyloTree, bisect_mask: int) -> bo
     equals the tree with Y swapped against some disjoint cluster Z.
     """
     full = tree.full_mask
+    attachments = cluster_attachments(tree)
     for y in (bisect_mask, bisect_mask ^ full):
         if not restriction_preserved(tree, result, y):
             continue
-        for z in tree.cluster_masks:
+        for z in attachments:
             # z must be a different subtree: disjoint from y and not its
             # complement (both sides of one split hang off the same edge).
             if z & y or z | y == full:
                 continue
-            if swap_clusters(tree, y, z) == result:
+            if swap_clusters(tree, attachments, y, z) == result:
                 return True
     return False
 
@@ -94,7 +153,7 @@ def reference_newick(tree: PhyloTree) -> str:
         parts = sorted(render(w, v) for w in tree.neighbors(v) if w != parent)
         return parts[0][0], "(" + ",".join(text for _, text in parts) + ")"
 
-    center = tree.neighbors(tree.leaf_vertex(0))[0]
+    center = tree.neighbors(leaf_zero(tree))[0]
     parts = sorted(render(w, center) for w in tree.neighbors(center))
     return "(" + ",".join(text for _, text in parts) + ");"
 
@@ -177,7 +236,7 @@ def reference_is_complete(tree: PhyloTree) -> bool:
     n = tree.n
     k = (n // 3).bit_length() - 1
     bound = 1 << (k + 1)
-    masks = tree.cluster_masks
+    masks = cluster_masks(tree)
     if not any(m.bit_count() == bound for m in masks):
         return False
     for y in masks:

@@ -1,6 +1,9 @@
 """The package's public names: adding or removing one changes this test."""
 
+from pathlib import Path
+
 import treespace
+from treespace import PhyloTree
 
 PUBLIC = {
     # exceptions
@@ -16,12 +19,10 @@ PUBLIC = {
     "TooFewLeaves",
     "TooManyLeaves",
     "TreeError",
-    "UnknownLeaf",
     # tree_core
     "MAX_LEAVES",
     "CanonicalForm",
     "PhyloTree",
-    "Split",
     # newick_io
     "BRANCH_LENGTHS_DISCARDED",
     "ROOT_SUPPRESSED",
@@ -45,7 +46,6 @@ PUBLIC = {
     "OpKind",
     "RearrangementOp",
     "apply_op",
-    "classify_op",
     "enumerate_ops",
     "op_survey",
     # generators
@@ -72,5 +72,44 @@ PUBLIC = {
 }
 
 
+# The public members of PhyloTree.
+TREE_PUBLIC = {
+    "canonical_form",
+    "edges",
+    "full_mask",
+    "is_leaf",
+    "leaf_name",
+    "leaf_order",
+    "n",
+    "neighbors",
+    "preorder",
+    "split_masks",
+    "vertex_leaf_index",
+    "vertices",
+}
+
+
 def test_public_names():
     assert set(treespace.__all__) == PUBLIC
+
+
+def test_tree_public_members():
+    assert {name for name in dir(PhyloTree) if not name.startswith("_")} == TREE_PUBLIC
+
+
+def test_benchmark_tracer_installs(monkeypatch):
+    """The benchmark's tracer wraps library names by attribute, so every
+    name it wraps must still exist; uninstall puts the originals back."""
+    from treespace import rearrange
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+
+    original = rearrange.apply_op, PhyloTree.__init__
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert rearrange.apply_op is not original[0]
+    finally:
+        tracer.uninstall()
+    assert (rearrange.apply_op, PhyloTree.__init__) == original

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import reference_is_complete
+from conftest import cluster_masks, reference_is_complete
 
 from treespace import (
     OpKind,
@@ -62,7 +62,7 @@ class TestIsComplete:
 
     def test_spider_without_four_cluster_rejected(self):
         t = parse_newick("((1,2),(3,(4,5)),(6,(7,8)));").tree
-        assert {m.bit_count() for m in t.cluster_masks} == {1, 2, 3, 5, 6, 7}
+        assert {m.bit_count() for m in cluster_masks(t)} == {1, 2, 3, 5, 6, 7}
         assert not is_complete(t)
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import is_cherry
+
 from treespace import (
     NotPerfectSize,
     RangeError,
@@ -27,7 +29,7 @@ class TestCaterpillar:
 
     def test_n6_shape_and_gamma(self):
         t = caterpillar(6)
-        assert t.is_cherry(["1", "2"]) and t.is_cherry(["5", "6"])
+        assert is_cherry(t, "1", "2") and is_cherry(t, "5", "6")
         assert gamma(t) == 25
 
     def test_n5_gamma(self):

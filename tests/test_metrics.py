@@ -56,12 +56,13 @@ class TestGamma:
     def test_agrees_with_split_enumeration(self, n, seed):
         """The one-pass subtree-count route equals the explicit split route."""
         t = random_tree(n, seed)
-        by_splits = sum(s.a * s.b for s in t.splits() if not s.is_trivial)
+        sizes = (m.bit_count() for m in t.split_masks)
+        by_splits = sum(a * (n - a) for a in sizes if 2 <= a <= n - 2)
         assert gamma(t) == by_splits
 
     @pytest.mark.parametrize("n", range(4, 8))
     def test_agrees_with_adjacency_oracle_exhaustively(self, n):
-        """gamma and splits() share the rooted preorder; the oracle does not."""
+        """gamma and split_masks share the rooted preorder; the oracle does not."""
         assert all(gamma(t) == reference_gamma(t) for t in all_trees(n))
 
     @given(st.integers(8, 64), st.integers(0, 10**9))

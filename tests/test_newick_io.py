@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_newick
+from conftest import is_cherry, reference_newick
 from treespace import (
     BRANCH_LENGTHS_DISCARDED,
     ROOT_SUPPRESSED,
@@ -31,14 +31,15 @@ class TestParse:
     def test_rooted_quartet_suppressed(self):
         doc = parse_newick("((1,2),(3,4));")
         assert ROOT_SUPPRESSED in doc.warnings
-        assert doc.tree.is_cherry(["1", "2"]) and doc.tree.is_cherry(["3", "4"])
+        assert is_cherry(doc.tree, "1", "2") and is_cherry(doc.tree, "3", "4")
 
     def test_perfect_six(self):
         doc = parse_newick("(1,2,((3,4),(5,6)));")
         t = doc.tree
         assert doc.warnings == ()
-        nontrivial = [s for s in t.splits() if not s.is_trivial]
-        assert [sorted((s.a, s.b)) for s in nontrivial] == [[2, 4], [2, 4], [2, 4]]
+        sizes = [m.bit_count() for m in t.split_masks]
+        nontrivial = [a for a in sizes if a not in (1, t.n - 1)]
+        assert [sorted((a, t.n - a)) for a in nontrivial] == [[2, 4], [2, 4], [2, 4]]
         assert t == perfect(6)
 
     def test_branch_lengths_discarded(self):

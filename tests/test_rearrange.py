@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nni_definitional, reference_bisections, restriction_preserved, spr_definitional
+from conftest import nni_definitional, reference_bisections, restrict, restriction_preserved, spr_definitional
 
 from treespace import (
     CanonicalForm,
@@ -24,7 +24,6 @@ from treespace import (
     all_trees,
     apply_op,
     caterpillar,
-    classify_op,
     complete,
     enumerate_ops,
     nni_size,
@@ -36,7 +35,7 @@ from treespace import (
     tbr_size,
 )
 from treespace import rearrange
-from treespace.rearrange import _M64, _bisect, _contributions, _mix, _output_key, _pairs, op_survey
+from treespace.rearrange import _M64, _contributions, _mix, _output_key, _pairs, _Rooted, _side_a, _side_b, op_survey
 
 # The classes each kind of operation includes: NNI ops are SPR ops are TBR ops.
 WITHIN = {
@@ -47,7 +46,25 @@ WITHIN = {
 
 
 def leaf_mask(tree, *names):
-    return sum(1 << tree.leaf_index(name) for name in names)
+    return sum(1 << tree.leaf_order.index(name) for name in names)
+
+
+def kind_of(tree, op):
+    """Most specific kind whose operations include ``op``: NNI before SPR before TBR."""
+    return next(kind for kind in OpKind if op in set(enumerate_ops(tree, kind)))
+
+
+def sides_of(tree, mask):
+    """The survey's two sides of the bisection of the edge with this split mask."""
+    rooted = _Rooted(tree)
+    v = rooted.cluster.index(mask)
+    return _side_a(rooted, v), _side_b(rooted, v)
+
+
+def scar_refs(tree, mask):
+    """(scar ref of side A, scar ref of side B) of the bisection, from the adjacency walk."""
+    ((_, side_a, side_b),) = [b for b in reference_bisections(tree) if b[0] == mask]
+    return side_a[1], side_b[1]
 
 
 class TestEnumerate:
@@ -75,7 +92,7 @@ class TestEnumerate:
         tbr = set(enumerate_ops(t, OpKind.TBR))
         assert nni <= spr <= tbr
         for op in spr:
-            assert classify_op(t, op) in WITHIN[OpKind.SPR]
+            assert kind_of(t, op) in WITHIN[OpKind.SPR]
 
     def test_rejects_small(self):
         with pytest.raises(TooFewLeaves):
@@ -104,10 +121,10 @@ class TestApply:
         )
         t2 = apply_op(t1, op)
         assert t2 == parse_newick("(1,3,(2,(5,(4,6))));").tree
-        assert classify_op(t1, op) is OpKind.TBR
+        assert kind_of(t1, op) is OpKind.TBR
         # Deleting the new edge gives the same forest as the bisection did.
         for side in ({"1", "2", "3"}, {"4", "5", "6"}):
-            assert t1.restrict(side) == t2.restrict(side)
+            assert restrict(t1, side) == restrict(t2, side)
         # Not an SPR: neither component can be regrafted onto the other.
         assert not spr_definitional(t1, t2, op.bisect_mask)
 
@@ -116,11 +133,11 @@ class TestApply:
         move to the 1,3,2,4,5,6 order (also reachable as an interchange)."""
         t1 = caterpillar(6)
         mask = leaf_mask(t1, "4", "5", "6")
-        side_a, _ = _bisect(t1, mask)
-        op = RearrangementOp(mask, side_a.scar_ref, leaf_mask(t1, "2"))
+        scar_a, _ = scar_refs(t1, mask)
+        op = RearrangementOp(mask, scar_a, leaf_mask(t1, "2"))
         t3 = apply_op(t1, op)
         assert t3 == parse_newick("(1,3,(2,(4,(5,6))));").tree
-        assert classify_op(t1, op) in (OpKind.NNI, OpKind.SPR)
+        assert kind_of(t1, op) in (OpKind.NNI, OpKind.SPR)
         assert spr_definitional(t1, t3, mask)
 
     def test_output_valid_and_distinct(self):
@@ -133,9 +150,8 @@ class TestApply:
 
     def test_scar_scar_unrepresentable(self, quartet):
         internal = leaf_mask(quartet, "3", "4")
-        side_a, side_b = _bisect(quartet, internal)
         with pytest.raises(InvalidOp):
-            apply_op(quartet, RearrangementOp(internal, side_a.scar_ref, side_b.scar_ref))
+            apply_op(quartet, RearrangementOp(internal, *scar_refs(quartet, internal)))
 
     def test_bad_refs_rejected(self, quartet):
         with pytest.raises(InvalidOp):
@@ -150,9 +166,9 @@ class TestApply:
         """A bisect mask holding leaf 0 names no edge: masks are normalized."""
         op = enumerate_ops(quartet)[0]
         bad = RearrangementOp(op.bisect_mask ^ quartet.full_mask, op.reconnect_a, op.reconnect_b)
-        for call in (apply_op, classify_op):
-            with pytest.raises(InvalidOp):
-                call(quartet, bad)
+        with pytest.raises(InvalidOp):
+            apply_op(quartet, bad)
+        assert bad not in set(enumerate_ops(quartet))
 
     def test_independent_of_the_survey_sides(self, monkeypatch):
         """apply_op validates and performs every op without the rooted
@@ -174,6 +190,28 @@ class TestApply:
         ):
             with pytest.raises(InvalidOp):
                 apply_op(trees[0], bad)
+
+    def test_independent_of_the_preorder(self, monkeypatch):
+        """apply_op finds the bisected edge by a walk of its own: with the
+        tree's preorder unreadable it still performs every TBR op of T_6 and
+        rejects masks that name no edge."""
+        cases = [(tree, op) for tree in all_trees(6) for op in enumerate_ops(tree, OpKind.TBR)]
+        expected = [apply_op(tree, op) for tree, op in cases]
+
+        def refuse(tree):
+            raise AssertionError("apply_op read the tree's preorder")
+
+        monkeypatch.setattr(PhyloTree, "preorder", property(refuse))
+        outputs = [apply_op(tree, op) for tree, op in cases]
+        tree, op = cases[0]
+        for bad in (
+            RearrangementOp(op.bisect_mask ^ tree.full_mask, op.reconnect_a, op.reconnect_b),
+            RearrangementOp(0, op.reconnect_a, op.reconnect_b),
+        ):
+            with pytest.raises(InvalidOp):
+                apply_op(tree, bad)
+        monkeypatch.undo()  # comparing trees reads their preorder
+        assert outputs == expected
 
 
 class TestNeighbourhood:
@@ -219,8 +257,8 @@ class TestNeighbourhood:
             out = apply_op(t, op)
             a_names = {t.leaf_order[i] for i in range(t.n) if op.bisect_mask >> i & 1}
             b_names = set(t.leaf_order) - a_names
-            assert t.restrict(a_names) == out.restrict(a_names)
-            assert t.restrict(b_names) == out.restrict(b_names)
+            assert restrict(t, a_names) == restrict(out, a_names)
+            assert restrict(t, b_names) == restrict(out, b_names)
 
 
 class TestClassification:
@@ -233,21 +271,22 @@ class TestClassification:
         ]
         assert ops
         for op in ops:
-            assert classify_op(t, op) is OpKind.NNI
+            assert kind_of(t, op) is OpKind.NNI
 
     def test_spr_proper_exists(self):
         t = caterpillar(6)
         op = RearrangementOp(t.full_mask ^ 1, leaf_mask(t, "5"), None)
-        assert classify_op(t, op) is OpKind.SPR
+        assert kind_of(t, op) is OpKind.SPR
 
     def test_matches_definitional_checks_exhaustively(self):
         """Scar rules == restriction/swap definitions on every op of every
         tree with up to 6 leaves."""
         trees = list(all_trees(4)) + list(all_trees(5)) + list(all_trees(6))
         for t in trees:
+            nni, spr = (set(enumerate_ops(t, kind)) for kind in (OpKind.NNI, OpKind.SPR))
             for op in enumerate_ops(t, OpKind.TBR):
                 out = apply_op(t, op)
-                kind = classify_op(t, op)
+                kind = OpKind.NNI if op in nni else OpKind.SPR if op in spr else OpKind.TBR
                 assert (kind in (OpKind.NNI, OpKind.SPR)) == spr_definitional(
                     t, out, op.bisect_mask
                 )
@@ -268,7 +307,7 @@ class TestClassification:
                     if kept >> i & 1:
                         continue
                     probe = keep_names | {t.leaf_order[i]}
-                    assert t.restrict(probe) == out.restrict(probe)
+                    assert restrict(t, probe) == restrict(out, probe)
 
 
 class TestCountFormulas:
@@ -292,7 +331,7 @@ def exact_multiplicities(tree):
     """Per kind, output multiplicities keyed by every operation's sorted split masks."""
     counts = {kind: Counter() for kind in OpKind}
     for mask in tree.split_masks:
-        side_a, side_b = _bisect(tree, mask)
+        side_a, side_b = sides_of(tree, mask)
         for kind, counter in counts.items():
             for i, j in _pairs(side_a, side_b, kind):
                 counter[_output_key(tree.full_mask, mask, side_a.refs[i], side_b.refs[j], side_a, side_b)] += 1
@@ -408,9 +447,9 @@ class TestRootedPreparation:
     def test_sides_match_adjacency_walk(self, trees):
         for tree in trees:
             for mask, want_a, want_b in reference_bisections(tree):
-                for side, (refs, scar, near) in zip(_bisect(tree, mask), (want_a, want_b)):
+                for side, (refs, scar, near) in zip(sides_of(tree, mask), (want_a, want_b)):
                     assert tuple(sorted(side.refs, key=lambda r: -1 if r is None else r)) == refs
-                    assert side.scar_ref == scar
+                    assert side.refs[side.scar] == scar
                     assert frozenset(side.refs[k] for k in side.near) == near
 
     @pytest.mark.parametrize("trees", REFERENCE_TREES.values(), ids=REFERENCE_TREES.keys())
@@ -418,7 +457,7 @@ class TestRootedPreparation:
         """Each prefix sum equals the hash sum of the splits it stands for."""
         for tree in trees[::7]:
             for mask, _, _ in reference_bisections(tree):
-                for side in _bisect(tree, mask):
+                for side in sides_of(tree, mask):
                     for ref, total in zip(side.refs, side.sums):
                         parts = _contributions(side, ref, tree.full_mask)
                         assert sum(map(_mix, parts)) & _M64 == total
@@ -441,7 +480,9 @@ class TestRootedPreparation:
             ]
             assert enumerate_ops(tree, OpKind.TBR) == tbr
             for kind in (OpKind.SPR, OpKind.NNI):
-                assert enumerate_ops(tree, kind) == [op for op in tbr if classify_op(tree, op) in WITHIN[kind]]
+                ops = enumerate_ops(tree, kind)
+                members = set(ops)
+                assert ops == [op for op in tbr if op in members]
 
     @pytest.mark.parametrize("trees", REFERENCE_TREES.values(), ids=REFERENCE_TREES.keys())
     def test_enumerate_ops_follows_the_scar_rule(self, trees):

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cluster_masks, is_cherry, restrict
+
 from treespace import (
     Cyclic,
     DegreeViolation,
     Disconnected,
     DuplicateLabel,
     PhyloTree,
-    Split,
-    TooFewLeaves,
     TooManyLeaves,
-    UnknownLeaf,
     caterpillar,
     parse_newick,
     perfect,
@@ -24,6 +23,11 @@ from treespace import (
 
 QUARTET_EDGES = [(1, 5), (2, 5), (5, 6), (6, 3), (6, 4)]
 QUARTET_NAMES = {1: "1", 2: "2", 3: "3", 4: "4"}
+
+
+def is_trivial(tree, mask):
+    """True when the split with this mask cuts off a single leaf."""
+    return mask.bit_count() in (1, tree.n - 1)
 
 
 class TestBuildTree:
@@ -70,47 +74,36 @@ class TestBuildTree:
 
 class TestSplits:
     def test_quartet_splits(self, quartet):
-        s = quartet.splits()
+        s = quartet.split_masks
         assert len(s) == 5
-        nontrivial = [x for x in s if not x.is_trivial]
+        nontrivial = [m for m in s if not is_trivial(quartet, m)]
         assert len(nontrivial) == 1
-        assert nontrivial[0].a == 2 and nontrivial[0].b == 2
+        assert nontrivial[0].bit_count() == 2 and quartet.n - nontrivial[0].bit_count() == 2
 
     def test_caterpillar6_nontrivial_splits(self):
         # Read off the spine: {1,2}, {1,2,3}, {1,2,3,4} against the rest.
         t = caterpillar(6)
-        nontrivial = {x.mask ^ t.full_mask for x in t.splits() if not x.is_trivial}
+        nontrivial = {m ^ t.full_mask for m in t.split_masks if not is_trivial(t, m)}
         assert nontrivial == {0b11, 0b111, 0b1111}
 
     def test_three_leaf_star_all_trivial(self):
         t = parse_newick("(1,2,3);").tree
-        s = t.splits()
-        assert len(s) == 3 and all(x.is_trivial for x in s)
+        s = t.split_masks
+        assert len(s) == 3 and all(is_trivial(t, m) for m in s)
 
     def test_split_counts_random(self):
         for seed in range(5):
             t = random_tree(9, seed)
-            s = t.splits()
+            s = t.split_masks
             assert len(s) == 2 * 9 - 3
-            assert sum(x.is_trivial for x in s) == 9
-            assert sum(not x.is_trivial for x in s) == 9 - 3
+            assert sum(is_trivial(t, m) for m in s) == 9
+            assert sum(not is_trivial(t, m) for m in s) == 9 - 3
 
     def test_split_normalization(self):
         t = random_tree(10, 3)
         for mask in t.split_masks:
             assert not mask & 1
             assert 1 <= mask.bit_count() <= 9
-
-    def test_split_value_type(self):
-        s = Split(0b0001, 4)  # bit 0 set: stored as the complement
-        assert s.mask == 0b1110
-        assert (s.a, s.b) == (3, 1)
-        assert s.is_trivial
-
-    def test_too_few_leaves(self):
-        pair = PhyloTree([(0, 1)], {0: "a", 1: "b"})
-        with pytest.raises(TooFewLeaves):
-            pair.splits()
 
 
 class TestCanonicalForm:
@@ -149,51 +142,49 @@ class TestCanonicalForm:
 
 
 class TestRestrict:
+    """The test suite's restriction, the reference of the definitional SPR/NNI checks."""
+
     def test_three_subset_is_star(self):
         t = caterpillar(6)
-        r = t.restrict(["1", "2", "3"])
-        assert r.n == 3 and all(x.is_trivial for x in r.splits())
+        r = restrict(t, ["1", "2", "3"])
+        assert r.n == 3 and all(is_trivial(r, m) for m in r.split_masks)
 
     def test_full_leaf_set_identity(self):
         t = random_tree(8, 2)
-        assert t.restrict(t.leaf_order).canonical_form() == t.canonical_form()
+        assert restrict(t, t.leaf_order).canonical_form() == t.canonical_form()
 
     def test_caterpillar_restriction_topology(self):
-        r = caterpillar(6).restrict(["1", "2", "5", "6"])
+        r = restrict(caterpillar(6), ["1", "2", "5", "6"])
         assert r == parse_newick("((1,2),(5,6));").tree
 
     def test_degenerate_sizes(self):
         t = caterpillar(5)
-        assert t.restrict(["3"]).n == 1
-        assert t.restrict(["2", "4"]).n == 2
-
-    def test_unknown_leaf(self):
-        with pytest.raises(UnknownLeaf):
-            caterpillar(5).restrict(["1", "zz"])
+        assert restrict(t, ["3"]).n == 1
+        assert restrict(t, ["2", "4"]).n == 2
 
 
 class TestClusters:
     def test_quartet_cherries(self, quartet):
-        assert quartet.is_cherry(["1", "2"])
-        assert quartet.is_cherry(["3", "4"])
-        assert not quartet.is_cherry(["1", "3"])
+        assert is_cherry(quartet, "1", "2")
+        assert is_cherry(quartet, "3", "4")
+        assert not is_cherry(quartet, "1", "3")
 
     @pytest.mark.parametrize("n", [5, 7, 10])
     def test_caterpillar_has_two_cherries(self, n):
         t = caterpillar(n)
-        cherries = [m for m in t.cluster_masks if m.bit_count() == 2]
+        cherries = [m for m in cluster_masks(t) if m.bit_count() == 2]
         assert len(cherries) == 2
 
     def test_perfect6_has_three_cherries(self):
         t = perfect(6)
-        assert sum(1 for m in t.cluster_masks if m.bit_count() == 2) == 3
+        assert sum(1 for m in cluster_masks(t) if m.bit_count() == 2) == 3
 
     def test_clusters_are_both_sides(self):
         t = random_tree(7, 5)
-        masks = t.cluster_masks
+        masks = cluster_masks(t)
         full = t.full_mask
         assert all(m ^ full in masks for m in masks)
-        assert len(masks) == 2 * len(t.splits())
+        assert len(masks) == 2 * len(t.split_masks)
 
 
 class TestInvariants:
@@ -201,7 +192,7 @@ class TestInvariants:
     @settings(max_examples=40, deadline=None)
     def test_shape_counts(self, n, seed):
         t = random_tree(n, seed)
-        degrees = [t.degree(v) for v in t.vertices()]
+        degrees = [len(t.neighbors(v)) for v in t.vertices()]
         assert all(d in (1, 3) for d in degrees)
         assert len(t.vertices()) == 2 * n - 2
         assert len(t.edges()) == 2 * n - 3

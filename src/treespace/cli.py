@@ -111,18 +111,20 @@ def cmd_neighbourhood(args: argparse.Namespace) -> int:
     kind = OpKind(args.op)
     inputs = {"source": args.input, "op": kind.value, "newick": serialize_newick(tree)}
     entry = op_survey(tree, (kind,))[kind]
-    results = entry.report.to_json()
-    if not args.multiplicities:
-        results.pop("multiplicity_histogram")
+    if args.emit_trees:
+        # The spliced texts give the size (the hash count runs for a histogram only); the op input names the kind.
+        newicks = sorted(entry.newicks())
+        results = {"n": tree.n, "op_count": entry.op_count, "neighbourhood_size": len(newicks)}
+        if args.multiplicities:
+            results["multiplicity_histogram"] = entry.report.to_json()["multiplicity_histogram"]
+        sys.stdout.write("".join(newick + "\n" for newick in newicks))
+    else:
+        results = entry.report.to_json()
+        if not args.multiplicities:
+            del results["multiplicity_histogram"]
     if args.emit_ops:
         results["ops"] = [op.to_json() for op in enumerate_ops(tree, kind)]
-    if not args.emit_trees:
-        _emit(_report("neighbourhood", inputs, results))
-        return 0
-    # With --emit-trees the report omits the kind; the op input already names it.
-    del results["kind"]
-    sys.stdout.write("".join(newick + "\n" for newick in sorted(entry.newicks())))
-    _emit(_report("neighbourhood", inputs, results), stream=sys.stderr)
+    _emit(_report("neighbourhood", inputs, results), stream=sys.stderr if args.emit_trees else None)
     return 0
 
 

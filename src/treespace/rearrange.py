@@ -32,13 +32,15 @@ Reconnecting a component at edge r flips exactly the component edges between
 r and the component's root, so the hash of its contributed splits, for every
 r at once, is a base sum plus a prefix sum down the slice of v (side A) or
 down the rest of the preorder (side B): O(n) per bisection, with no walk of
-its own.  The operations of a kind in one bisection are two blocks, rows of
-A by cols of B (:func:`_blocks`), their keys the sums of the two hash lists
-built a block at a time, and all keys are counted at once.  The count stays
-exact: equal trees always share a hash, so a hash with one operation is one
-distinct output tree, and the operations of every shared hash (the four
-behind each NNI neighbour, plus any true collision) are located by position
-in their block, re-keyed by their sorted split masks and split.
+its own.  The operations of one bisection are blocks, rows of A by cols of
+B, narrowest kind first (:func:`_blocks`), and their keys the sums of the
+two hash lists.  One survey counts the keys of the widest kind asked for,
+and every kind reads that count.  It stays exact: equal trees always share
+a hash, so a key held once is one distinct output tree, of each kind whose
+blocks hold its operation.  The operations of every shared key (the four
+behind each NNI neighbour, plus any true collision) are found by block
+position and re-checked once, keyed by their split delta: the splits
+removed and added along the two reconnection paths (:func:`_split_delta`).
 
 The Newick text of each output, written as
 :func:`treespace.newick_io.serialize_newick` writes it, is spliced from
@@ -63,10 +65,9 @@ survey is tested against.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from collections import Counter
-from functools import cached_property, lru_cache, partial
-from itertools import accumulate, chain, compress, count
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, compress, count, repeat
 from typing import Callable, Container, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidOp
@@ -179,7 +180,7 @@ class _Rooted:
         self.prefix = list(accumulate(self.hashes, initial=0))
 
 
-class _Side:
+class _Side(NamedTuple):
     """One component of a bisected tree and its reconnection choices.
 
     ``refs`` names each component edge by its partial split, normalized to
@@ -190,14 +191,11 @@ class _Side:
     reconnected at ``refs[k]`` (see :func:`_contributions`).
     """
 
-    __slots__ = ("mask", "refs", "scar", "near", "sums")
-
-    def __init__(self, mask: int, refs: list[int | None], scar: int, near: tuple[int, ...], sums: list[int]):
-        self.mask = mask
-        self.refs = refs
-        self.scar = scar
-        self.near = near
-        self.sums = sums
+    mask: int
+    refs: list[int | None]
+    scar: int
+    near: tuple[int, ...]
+    sums: list[int]
 
     @property
     def single(self) -> bool:
@@ -255,70 +253,70 @@ def _side_b(rooted: _Rooted, v: int) -> _Side:
     u of v has the cluster C'(u) = C(u) ^ A in B, every other vertex keeps
     C'(u) = C(u).  Reconnected at the edge above w, B gives C'(u) for every
     edge, C'(w) | A for w, and flips every edge above w to C'(u) | A (the
-    side holding leaf 0, normalized): a prefix sum down the preorder.
+    side holding leaf 0, normalized): a prefix sum down the preorder.  The
+    ancestors of v are one walk up from p, and the rest of the preorder one
+    flat pass that reads each edge's hash flipped and kept.
     """
-    cluster, parent, end, hashes = rooted.cluster, rooted.parent, rooted.end, rooted.hashes
-    a = cluster[v]
     if v == 0:
         return _single(1)
-    p, stop = parent[v], end[v]
-    s = p + 1 if p + 1 != v else stop
-    flips = [0] * (len(cluster) + 1)  # per vertex: its flips up to leaf 0 (the last slot: parent -1)
-    rest = [*range(v), *range(stop, len(cluster))]
-    parts: list[int] = []  # per ref: its flipped hash plus the flips above it
-    lifted: list[tuple[int, int, int]] = []  # (ref index, position, kept hash) of the ancestors
-    # joined = h(C(u) | A), the flipped hash of every vertex that is no ancestor of v
-    for u, joined in zip(rest, map(_mix, map(a.__or__, map(cluster.__getitem__, rest)))):
-        d = flips[parent[u]]
-        if u < v < end[u]:  # an ancestor of v
-            if u == p:
-                flips[p] = d  # s continues from p's parent
-                continue
-            kept = _mix(cluster[u] ^ a)
-            flips[u] = d + hashes[u] - kept
-            lifted.append((len(parts), u, kept))
-            parts.append(hashes[u] + d)
-        else:
-            flips[u] = d + joined - hashes[u]
-            parts.append(joined + d)
-    prefix = rooted.prefix
-    total = prefix[-1] - (prefix[stop] - prefix[v]) - hashes[p]
-    refs: list[int | None] = [*cluster[:p], *cluster[p + 1 : v], *cluster[stop:]]
-    for k, u, kept in lifted:
-        refs[k] ^= a
-        total += kept - hashes[u]
-    sums = [(total + q) & _M64 for q in parts]
+    cluster, parent, end, hashes = rooted.cluster, rooted.parent, rooted.end, rooted.hashes
+    a = cluster[v]
+    p, stop, size = parent[v], end[v], len(cluster)
+    # Per position but v's slice (p's entry is dropped last): its ref and the hashes of C'(u) | A and C'(u).
+    refs: list[int | None] = [*cluster[:v], *cluster[stop:]]
+    flipped, kept = [*map(_mix, map(a.__or__, refs))], [*hashes[:v], *hashes[stop:]]
+    flipped[p] = kept[p] = 0  # s continues from p's parent
+    total = rooted.prefix[size] - rooted.prefix[stop] + rooted.prefix[v] - hashes[p]
+    u = parent[p]
+    while u >= 0:  # the ancestors of v above p
+        refs[u] = c = cluster[u] ^ a
+        flipped[u], kept[u] = hashes[u], _mix(c)
+        total += kept[u] - hashes[u]
+        u = parent[u]
+    flips = [0] * size + [total]  # per position: the base and its flips up to leaf 0 (the last slot: parent -1)
+    sums = []
+    for u, up, down in zip(chain(range(v), range(stop, size)), flipped, kept):
+        d = flips[parent[u]] + up
+        sums.append(d & _M64)
+        flips[u] = d - down
+    del refs[p], sums[p]
 
     def index(u: int) -> int:  # refs skip p and the slice of v
         return u - (u > p) if u < v else u - (stop - v) - 1
 
+    s = p + 1 if p + 1 != v else stop
     near: tuple[int, ...] = ()
     if s + 1 < end[s]:
         near += (index(s + 1), index(end[s + 1]))
     pp = parent[p]
     if pp >= 0:
-        near += (index(pp), index(pp + 1 if pp + 1 != p else end[pp + 1]))
+        near += (pp, index(pp + 1 if pp + 1 != p else end[p]))
     return _Side((cluster[0] | 1) ^ a, refs, index(s), near, sums)
 
 
-def _blocks(side_a: _Side, side_b: _Side, kind: OpKind) -> tuple[tuple[Sequence[int], Sequence[int]], ...]:
+#: How many of a bisection's :func:`_blocks` hold each kind's operations.
+_BLOCK_COUNT = {OpKind.NNI: 2, OpKind.SPR: 4, OpKind.TBR: 5}
+
+
+def _blocks(side_a: _Side, side_b: _Side, kind: OpKind) -> _Blocks:
     """The operations of one bisection that are of ``kind`` or narrower, as
-    two blocks (rows of A, cols of B): each row with each col is one index
-    pair (ref a, ref b), row by row.
+    blocks (rows of A, cols of B): each row with each col is one index pair
+    (ref a, ref b), row by row.
 
     This is the one place the classification rule of the module docstring
     is applied.  Side A's scar is ref 0 (:func:`_side_a` and :func:`_single`
-    put it there).  The first block is the scar row, the second the other
-    rows: every pair but scar-scar, which rebuilds the input tree, is TBR.
-    SPR keeps the scar row and the scar column, and NNI keeps, of those, the
-    pairs whose other ref touches its own scar.
+    put it there).  NNI is the scar row at the cols touching B's scar and
+    the scar column at the rows touching A's; SPR adds the rest of both;
+    TBR adds every other pair but scar-scar, which rebuilds the input tree.
     """
-    sb = side_b.scar
+    sb, near_a, near_b = side_b.scar, side_a.near, side_b.near
+    blocks: _Blocks = (((0,), near_b), (near_a, (sb,)))
     if kind is OpKind.NNI:
-        return ((0,), side_b.near), (side_a.near, (sb,))
-    width = len(side_b.refs)
-    cols = range(width) if kind is OpKind.TBR else (sb,)
-    return ((0,), (*range(sb), *range(sb + 1, width))), (range(1, len(side_a.refs)), cols)
+        return blocks
+    rows = range(1, len(side_a.refs))
+    cols = (*range(sb), *range(sb + 1, len(side_b.refs)))
+    blocks += (((0,), [j for j in cols if j not in near_b]), ([i for i in rows if i not in near_a], (sb,)))
+    return blocks if kind is OpKind.SPR else blocks + ((rows, cols),)
 
 
 def _pairs(side_a: _Side, side_b: _Side, kind: OpKind) -> list[tuple[int, int]]:
@@ -463,7 +461,8 @@ def _contributions(side: _Side, ref: int | None, full: int) -> list[int]:
 
 
 def _output_key(full: int, mask: int, ra: int | None, rb: int | None, side_a: _Side, side_b: _Side) -> tuple[int, ...]:
-    """Exact key of one operation's output tree: its sorted normalized split masks."""
+    """Exact key of one operation's output tree: its sorted normalized split
+    masks.  The reference the tests hold the survey's split deltas to."""
     key = _contributions(side_a, ra, full) + _contributions(side_b, rb, full)
     key.append(mask)
     key.sort()
@@ -471,33 +470,59 @@ def _output_key(full: int, mask: int, ra: int | None, rb: int | None, side_a: _S
 
 
 _Bisection = tuple[int, _Side, _Side]
-_Placed = tuple[int, int, Sequence[int], Sequence[int]]  # (start, bisection, rows, cols)
+_Blocks = tuple[tuple[Sequence[int], Sequence[int]], ...]
 
 
-def _hash_keys(bisections: list[_Bisection], kind: OpKind, width: int) -> tuple[list[int], list[_Placed]]:
-    """Hash keys of the operations of ``kind`` or narrower, in :func:`_blocks`
-    order per bisection, and each block placed at the position of its first key."""
-    keys: list[int] = []
-    placed: list[_Placed] = []
-    for k, (mask, side_a, side_b) in enumerate(bisections):
+def _hash_keys(bisections: list[_Bisection], blocks: list[_Blocks], width: int) -> list[list[int]]:
+    """Per bisection, the hash keys of the operations in its blocks, in order."""
+    out = []
+    for (mask, side_a, side_b), pair in zip(bisections, blocks):
         base, sums_a, sums_b = _mix(mask), side_a.sums, side_b.sums
-        for rows, cols in _blocks(side_a, side_b, kind):
-            placed.append((len(keys), k, rows, cols))
-            ys = [sums_b[j] for j in cols]
-            keys += [(x + y) & width for x in [base + sums_a[i] for i in rows] for y in ys]
-    return keys, placed
+        keys: list[int] = []
+        for rows, cols in pair:
+            if rows and cols:  # a single-leaf side leaves some blocks empty
+                ys = [base + sums_b[j] for j in cols]
+                keys += [(sums_a[i] + y) & width for i in rows for y in ys]
+        out.append(keys)
+    return out
 
 
-def _locator(placed: list[_Placed]) -> Callable[[int], tuple[int, int, int]]:
-    """Maps a key position of :func:`_hash_keys` to its operation (bisection, ref a, ref b)."""
-    starts = [start for start, _, _, _ in placed]
+def _split_delta(rooted: _Rooted, v: int, i: int, j: int, scar_b: int) -> frozenset[int]:
+    """The splits in which the output of (ref a i, ref b j), the edge above v
+    bisected, and the input tree differ: equal outputs have equal deltas.
 
-    def locate(pos: int) -> tuple[int, int, int]:
-        start, k, rows, cols = placed[bisect_right(starts, pos) - 1]
-        r, c = divmod(pos - start, len(cols))
-        return k, rows[r], cols[c]
-
-    return locate
+    A reconnected at the edge above w below x (or y) gains A ^ C(w), loses
+    C(x) (or C(y)), and swaps C(u) for A ^ C(u) on each vertex between.  B
+    reconnected at the edge above w gains C(w) | A, loses C(p), and swaps
+    C(u) for C(u) ^ A on each ancestor of w or of s (hung from p's parent)
+    but not of both.  What is lost and gained again nets out."""
+    cluster, parent, end = rooted.cluster, rooted.parent, rooted.end
+    a, lost, gained, path = cluster[v], [], [], []
+    if i:  # refs of A: x, then x+1 .. y-1, then y+1 .. stop-1
+        w = v + 1 + i if v + 1 + i < end[v + 1] else v + 2 + i
+        u = parent[w]
+        while parent[u] != v:
+            path.append(u)
+            u = parent[u]
+        lost.append(cluster[u])
+        gained.append(cluster[w] ^ a)
+    if j != scar_b:  # refs of B: each position but p and the slice of v
+        p = parent[v]
+        w = j if j < p else j + 1 if j < v - 1 else j + end[v] - v + 1
+        lost.append(cluster[p])
+        gained.append(cluster[w] | a)
+        u = parent[w]
+        while u >= 0 and not u < v < end[u]:  # the ancestors of w that are not v's
+            path.append(u)
+            u = parent[u]
+        top, u = parent[p] if u == p else u, parent[p]
+        while u != top:  # the ancestors of s that are not w's
+            path.append(u)
+            u = parent[u]
+    for u in path:
+        lost.append(cluster[u])
+        gained.append(cluster[u] ^ a)
+    return frozenset(lost).symmetric_difference(gained)
 
 
 # -- Newick splice ---------------------------------------------------------------
@@ -586,70 +611,120 @@ def _holes_b(rooted: _Rooted, texts: list[str], v: int, lead: str) -> tuple[list
     return lefts, rights
 
 
-def _newicks(tree: PhyloTree, rooted: _Rooted, bisections: list[_Bisection], kind: OpKind) -> set[str]:
-    """The Newick text of each distinct output of the operations of ``kind`` or narrower."""
+def _newicks(tree: PhyloTree, rooted: _Rooted, blocks: list[_Blocks]) -> set[str]:
+    """The Newick text of each distinct output of the operations in the blocks of each bisection."""
     leaf0, texts = cluster_texts(tree)
     lead = "(" + leaf0 + ","
     outputs: set[str] = set()
-    for v, (_, side_a, side_b) in enumerate(bisections):
+    for v, pair in enumerate(blocks):
         text_a = _texts_a(rooted, texts, v)
         if v:
             lefts, rights = _holes_b(rooted, texts, v, lead)
         else:  # B is leaf 0 alone, so A's root is the vertex next to leaf 0
             text_a, lefts, rights = [t[1:-1] for t in text_a], [lead], [");"]
-        for rows, cols in _blocks(side_a, side_b, kind):
+        for rows, cols in pair:
             holes = [(lefts[j], rights[j]) for j in cols]
             outputs.update([f"{left}{text_a[i]}{right}" for i in rows for left, right in holes])
     return outputs
 
 
+class _Survey:
+    """What the entries of one :func:`op_survey` call share: the sides and
+    blocks of every bisection, and the one hash count of the widest kind
+    asked for, with its re-check (see the module docstring)."""
+
+    def __init__(self, tree: PhyloTree, kinds: tuple[OpKind, ...]):
+        self.tree = tree
+        self.rooted = rooted = _Rooted(tree)
+        self.bisections = [(mask, _side_a(rooted, v), _side_b(rooted, v)) for v, mask in enumerate(rooted.cluster)]
+        widest = max(kinds, key=_BLOCK_COUNT.__getitem__, default=OpKind.NNI)
+        self.blocks = [_blocks(side_a, side_b, widest) for _, side_a, side_b in self.bisections]
+
+    @cached_property
+    def count(self) -> tuple[list[list[int]], set[int], list[list[frozenset[int]]], Counter]:
+        """Keys per bisection, the shared keys, per block their operations' split deltas, and those counted."""
+        keys = _hash_keys(self.bisections, self.blocks, (1 << _HASH_BITS) - 1)
+        counts = Counter(chain.from_iterable(keys))
+        shared = set(compress(counts, map((1).__lt__, counts.values())))
+        deltas: list[list[frozenset[int]]] = [[] for _ in self.blocks[0]]
+        for v, block, i, j in self.located(keys, shared.__contains__):
+            deltas[block].append(_split_delta(self.rooted, v, i, j, self.bisections[v][2].scar))
+        return keys, shared, deltas, Counter(chain.from_iterable(deltas))
+
+    def located(self, keys: list[list[int]], take: Callable[[int], bool]) -> Iterator[tuple[int, int, int, int]]:
+        """(bisection, block, ref a, ref b) of each operation whose key passes ``take``, by its block position."""
+        for v, blocks in enumerate(self.blocks):
+            block, start, (rows, cols) = 0, 0, blocks[0]
+            for pos in compress(count(), map(take, keys[v])):
+                while pos >= start + len(rows) * len(cols):
+                    start, block = start + len(rows) * len(cols), block + 1
+                    rows, cols = blocks[block]
+                r, c = divmod(pos - start, len(cols))
+                yield v, block, rows[r], cols[c]
+
+    def full_key(self, delta: frozenset[int]) -> tuple[int, ...]:
+        """The sorted split masks of the output with this split delta."""
+        return tuple(sorted(delta.symmetric_difference(self.rooted.cluster)))
+
+
 class SurveyEntry:
     """Survey output for one operation kind.
 
-    ``report`` comes from the hash count.  :meth:`output_keys`,
-    ``multiplicities`` (output tree to the number of operations producing it)
-    and ``forms`` are exact as well, but built on demand: ``singles`` re-keys
-    each operation whose kept hash key no other shares, and ``repeated``
-    counts the re-keyed operations of shared hashes.
-    ``repeats`` reads ``repeated`` alone: an output of two or more operations
-    always shares its hash, so it never needs the walk.  :meth:`newicks`
-    reads no key at all: it splices each output's text from the sides.
+    ``op_count`` is the size of the kind's blocks, and ``report`` reads the
+    survey's hash count.  :meth:`output_keys`, ``multiplicities`` (output
+    tree to the number of operations producing it) and ``forms`` are built
+    on demand, each output's split masks the input's with a split delta
+    flipped: that of an operation whose key no other shares, or one of the
+    re-check.  ``repeats`` reads the re-check alone, as an output of two or
+    more operations always shares its key.  :meth:`newicks` reads no key at
+    all: it splices each output's text from the sides.
     """
 
-    def __init__(
-        self,
-        report: NeighbourhoodReport,
-        names: tuple[str, ...],
-        singles: Callable[[], Iterator[tuple[int, ...]]],
-        repeated: Counter,
-        newicks: Callable[[], set[str]],
-    ):
-        self.report = report
-        self._names = names
-        self._singles = singles
-        self._repeated = repeated
-        self._newicks = newicks
+    def __init__(self, survey: _Survey, kind: OpKind):
+        self._survey, self._kind, self._span = survey, kind, _BLOCK_COUNT[kind]
+        self.op_count = sum(len(rows) * len(cols) for blocks in survey.blocks for rows, cols in blocks[: self._span])
+
+    @cached_property
+    def _repeated(self) -> Counter:  # the re-checked operations of this kind, by split delta
+        deltas, every = self._survey.count[2:]
+        return Counter(chain.from_iterable(deltas[: self._span])) if any(deltas[self._span :]) else every
+
+    @cached_property
+    def report(self) -> NeighbourhoodReport:
+        repeated = self._repeated
+        unshared = self.op_count - sum(repeated.values())
+        histogram = Counter(repeated.values())
+        if unshared:
+            histogram[1] += unshared
+        size = unshared + len(repeated)
+        return NeighbourhoodReport(self._survey.tree.n, self._kind, self.op_count, size, dict(histogram))
 
     def newicks(self) -> set[str]:
         """The Newick text of each distinct output tree, as
         :func:`~treespace.newick_io.serialize_newick` writes it."""
-        return self._newicks()
+        survey = self._survey
+        return _newicks(survey.tree, survey.rooted, [blocks[: self._span] for blocks in survey.blocks])
 
     def output_keys(self) -> Iterator[tuple[int, ...]]:
         """The sorted normalized split masks of each distinct output tree, once each."""
-        yield from self._singles()
-        yield from self._repeated
+        survey = self._survey
+        if self.report.neighbourhood_size > len(self._repeated):  # some output has a key of its own
+            keys, shared = survey.count[:2]
+            for v, block, i, j in survey.located(keys, lambda key: key not in shared):
+                if block < self._span:
+                    yield survey.full_key(_split_delta(survey.rooted, v, i, j, survey.bisections[v][2].scar))
+        yield from map(survey.full_key, self._repeated)
 
     @cached_property
     def multiplicities(self) -> dict[CanonicalForm, int]:
-        names, repeated = self._names, self._repeated
-        return {CanonicalForm(key, names): repeated.get(key, 1) for key in self.output_keys()}
+        names, ones = self._survey.tree.leaf_order, repeat(1, self.report.neighbourhood_size - len(self._repeated))
+        return {CanonicalForm(k, names): c for k, c in zip(self.output_keys(), chain(ones, self._repeated.values()))}
 
     @cached_property
     def repeats(self) -> dict[CanonicalForm, int]:
         """The outputs of two or more operations, each with its multiplicity."""
-        names = self._names
-        return {CanonicalForm(key, names): c for key, c in self._repeated.items() if c > 1}
+        names, full_key = self._survey.tree.leaf_order, self._survey.full_key
+        return {CanonicalForm(full_key(delta), names): c for delta, c in self._repeated.items() if c > 1}
 
     @cached_property
     def forms(self) -> frozenset[CanonicalForm]:
@@ -664,52 +739,9 @@ def op_survey(
 
     Output splits are recombined directly from the component partial splits,
     which is an independent route from apply_op's graph surgery (the two are
-    cross-checked in the test suite).  Per kind, the hash keys of its
-    operations are counted, and the operations of every key held by two or
-    more are re-keyed exactly (see the module docstring).
+    cross-checked in the test suite).  One hash count, run when a report is
+    first read, serves every kind (see the module docstring).
     """
     require_leaves(tree)
-    full = tree.full_mask
-    width = (1 << _HASH_BITS) - 1
-    rooted = _Rooted(tree)
-    bisections = [(mask, _side_a(rooted, v), _side_b(rooted, v)) for v, mask in enumerate(rooted.cluster)]
-
-    rechecked: dict[tuple[int, int, int], tuple[int, ...]] = {}
-
-    def exact(k: int, i: int, j: int) -> tuple[int, ...]:
-        mask, side_a, side_b = bisections[k]
-        return _output_key(full, mask, side_a.refs[i], side_b.refs[j], side_a, side_b)
-
-    def singles(keys: list[int], shared: set[int], locate: Callable) -> Iterator[tuple[int, ...]]:
-        return (exact(*locate(pos)) for pos, key in enumerate(keys) if key not in shared)
-
-    entries = {}
-    for kind in kinds:
-        keys, placed = _hash_keys(bisections, kind, width)
-        locate = _locator(placed)
-        counts = Counter(keys)
-        shared = set(compress(counts, map((1).__lt__, counts.values())))  # the keys counted more than once
-        repeated: Counter = Counter()
-        for op in map(locate, compress(count(), map(shared.__contains__, keys))):
-            if op not in rechecked:
-                rechecked[op] = exact(*op)
-            repeated[rechecked[op]] += 1
-        unshared = len(counts) - len(shared)
-        histogram = Counter(repeated.values())
-        if unshared:
-            histogram[1] += unshared
-        report = NeighbourhoodReport(
-            n=tree.n,
-            kind=kind,
-            op_count=len(keys),
-            neighbourhood_size=unshared + len(repeated),
-            multiplicity_histogram=dict(histogram),
-        )
-        entries[kind] = SurveyEntry(
-            report,
-            tree.leaf_order,
-            partial(singles, keys, shared, locate),
-            repeated,
-            partial(_newicks, tree, rooted, bisections, kind),
-        )
-    return entries
+    survey = _Survey(tree, kinds)
+    return {kind: SurveyEntry(survey, kind) for kind in kinds}

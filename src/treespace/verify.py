@@ -13,10 +13,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from . import metrics
 from .errors import RangeError
-from .extremal import extremal_scan, scan_pool
-from .generators import all_trees, random_tree, shards
-from .newick_io import serialize_newick
-from .rearrange import OpKind, op_survey
 from .tree_core import PhyloTree
 
 if TYPE_CHECKING:
@@ -65,6 +61,7 @@ class _Collector:
         if not ok and len(self.failures) < MAX_FAILURES:
             record = {"message": message}
             if tree is not None:
+                from .newick_io import serialize_newick
                 record["newick"] = serialize_newick(tree)
             self.failures.append(record)
         return ok
@@ -85,11 +82,10 @@ class _Collector:
 
 
 def _check_formula_tree(col: _Collector, tree: PhyloTree) -> None:
+    from .rearrange import op_survey
+
     n = tree.n
-    survey = op_survey(tree)
-    tbr = survey[OpKind.TBR].report
-    spr = survey[OpKind.SPR].report
-    nni = survey[OpKind.NNI].report
+    nni, spr, tbr = (entry.report for entry in op_survey(tree).values())
     tbr_size = metrics.tbr_size(tree)
     tbr_op_count = metrics.tbr_op_count(tree)
     col.check(
@@ -120,11 +116,10 @@ def _check_formula_tree(col: _Collector, tree: PhyloTree) -> None:
 
 
 def _check_redundancy_tree(col: _Collector, tree: PhyloTree) -> None:
+    from .rearrange import op_survey
+
     n = tree.n
-    survey = op_survey(tree)
-    tbr = survey[OpKind.TBR]
-    nni = survey[OpKind.NNI]
-    spr = survey[OpKind.SPR]
+    nni, spr, tbr = op_survey(tree).values()
     mults = set(tbr.report.multiplicity_histogram)
     col.check(mults <= {1, 4}, f"TBR multiplicities {sorted(mults)} not in {{1, 4}}", tree)
     quadruple = frozenset(f for f, c in tbr.repeats.items() if c == 4)
@@ -162,6 +157,8 @@ def _exhaustive_range(n_max: int) -> range:
 
 def _suite_pool(threads: int, n_max: int):
     """One :func:`scan_pool` for every n of a suite call, or none for one thread."""
+    from .extremal import scan_pool
+
     if threads < 1:
         raise RangeError(f"threads must be >= 1, got {threads}")
     return scan_pool(threads, n_max) if threads > 1 else nullcontext()
@@ -170,6 +167,8 @@ def _suite_pool(threads: int, n_max: int):
 def _check_shard(args: tuple[TreeCheck, int, tuple[int, ...]]) -> tuple[int, list[dict], int]:
     """Run a per-tree check over the trees of T_n whose insertion code starts
     with the prefix: (checks, first failures, trees).  The pool's entry."""
+    from .generators import all_trees
+
     check, n, prefix = args
     col = _Collector("")
     trees = 0
@@ -186,6 +185,8 @@ def _check_exhaustive(col: _Collector, check: TreeCheck, n_max: int, threads: in
     parts merge in enumeration order, so the checks and the failures kept
     are those of the serial run.
     """
+    from .generators import shards
+
     trees_checked: dict[str, int] = {}
     ns = _exhaustive_range(n_max)  # before the pool is sized from n_max
     with _suite_pool(threads, n_max) as pool:
@@ -217,6 +218,8 @@ def formulas_suite(n_max: int = 7, samples: int = 0, seed: int = 0, threads: int
     col = _Collector("formulas")
     trees_checked = _check_exhaustive(col, _check_formula_tree, n_max, threads)
     if samples:
+        from .generators import random_tree
+
         for n in SAMPLE_NS:
             for i in range(samples):
                 tree = random_tree(n, seed=hash((seed, n, i)) & 0x7FFFFFFF)
@@ -247,6 +250,8 @@ def extremal_suite(n_max: int = 8, threads: int = 1) -> SuiteResult:
     closed forms.  ``threads`` > 1 scans each T_n on that many worker
     processes, one pool for every n.
     """
+    from .extremal import extremal_scan
+
     col = _Collector("extremal")
     scans = {}
     ns = _exhaustive_range(n_max)  # before the pool is sized from n_max

@@ -199,6 +199,27 @@ def test_emit_reads_no_output_key(capsys, tmp_path, monkeypatch, kind, label, tr
     assert (out, err) == expected
 
 
+@pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("label,tree", EMIT_TREES[-2:], ids=[label for label, _ in EMIT_TREES[-2:]])
+def test_emit_without_histogram_builds_no_keys(capsys, tmp_path, monkeypatch, kind, label, tree):
+    """--emit-trees without --multiplicities takes the operation count from
+    the blocks and the size from the spliced texts: it never builds a hash
+    key, and its report is the oracle's without the histogram."""
+    path = tmp_path / f"{label}.nwk"
+    path.write_text(reference_newick(tree) + "\n")
+    out_want, err_want = oracle_emit(tree, kind, str(path))
+    report = json.loads(err_want)
+    del report["results"]["multiplicity_histogram"]
+
+    def refuse(*args):
+        raise AssertionError("the emit path built hash keys")
+
+    monkeypatch.setattr(rearrange, "_hash_keys", refuse)
+    code, out, err = run(capsys, "neighbourhood", str(path), "--op", kind.value, "--emit-trees", "--emit-ops")
+    assert code == 0
+    assert (out, err) == (out_want, json.dumps(report, sort_keys=True, indent=2) + "\n")
+
+
 class TestGenerate:
     def test_caterpillar5_literal(self, capsys):
         code, out, _ = run(capsys, "generate", "--family", "caterpillar", "--n", "5")

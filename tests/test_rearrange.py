@@ -5,6 +5,7 @@ definitional criteria (restriction equality for SPR, subtree swap for NNI)
 implemented independently in conftest.
 """
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -35,7 +36,18 @@ from treespace import (
     tbr_size,
 )
 from treespace import rearrange
-from treespace.rearrange import _M64, _contributions, _mix, _output_key, _pairs, _Rooted, _side_a, _side_b, op_survey
+from treespace.rearrange import (
+    _M64,
+    _contributions,
+    _mix,
+    _output_key,
+    _pairs,
+    _Rooted,
+    _side_a,
+    _side_b,
+    _split_delta,
+    op_survey,
+)
 
 # The classes each kind of operation includes: NNI ops are SPR ops are TBR ops.
 WITHIN = {
@@ -430,6 +442,67 @@ class TestHashSurvey:
         monkeypatch.setattr(rearrange, "_HASH_BITS", 8)
         trees = [t for n in (4, 5, 6) for t in all_trees(n)] + [random_tree(n, n) for n in range(7, 13)]
         assert self.check_repeats(trees) > 0
+
+
+DELTA_TREES = {
+    "T4-T7": ([t for n in (4, 5, 6, 7) for t in all_trees(n)], OpKind.TBR),
+    "random8-24": ([random_tree(n, n) for n in range(8, 25)], OpKind.TBR),
+    "caterpillar64-complete64": ([caterpillar(64), complete(64)], OpKind.NNI),
+}
+
+
+class TestOneCount:
+    """One hash count of the widest kind serves every kind, and shared keys
+    are re-checked by split delta."""
+
+    @pytest.mark.parametrize("trees,kind", DELTA_TREES.values(), ids=DELTA_TREES.keys())
+    def test_delta_keys_are_exact(self, trees, kind):
+        """Flipping an operation's split delta in the input's splits gives its
+        sorted-key output, and two operations (of ``kind``, which includes
+        the narrower kinds) have equal deltas exactly when their sorted keys
+        are equal."""
+        for tree in trees:
+            rooted, splits = _Rooted(tree), frozenset(tree.split_masks)
+            by_delta: dict = {}
+            by_key: dict = {}
+            for v, mask in enumerate(rooted.cluster):
+                side_a, side_b = _side_a(rooted, v), _side_b(rooted, v)
+                for i, j in _pairs(side_a, side_b, kind):
+                    delta = _split_delta(rooted, v, i, j, side_b.scar)
+                    key = _output_key(tree.full_mask, mask, side_a.refs[i], side_b.refs[j], side_a, side_b)
+                    assert splits ^ delta == frozenset(key), (tree, v, i, j)
+                    assert by_delta.setdefault(delta, key) == key
+                    assert by_key.setdefault(key, delta) == delta
+
+    def test_every_subset_of_kinds_reads_one_count(self, monkeypatch):
+        """With 8-bit keys, so that distinct outputs collide, each kind of a
+        survey of two or three kinds, in either order, reports as that kind
+        surveyed alone."""
+        monkeypatch.setattr(rearrange, "_HASH_BITS", 8)
+        trees = [t for n in (4, 5, 6) for t in all_trees(n)] + [random_tree(n, n) for n in (9, 12, 16)]
+        subsets = [kinds for r in (2, 3) for kinds in itertools.combinations(OpKind, r)]
+        for tree in trees:
+            alone = {kind: op_survey(tree, (kind,))[kind] for kind in OpKind}
+            for kinds in subsets + [kinds[::-1] for kinds in subsets]:
+                for kind, entry in op_survey(tree, kinds).items():
+                    assert entry.report == alone[kind].report, (kinds, kind, tree)
+                    assert entry.multiplicities == alone[kind].multiplicities
+                    assert entry.repeats == alone[kind].repeats
+
+    def test_one_key_building_pass(self, monkeypatch):
+        """Whatever kinds are asked for, an op_survey call builds its hash
+        keys once, and not before something reads the count."""
+        calls = []
+        build = rearrange._hash_keys
+        monkeypatch.setattr(rearrange, "_hash_keys", lambda *args: calls.append(args) or build(*args))
+        tree = random_tree(12, 5)
+        for kinds in (kinds for r in (1, 2, 3) for kinds in itertools.combinations(OpKind, r)):
+            calls.clear()
+            survey = op_survey(tree, kinds)
+            assert not calls
+            for entry in survey.values():
+                entry.report, entry.multiplicities, entry.repeats, list(entry.output_keys())
+            assert len(calls) == 1, kinds
 
 
 REFERENCE_TREES = {

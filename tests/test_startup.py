@@ -36,6 +36,7 @@ sys.exit(code)
 BASE = {"treespace", "treespace.cli", "treespace.errors"}
 READ = BASE | {"treespace.tree_core", "treespace.newick_io"}
 ALL = READ | {f"treespace.{m}" for m in ("metrics", "rearrange", "generators", "extremal", "verify")}
+VERIFY = BASE | {"treespace.tree_core", "treespace.metrics", "treespace.verify"}  # what every suite loads
 
 
 def loaded_modules(tmp_path: Path, *argv: str) -> set[str]:
@@ -74,10 +75,14 @@ CALLS = {
         ("table", "--what", "tbr-size", "--family", "perfect", "--n-max", "64"),
         BASE | {"treespace.tree_core", "treespace.metrics"},
     ),
-    "formulas": (("verify", "--suite", "formulas", "--n-max", "4"), ALL),
-    "redundancy": (("verify", "--suite", "redundancy", "--n-max", "4"), ALL),
-    "extremal": (("verify", "--suite", "extremal", "--n-max", "4"), ALL),
-    "asymptotic": (("verify", "--suite", "asymptotic"), ALL),
+    # One thread, so that the surveys run in this process whatever the CPU count.
+    "formulas": (("verify", "--suite", "formulas", "--n-max", "4", "--threads", "1"), ALL),
+    "redundancy": (("verify", "--suite", "redundancy", "--n-max", "4", "--threads", "1"), ALL),
+    "extremal": (
+        ("verify", "--suite", "extremal", "--n-max", "4"),
+        VERIFY | {"treespace.generators", "treespace.extremal"},
+    ),
+    "asymptotic": (("verify", "--suite", "asymptotic"), VERIFY),
 }
 
 

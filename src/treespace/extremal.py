@@ -21,14 +21,15 @@ if TYPE_CHECKING:
 
 
 def is_caterpillar(tree: PhyloTree) -> bool:
-    """True when every internal vertex has at least one leaf neighbour."""
+    """True when every internal vertex has at least one leaf neighbour.
+
+    Read off the tree's preorder: the vertex at position 0 has leaf 0, and
+    one at a later position u holding two or more leaves has a leaf child
+    when its first child, u + 1, or the other one, holds one leaf.
+    """
     require_leaves(tree)
-    for v in tree.vertices():
-        if tree.is_leaf(v):
-            continue
-        if not any(tree.is_leaf(w) for w in tree.neighbors(v)):
-            return False
-    return True
+    size = tree.preorder.size
+    return all(a < 2 or size[u + 1] == 1 or a - size[u + 1] == 1 for u, a in enumerate(size) if u)
 
 
 def _is_power_of_two(x: int) -> bool:
@@ -62,8 +63,7 @@ def is_complete(tree: PhyloTree) -> bool:
     n = require_leaves(tree)
     k = (n // 3).bit_length() - 1
     bound = 1 << (k + 1)
-    _, parent, cluster = tree.preorder
-    size = [c.bit_count() for c in cluster]
+    _, parent, _, size = tree.preorder
     found = False
     for u, a in enumerate(size):
         if 3 <= a <= bound and not _pair_balanced(size[u + 1], a - size[u + 1]):

@@ -17,20 +17,16 @@ from .tree_core import PhyloTree, require_leaves
 def gamma(tree: PhyloTree) -> int:
     """Sum of |A|*|B| over all non-trivial splits A|B of the tree.
 
-    Leaf counts of the subtrees of the tree's rooted preorder are summed up
-    the parent positions, one pass, from ``is_leaf`` alone: no split or
-    cluster mask is read.  The test suite's ``reference_gamma`` walks the
-    adjacency instead, an independent route (the two are property-tested
-    equal).
+    The leaf count below each position of the tree's rooted preorder is
+    |A| for the split of the edge above it; the walk that validated the
+    tree counted them, and no split or cluster mask is read.  The test
+    suite's ``reference_gamma`` walks the adjacency instead, an independent
+    route (the two are property-tested equal).
     """
     n = require_leaves(tree)
-    vertex, parent, _ = tree.preorder
-    size = [1 if tree.is_leaf(v) else 0 for v in vertex]
     total = 0
-    # Position 0 holds all n - 1 leaves but leaf 0: a trivial split.
-    for u in range(len(size) - 1, 0, -1):
-        a = size[u]
-        size[parent[u]] += a
+    for a in tree.preorder.size:
+        # Position 0 holds all n - 1 leaves but leaf 0, and a leaf holds one: trivial splits.
         if 2 <= a <= n - 2:
             total += a * (n - a)
     return total

@@ -42,6 +42,14 @@ behind each NNI neighbour, plus any true collision) are found by block
 position and re-checked once, keyed by their split delta: the splits
 removed and added along the two reconnection paths (:func:`_split_delta`).
 
+Which positions each of these steps reads depends only on the tree's rooted
+shape, its preorder's parent positions, and many labelled trees share one:
+T_7's 945 trees have 9 shapes and T_8's 10,395 have 21.  So the slice ends,
+each side's ref count, scar and near-scar indices, the blocks, each kind's
+operation count and the positions of each re-checked split delta are built
+once per shape (:class:`_Layout`, in a bounded cache), and a tree computes
+only its own refs, hash sums, keys and re-check from its own clusters.
+
 The Newick text of each output, written as
 :func:`treespace.newick_io.serialize_newick` writes it, is spliced from
 per-bisection pieces cut from the input tree's per-position subtree texts
@@ -66,13 +74,13 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain, compress, count, repeat
-from typing import Callable, Container, Iterator, NamedTuple, Sequence
+from typing import Container, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidOp
 from .newick_io import cluster_texts
-from .tree_core import CanonicalForm, Edge, PhyloTree, require_leaves
+from .tree_core import CanonicalForm, Edge, PhyloTree, lazy, require_leaves
 
 
 class OpKind(enum.Enum):
@@ -153,7 +161,143 @@ def _mix(mask: int) -> int:
     return z ^ (z >> 31)
 
 
-# -- bisection components ---------------------------------------------------
+# -- bisection layout -----------------------------------------------------------
+
+
+#: How many of a bisection's :func:`_blocks` hold each kind's operations.
+_BLOCK_COUNT = {OpKind.NNI: 2, OpKind.SPR: 4, OpKind.TBR: 5}
+
+_Blocks = tuple[tuple[Sequence[int], Sequence[int]], ...]
+
+
+def _blocks(rows: int, near_a: tuple[int, ...], cols: int, scar_b: int, near_b: tuple[int, ...]) -> _Blocks:
+    """The operations of one bisection as blocks of index pairs (ref a,
+    ref b), narrowest kind first: each of the block's rows of A with each
+    of its cols of B, row by row.  A has ``rows`` refs and B ``cols``;
+    ``near_a`` and ``near_b`` index the edges touching each scar, and
+    ``scar_b`` B's scar.
+
+    This is the one place the classification rule of the module docstring
+    is applied.  Side A's scar is ref 0 (:func:`_refs_a` puts it there).
+    The first two blocks are NNI: the scar row at the cols touching B's
+    scar and the scar column at the rows touching A's.  SPR adds the rest
+    of both; TBR adds every other pair but scar-scar, which rebuilds the
+    input tree.  A kind's operations are the first :data:`_BLOCK_COUNT`
+    blocks.
+    """
+    rest_rows = range(1, rows)
+    rest_cols = (*range(scar_b), *range(scar_b + 1, cols))
+    return (
+        ((0,), near_b),
+        (near_a, (scar_b,)),
+        ((0,), [j for j in rest_cols if j not in near_b]),
+        ([i for i in rest_rows if i not in near_a], (scar_b,)),
+        (rest_rows, rest_cols),
+    )
+
+
+class _Cut(NamedTuple):
+    """What the tree's shape fixes of the bisection of the edge above one
+    preorder position v: side A is the slice of v, side B the rest.
+
+    ``near_a``, ``scar_b`` and ``near_b`` index refs of A and of B (see
+    :func:`_blocks`), ``above`` lists v's ancestors above its parent p,
+    whose clusters lose A in B, and ``blocks`` are the operations of every
+    kind.
+    """
+
+    near_a: tuple[int, ...]
+    scar_b: int
+    near_b: tuple[int, ...]
+    above: tuple[int, ...]
+    blocks: _Blocks
+
+    def op_at(self, pos: int) -> tuple[int, int, int]:
+        """(block, ref a, ref b) of the operation at ``pos`` in block order."""
+        for block, (rows, cols) in enumerate(self.blocks):
+            if pos < len(rows) * len(cols):
+                r, c = divmod(pos, len(cols))
+                return block, rows[r], cols[c]
+            pos -= len(rows) * len(cols)
+        raise IndexError("no operation at that position")
+
+
+class _Layout:
+    """Everything of a survey that depends only on the tree's rooted shape,
+    its preorder's ``parent`` positions: the slice ends ``end`` (the
+    subtree of u is ``u:end[u]``), a :class:`_Cut` per bisection, each
+    kind's operation count, and the positions the split delta of each
+    operation the exact re-check met walks (:meth:`recheck`).  A tree reads
+    its own clusters at these positions.  Built once per shape
+    (:func:`_layout`).
+    """
+
+    def __init__(self, parent: tuple[int, ...]):
+        size = len(parent)
+        end = list(range(1, size + 1))
+        for u in range(size - 1, 0, -1):
+            p = parent[u]
+            if end[u] > end[p]:
+                end[p] = end[u]
+        self.parent, self.end = parent, end
+        self.cuts = [self._cut(v) for v in range(size)]
+        self.op_count = {
+            kind: sum(len(rows) * len(cols) for cut in self.cuts for rows, cols in cut.blocks[:span])
+            for kind, span in _BLOCK_COUNT.items()
+        }
+        self.walks: dict[tuple[int, int], tuple[int, _Walk]] = {}
+
+    def _cut(self, v: int) -> _Cut:
+        """The refs of A are x, then x+1 .. y-1, then y+1 .. stop-1 (x and y
+        are v's children, whose edges merge into the scar); those of B are
+        every position but p and the slice of v, in order."""
+        parent, end = self.parent, self.end
+        x, stop = v + 1, end[v]
+        rows = max(1, stop - x - 1)  # one choice, None, when A is the leaf v
+        near_a: tuple[int, ...] = ()
+        if x < stop:
+            y = end[x]
+            if x + 1 < y:
+                near_a += (1, end[x + 1] - x)
+            if y + 1 < stop:
+                near_a += (y - x, end[y + 1] - x - 1)
+        if v == 0:  # B is leaf 0 alone
+            return _Cut(near_a, 0, (), (), _blocks(rows, near_a, 1, 0, ()))
+        p = parent[v]
+
+        def index(u: int) -> int:  # refs skip p and the slice of v
+            return u - (u > p) if u < v else u - (stop - v) - 1
+
+        s = p + 1 if p + 1 != v else stop  # v's sibling, whose edge is B's scar
+        near_b: tuple[int, ...] = ()
+        if s + 1 < end[s]:
+            near_b += (index(s + 1), index(end[s + 1]))
+        pp = parent[p]
+        if pp >= 0:
+            near_b += (pp, index(pp + 1 if pp + 1 != p else end[p]))
+        above = []
+        while pp >= 0:
+            above.append(pp)
+            pp = parent[pp]
+        cols, scar_b = len(parent) - (stop - v) - 1, index(s)
+        return _Cut(near_a, scar_b, near_b, tuple(above), _blocks(rows, near_a, cols, scar_b, near_b))
+
+    def recheck(self, v: int, pos: int) -> tuple[int, _Walk]:
+        """The block of the operation at ``pos`` of bisection v, and its
+        :func:`_delta_walk`, kept for the next tree of this shape.  Only the
+        re-check reads it, so it holds the operations of shared keys: the
+        four of each NNI neighbour, and any true collision."""
+        found = self.walks.get((v, pos))
+        if found is None:
+            block, i, j = self.cuts[v].op_at(pos)
+            found = self.walks[v, pos] = block, _delta_walk(self, v, i, j)
+        return found
+
+
+@lru_cache(maxsize=32)  # T_8, the largest exhaustive body, has 21 shapes
+def _layout(parent: tuple[int, ...]) -> _Layout:
+    """The :class:`_Layout` of a rooted shape, shared by its trees."""
+    return _Layout(parent)
 
 
 class _Rooted:
@@ -161,23 +305,115 @@ class _Rooted:
     the survey adds to it.
 
     Position 0 is the neighbour of leaf 0.  ``parent[u]`` is the position
-    above u (-1 above position 0), the subtree of u is the slice
-    ``u:end[u]``, and ``cluster[u]`` is C(u), the leaves below u.  C(u) is
-    also the normalized split mask of the edge above u, so the positions
-    number the edges as well.  ``hashes[u]`` is h(C(u)) and ``prefix`` holds
-    their running sums.
+    above u (-1 above position 0), and ``cluster[u]`` is C(u), the leaves
+    below u.  C(u) is also the normalized split mask of the edge above u,
+    so the positions number the edges as well.  ``layout`` is the shape's
+    :class:`_Layout` and ``end`` its slice ends.  ``hashes[u]`` is h(C(u))
+    and ``prefix`` holds their running sums.
     """
 
     def __init__(self, tree: PhyloTree):
-        _, parent, cluster = tree.preorder
-        end = list(range(1, len(parent) + 1))
-        for u in range(len(parent) - 1, 0, -1):
-            p = parent[u]
-            if end[u] > end[p]:
-                end[p] = end[u]
-        self.parent, self.cluster, self.end = parent, cluster, end
+        _, parent, cluster, _ = tree.preorder
+        self.layout = _layout(parent)
+        self.parent, self.cluster, self.end = parent, cluster, self.layout.end
         self.hashes = [_mix(c) for c in cluster]
         self.prefix = list(accumulate(self.hashes, initial=0))
+
+
+# -- bisection sides ----------------------------------------------------------
+#
+# Side A = C(v) and side B, the rest, of the bisection of the edge above v.
+# Each side's refs and its hash sums are read off the tree's clusters at the
+# positions its :class:`_Cut` names, in the same order.
+
+
+def _refs_a(rooted: _Rooted, v: int) -> list[int | None]:
+    """Side A's refs: the cluster of each edge below v, normalized to the
+    side without A's lowest leaf; the scar (x's edge, merged with y's) first."""
+    cluster, end = rooted.cluster, rooted.end
+    a = cluster[v]
+    x, stop = v + 1, end[v]
+    if x == stop:
+        return [None]
+    y = end[x]
+    low = a & -a
+    return [c ^ a if c & low else c for c in chain((cluster[x],), cluster[x + 1 : y], cluster[y + 1 : stop])]
+
+
+def _sums_a(rooted: _Rooted, v: int) -> list[int]:
+    """Per ref of side A, the hash sum of the output splits A contributes
+    when reconnected there.
+
+    v is suppressed, so its children x and y share the scar edge.
+    Reconnected at the scar, every edge gives its own cluster and the scar
+    both C(x) and C(y).  Reconnected at the edge above a vertex w below x,
+    the scar gives C(y) alone, w gives C(w) and A ^ C(w), and every edge
+    between w and x flips from C(u) to A ^ C(u): a prefix sum down x's
+    slice.  The same holds below y.
+    """
+    cluster, parent, end, hashes, prefix = rooted.cluster, rooted.parent, rooted.end, rooted.hashes, rooted.prefix
+    a = cluster[v]
+    x, stop = v + 1, end[v]
+    if x == stop:
+        return [0]
+    y = end[x]
+    at_scar = prefix[stop] - prefix[x]
+    sums = [at_scar & _M64]
+    flips = [0] * stop  # per vertex below x or y: the sum at the edge above it, less its own hash
+    flips[x], flips[y] = at_scar - hashes[x], at_scar - hashes[y]
+    for u in chain(range(x + 1, y), range(y + 1, stop)):
+        d = flips[parent[u]] + _mix(a ^ cluster[u])
+        sums.append(d & _M64)
+        flips[u] = d - hashes[u]
+    return sums
+
+
+def _refs_b(rooted: _Rooted, v: int) -> list[int | None]:
+    """Side B's refs: the cluster of each edge, with A taken out of those
+    of v's ancestors, in preorder but for p and the slice of v."""
+    if v == 0:
+        return [None]
+    cluster = rooted.cluster
+    a, p, stop = cluster[v], rooted.parent[v], rooted.end[v]
+    refs: list[int | None] = [*cluster[:v], *cluster[stop:]]
+    for u in rooted.layout.cuts[v].above:
+        refs[u] = cluster[u] ^ a
+    del refs[p]
+    return refs
+
+
+def _sums_b(rooted: _Rooted, v: int) -> list[int]:
+    """Per ref of side B, the hash sum of the output splits B contributes
+    when reconnected there.
+
+    B stays rooted at leaf 0.  The parent p of v is suppressed, so v's
+    sibling s hangs from p's parent and its edge is the scar.  An ancestor
+    u of v has the cluster C'(u) = C(u) ^ A in B, every other vertex keeps
+    C'(u) = C(u).  Reconnected at the edge above w, B gives C'(u) for every
+    edge, C'(w) | A for w, and flips every edge above w to C'(u) | A (the
+    side holding leaf 0, normalized): a prefix sum down the preorder, one
+    flat pass that reads each edge's hash flipped and kept.
+    """
+    if v == 0:
+        return [0]
+    cluster, parent, hashes, prefix = rooted.cluster, rooted.parent, rooted.hashes, rooted.prefix
+    a, p, stop, size = cluster[v], parent[v], rooted.end[v], len(cluster)
+    # Per position but v's slice (p's entry is dropped last): the hashes of C'(u) | A and C'(u).
+    flipped = [*map(_mix, map(a.__or__, cluster[:v])), *map(_mix, map(a.__or__, cluster[stop:]))]
+    kept = [*hashes[:v], *hashes[stop:]]
+    flipped[p] = kept[p] = 0  # s continues from p's parent
+    total = prefix[size] - prefix[stop] + prefix[v] - hashes[p]
+    for u in rooted.layout.cuts[v].above:
+        flipped[u], kept[u] = hashes[u], _mix(cluster[u] ^ a)
+        total += kept[u] - hashes[u]
+    flips = [0] * size + [total]  # per position: the base and its flips up to leaf 0 (the last slot: parent -1)
+    sums = []
+    for u, up, down in zip(chain(range(v), range(stop, size)), flipped, kept):
+        d = flips[parent[u]] + up
+        sums.append(d & _M64)
+        flips[u] = d - down
+    del sums[p]
+    return sums
 
 
 class _Side(NamedTuple):
@@ -188,7 +424,9 @@ class _Side(NamedTuple):
     one choice None.  ``scar`` is the index of the scar edge in ``refs`` and
     ``near`` the indices of the edges touching it.  ``sums[k]`` is the hash
     sum modulo 2^64 of the output splits the component contributes when
-    reconnected at ``refs[k]`` (see :func:`_contributions`).
+    reconnected at ``refs[k]`` (see :func:`_contributions`).  The survey
+    reads the parts it needs from the layout and the four functions above;
+    a whole side is the view the tests hold against an adjacency walk.
     """
 
     mask: int
@@ -202,126 +440,21 @@ class _Side(NamedTuple):
         return self.refs[0] is None
 
 
-def _single(mask: int) -> _Side:
-    return _Side(mask, [None], 0, (), [0])
-
-
 def _side_a(rooted: _Rooted, v: int) -> _Side:
-    """Side A = C(v) of the bisection of the edge above v.
-
-    v is suppressed, so its children x and y share the scar edge.
-    Reconnected at the scar, every edge gives its own cluster and the scar
-    both C(x) and C(y).  Reconnected at the edge above a vertex w below x,
-    the scar gives C(y) alone, w gives C(w) and A ^ C(w), and every edge
-    between w and x flips from C(u) to A ^ C(u): a prefix sum down x's
-    slice.  The same holds below y.
-    """
-    cluster, parent, end, hashes = rooted.cluster, rooted.parent, rooted.end, rooted.hashes
-    a = cluster[v]
-    x, stop = v + 1, end[v]
-    if x == stop:
-        return _single(a)
-    y = end[x]
-    low = a & -a
-    at_scar = rooted.prefix[stop] - rooted.prefix[x]
-    refs: list[int | None] = [cluster[x] ^ a if cluster[x] & low else cluster[x]]
-    sums = [at_scar & _M64]
-    flips = [0] * stop  # per vertex below x or y: its flips up to there
-    for top, last in ((x, y), (y, stop)):
-        base = at_scar - hashes[top]
-        for u in range(top + 1, last):
-            c = cluster[u]
-            g = _mix(a ^ c)
-            d = flips[parent[u]]
-            flips[u] = d + g - hashes[u]
-            sums.append((base + g + d) & _M64)
-            refs.append(c ^ a if c & low else c)
-    # refs holds x, then x+1 .. y-1, then y+1 .. stop-1.
-    near: tuple[int, ...] = ()
-    if x + 1 < y:
-        near += (1, end[x + 1] - x)
-    if y + 1 < stop:
-        near += (y - x, end[y + 1] - x - 1)
-    return _Side(a, refs, 0, near, sums)
+    """Side A = C(v) of the bisection of the edge above v."""
+    return _Side(rooted.cluster[v], _refs_a(rooted, v), 0, rooted.layout.cuts[v].near_a, _sums_a(rooted, v))
 
 
 def _side_b(rooted: _Rooted, v: int) -> _Side:
-    """Side B, the rest of the tree, when the edge above v is bisected.
-
-    B stays rooted at leaf 0.  The parent p of v is suppressed, so v's
-    sibling s hangs from p's parent and its edge is the scar.  An ancestor
-    u of v has the cluster C'(u) = C(u) ^ A in B, every other vertex keeps
-    C'(u) = C(u).  Reconnected at the edge above w, B gives C'(u) for every
-    edge, C'(w) | A for w, and flips every edge above w to C'(u) | A (the
-    side holding leaf 0, normalized): a prefix sum down the preorder.  The
-    ancestors of v are one walk up from p, and the rest of the preorder one
-    flat pass that reads each edge's hash flipped and kept.
-    """
-    if v == 0:
-        return _single(1)
-    cluster, parent, end, hashes = rooted.cluster, rooted.parent, rooted.end, rooted.hashes
-    a = cluster[v]
-    p, stop, size = parent[v], end[v], len(cluster)
-    # Per position but v's slice (p's entry is dropped last): its ref and the hashes of C'(u) | A and C'(u).
-    refs: list[int | None] = [*cluster[:v], *cluster[stop:]]
-    flipped, kept = [*map(_mix, map(a.__or__, refs))], [*hashes[:v], *hashes[stop:]]
-    flipped[p] = kept[p] = 0  # s continues from p's parent
-    total = rooted.prefix[size] - rooted.prefix[stop] + rooted.prefix[v] - hashes[p]
-    u = parent[p]
-    while u >= 0:  # the ancestors of v above p
-        refs[u] = c = cluster[u] ^ a
-        flipped[u], kept[u] = hashes[u], _mix(c)
-        total += kept[u] - hashes[u]
-        u = parent[u]
-    flips = [0] * size + [total]  # per position: the base and its flips up to leaf 0 (the last slot: parent -1)
-    sums = []
-    for u, up, down in zip(chain(range(v), range(stop, size)), flipped, kept):
-        d = flips[parent[u]] + up
-        sums.append(d & _M64)
-        flips[u] = d - down
-    del refs[p], sums[p]
-
-    def index(u: int) -> int:  # refs skip p and the slice of v
-        return u - (u > p) if u < v else u - (stop - v) - 1
-
-    s = p + 1 if p + 1 != v else stop
-    near: tuple[int, ...] = ()
-    if s + 1 < end[s]:
-        near += (index(s + 1), index(end[s + 1]))
-    pp = parent[p]
-    if pp >= 0:
-        near += (pp, index(pp + 1 if pp + 1 != p else end[p]))
-    return _Side((cluster[0] | 1) ^ a, refs, index(s), near, sums)
-
-
-#: How many of a bisection's :func:`_blocks` hold each kind's operations.
-_BLOCK_COUNT = {OpKind.NNI: 2, OpKind.SPR: 4, OpKind.TBR: 5}
-
-
-def _blocks(side_a: _Side, side_b: _Side, kind: OpKind) -> _Blocks:
-    """The operations of one bisection that are of ``kind`` or narrower, as
-    blocks (rows of A, cols of B): each row with each col is one index pair
-    (ref a, ref b), row by row.
-
-    This is the one place the classification rule of the module docstring
-    is applied.  Side A's scar is ref 0 (:func:`_side_a` and :func:`_single`
-    put it there).  NNI is the scar row at the cols touching B's scar and
-    the scar column at the rows touching A's; SPR adds the rest of both;
-    TBR adds every other pair but scar-scar, which rebuilds the input tree.
-    """
-    sb, near_a, near_b = side_b.scar, side_a.near, side_b.near
-    blocks: _Blocks = (((0,), near_b), (near_a, (sb,)))
-    if kind is OpKind.NNI:
-        return blocks
-    rows = range(1, len(side_a.refs))
-    cols = (*range(sb), *range(sb + 1, len(side_b.refs)))
-    blocks += (((0,), [j for j in cols if j not in near_b]), ([i for i in rows if i not in near_a], (sb,)))
-    return blocks if kind is OpKind.SPR else blocks + ((rows, cols),)
+    """Side B, the rest of the tree, when the edge above v is bisected."""
+    cut = rooted.layout.cuts[v]
+    return _Side((rooted.cluster[0] | 1) ^ rooted.cluster[v], _refs_b(rooted, v), cut.scar_b, cut.near_b, _sums_b(rooted, v))
 
 
 def _pairs(side_a: _Side, side_b: _Side, kind: OpKind) -> list[tuple[int, int]]:
     """Index pairs (ref a, ref b) of the operations of :func:`_blocks`, in order."""
-    return [(i, j) for rows, cols in _blocks(side_a, side_b, kind) for i in rows for j in cols]
+    blocks = _blocks(len(side_a.refs), side_a.near, len(side_b.refs), side_b.scar, side_b.near)
+    return [(i, j) for rows, cols in blocks[: _BLOCK_COUNT[kind]] for i in rows for j in cols]
 
 
 # -- public operations --------------------------------------------------------
@@ -337,14 +470,13 @@ def enumerate_ops(tree: PhyloTree, kind: OpKind = OpKind.TBR) -> list[Rearrangem
     """
     require_leaves(tree)
     rooted = _Rooted(tree)
-    cluster = rooted.cluster
+    cluster, cuts, span = rooted.cluster, rooted.layout.cuts, _BLOCK_COUNT[kind]
     ops = []
     for v in sorted(range(len(cluster)), key=cluster.__getitem__):
-        side_a, side_b = _side_a(rooted, v), _side_b(rooted, v)
-        refs_a, refs_b = side_a.refs, side_b.refs
+        refs_a, refs_b = _refs_a(rooted, v), _refs_b(rooted, v)
         # Refs are distinct within a side, and a single leaf's one ref None
         # is never compared with another value.
-        pairs = sorted((refs_a[i], refs_b[j]) for i, j in _pairs(side_a, side_b, kind))
+        pairs = sorted((refs_a[i], refs_b[j]) for rows, cols in cuts[v].blocks[:span] for i in rows for j in cols)
         ops += [RearrangementOp(cluster[v], ra, rb) for ra, rb in pairs]
     return ops
 
@@ -469,17 +601,13 @@ def _output_key(full: int, mask: int, ra: int | None, rb: int | None, side_a: _S
     return tuple(key)
 
 
-_Bisection = tuple[int, _Side, _Side]
-_Blocks = tuple[tuple[Sequence[int], Sequence[int]], ...]
-
-
-def _hash_keys(bisections: list[_Bisection], blocks: list[_Blocks], width: int) -> list[list[int]]:
-    """Per bisection, the hash keys of the operations in its blocks, in order."""
+def _hash_keys(rooted: _Rooted, span: int, width: int) -> list[list[int]]:
+    """Per bisection, the hash keys of the operations in its first ``span`` blocks, in order."""
     out = []
-    for (mask, side_a, side_b), pair in zip(bisections, blocks):
-        base, sums_a, sums_b = _mix(mask), side_a.sums, side_b.sums
+    for v, cut in enumerate(rooted.layout.cuts):
+        base, sums_a, sums_b = rooted.hashes[v], _sums_a(rooted, v), _sums_b(rooted, v)
         keys: list[int] = []
-        for rows, cols in pair:
+        for rows, cols in cut.blocks[:span]:
             if rows and cols:  # a single-leaf side leaves some blocks empty
                 ys = [base + sums_b[j] for j in cols]
                 keys += [(sums_a[i] + y) & width for i in rows for y in ys]
@@ -487,30 +615,36 @@ def _hash_keys(bisections: list[_Bisection], blocks: list[_Blocks], width: int) 
     return out
 
 
-def _split_delta(rooted: _Rooted, v: int, i: int, j: int, scar_b: int) -> frozenset[int]:
-    """The splits in which the output of (ref a i, ref b j), the edge above v
-    bisected, and the input tree differ: equal outputs have equal deltas.
+#: The positions whose clusters make up a split delta (:func:`_delta_walk`).
+_Walk = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _delta_walk(layout: _Layout, v: int, i: int, j: int) -> _Walk:
+    """Where the output of (ref a i, ref b j), the edge above v bisected,
+    and the input tree differ: the positions u whose C(u) it loses, those
+    whose A ^ C(u) it gains and the one, if any, whose C(u) | A it gains.
 
     A reconnected at the edge above w below x (or y) gains A ^ C(w), loses
     C(x) (or C(y)), and swaps C(u) for A ^ C(u) on each vertex between.  B
     reconnected at the edge above w gains C(w) | A, loses C(p), and swaps
     C(u) for C(u) ^ A on each ancestor of w or of s (hung from p's parent)
-    but not of both.  What is lost and gained again nets out."""
-    cluster, parent, end = rooted.cluster, rooted.parent, rooted.end
-    a, lost, gained, path = cluster[v], [], [], []
+    but not of both.
+    """
+    parent, end = layout.parent, layout.end
+    lost, flipped, joined, path = [], [], (), []
     if i:  # refs of A: x, then x+1 .. y-1, then y+1 .. stop-1
         w = v + 1 + i if v + 1 + i < end[v + 1] else v + 2 + i
         u = parent[w]
         while parent[u] != v:
             path.append(u)
             u = parent[u]
-        lost.append(cluster[u])
-        gained.append(cluster[w] ^ a)
-    if j != scar_b:  # refs of B: each position but p and the slice of v
+        lost.append(u)
+        flipped.append(w)
+    if j != layout.cuts[v].scar_b:  # refs of B: each position but p and the slice of v
         p = parent[v]
         w = j if j < p else j + 1 if j < v - 1 else j + end[v] - v + 1
-        lost.append(cluster[p])
-        gained.append(cluster[w] | a)
+        lost.append(p)
+        joined = (w,)
         u = parent[w]
         while u >= 0 and not u < v < end[u]:  # the ancestors of w that are not v's
             path.append(u)
@@ -519,10 +653,19 @@ def _split_delta(rooted: _Rooted, v: int, i: int, j: int, scar_b: int) -> frozen
         while u != top:  # the ancestors of s that are not w's
             path.append(u)
             u = parent[u]
-    for u in path:
-        lost.append(cluster[u])
-        gained.append(cluster[u] ^ a)
-    return frozenset(lost).symmetric_difference(gained)
+    return (*lost, *path), (*flipped, *path), joined
+
+
+def _split_delta(rooted: _Rooted, v: int, walk: _Walk) -> frozenset[int]:
+    """The splits in which an output and the input tree differ, read at the
+    positions of its :func:`_delta_walk`: equal outputs have equal deltas.
+    What is lost and gained again nets out."""
+    cluster = rooted.cluster
+    a = cluster[v]
+    lost, flipped, joined = walk
+    gained = [cluster[u] ^ a for u in flipped]
+    gained += [cluster[u] | a for u in joined]
+    return frozenset([cluster[u] for u in lost]).symmetric_difference(gained)
 
 
 # -- Newick splice ---------------------------------------------------------------
@@ -534,7 +677,7 @@ def _join(t: str, c: int, u: str, d: int) -> str:
 
 
 def _texts_a(rooted: _Rooted, texts: list[str], v: int) -> list[str]:
-    """Newick text of side A rooted at each of its refs, in :func:`_side_a`'s order.
+    """Newick text of side A rooted at each of its refs, in :func:`_refs_a`'s order.
 
     Rooted at the scar, A is the subtree of v.  Rooted at the edge above a
     vertex w below x, its children are the subtree of w and the rest of A
@@ -559,7 +702,7 @@ def _texts_a(rooted: _Rooted, texts: list[str], v: int) -> list[str]:
 
 def _holes_b(rooted: _Rooted, texts: list[str], v: int, lead: str) -> tuple[list[str], list[str]]:
     """Side B's Newick text left and right of a hole at each of its refs, in
-    :func:`_side_b`'s order, for v > 0.
+    :func:`_refs_b`'s order, for v > 0.
 
     Reconnecting A at ref b gives the text left + (A's text) + right.  B
     stays rooted at leaf 0 and v's sibling s hangs where v's parent p hung,
@@ -611,56 +754,48 @@ def _holes_b(rooted: _Rooted, texts: list[str], v: int, lead: str) -> tuple[list
     return lefts, rights
 
 
-def _newicks(tree: PhyloTree, rooted: _Rooted, blocks: list[_Blocks]) -> set[str]:
-    """The Newick text of each distinct output of the operations in the blocks of each bisection."""
+def _newicks(tree: PhyloTree, rooted: _Rooted, span: int) -> set[str]:
+    """The Newick text of each distinct output of the operations in the first ``span`` blocks of each bisection."""
     leaf0, texts = cluster_texts(tree)
     lead = "(" + leaf0 + ","
     outputs: set[str] = set()
-    for v, pair in enumerate(blocks):
+    for v, cut in enumerate(rooted.layout.cuts):
         text_a = _texts_a(rooted, texts, v)
         if v:
             lefts, rights = _holes_b(rooted, texts, v, lead)
         else:  # B is leaf 0 alone, so A's root is the vertex next to leaf 0
             text_a, lefts, rights = [t[1:-1] for t in text_a], [lead], [");"]
-        for rows, cols in pair:
+        for rows, cols in cut.blocks[:span]:
             holes = [(lefts[j], rights[j]) for j in cols]
             outputs.update([f"{left}{text_a[i]}{right}" for i in rows for left, right in holes])
     return outputs
 
 
 class _Survey:
-    """What the entries of one :func:`op_survey` call share: the sides and
-    blocks of every bisection, and the one hash count of the widest kind
-    asked for, with its re-check (see the module docstring)."""
+    """What the entries of one :func:`op_survey` call share: the tree's
+    rooting and its shape's layout, the number of blocks the widest kind
+    asked for fills, and that kind's one hash count, with its re-check (see
+    the module docstring)."""
 
     def __init__(self, tree: PhyloTree, kinds: tuple[OpKind, ...]):
         self.tree = tree
-        self.rooted = rooted = _Rooted(tree)
-        self.bisections = [(mask, _side_a(rooted, v), _side_b(rooted, v)) for v, mask in enumerate(rooted.cluster)]
-        widest = max(kinds, key=_BLOCK_COUNT.__getitem__, default=OpKind.NNI)
-        self.blocks = [_blocks(side_a, side_b, widest) for _, side_a, side_b in self.bisections]
+        self.rooted = _Rooted(tree)
+        self.span = max(map(_BLOCK_COUNT.__getitem__, kinds), default=_BLOCK_COUNT[OpKind.NNI])
 
-    @cached_property
+    @lazy
     def count(self) -> tuple[list[list[int]], set[int], list[list[frozenset[int]]], Counter]:
         """Keys per bisection, the shared keys, per block their operations' split deltas, and those counted."""
-        keys = _hash_keys(self.bisections, self.blocks, (1 << _HASH_BITS) - 1)
+        rooted = self.rooted
+        keys = _hash_keys(rooted, self.span, (1 << _HASH_BITS) - 1)
         counts = Counter(chain.from_iterable(keys))
         shared = set(compress(counts, map((1).__lt__, counts.values())))
-        deltas: list[list[frozenset[int]]] = [[] for _ in self.blocks[0]]
-        for v, block, i, j in self.located(keys, shared.__contains__):
-            deltas[block].append(_split_delta(self.rooted, v, i, j, self.bisections[v][2].scar))
+        deltas: list[list[frozenset[int]]] = [[] for _ in range(self.span)]
+        recheck = rooted.layout.recheck
+        for v, row in enumerate(keys):
+            for pos in compress(count(), map(shared.__contains__, row)):
+                block, walk = recheck(v, pos)
+                deltas[block].append(_split_delta(rooted, v, walk))
         return keys, shared, deltas, Counter(chain.from_iterable(deltas))
-
-    def located(self, keys: list[list[int]], take: Callable[[int], bool]) -> Iterator[tuple[int, int, int, int]]:
-        """(bisection, block, ref a, ref b) of each operation whose key passes ``take``, by its block position."""
-        for v, blocks in enumerate(self.blocks):
-            block, start, (rows, cols) = 0, 0, blocks[0]
-            for pos in compress(count(), map(take, keys[v])):
-                while pos >= start + len(rows) * len(cols):
-                    start, block = start + len(rows) * len(cols), block + 1
-                    rows, cols = blocks[block]
-                r, c = divmod(pos - start, len(cols))
-                yield v, block, rows[r], cols[c]
 
     def full_key(self, delta: frozenset[int]) -> tuple[int, ...]:
         """The sorted split masks of the output with this split delta."""
@@ -670,26 +805,27 @@ class _Survey:
 class SurveyEntry:
     """Survey output for one operation kind.
 
-    ``op_count`` is the size of the kind's blocks, and ``report`` reads the
-    survey's hash count.  :meth:`output_keys`, ``multiplicities`` (output
-    tree to the number of operations producing it) and ``forms`` are built
-    on demand, each output's split masks the input's with a split delta
-    flipped: that of an operation whose key no other shares, or one of the
-    re-check.  ``repeats`` reads the re-check alone, as an output of two or
-    more operations always shares its key.  :meth:`newicks` reads no key at
-    all: it splices each output's text from the sides.
+    ``op_count`` is the size of the kind's blocks, which the shape's layout
+    holds, and ``report`` reads the survey's hash count.
+    :meth:`output_keys`, ``multiplicities`` (output tree to the number of
+    operations producing it) and ``forms`` are built on demand, each
+    output's split masks the input's with a split delta flipped: that of an
+    operation whose key no other shares, or one of the re-check.
+    ``repeats`` reads the re-check alone, as an output of two or more
+    operations always shares its key.  :meth:`newicks` reads no key at all:
+    it splices each output's text from the layout's blocks.
     """
 
     def __init__(self, survey: _Survey, kind: OpKind):
         self._survey, self._kind, self._span = survey, kind, _BLOCK_COUNT[kind]
-        self.op_count = sum(len(rows) * len(cols) for blocks in survey.blocks for rows, cols in blocks[: self._span])
+        self.op_count = survey.rooted.layout.op_count[kind]
 
-    @cached_property
+    @lazy
     def _repeated(self) -> Counter:  # the re-checked operations of this kind, by split delta
         deltas, every = self._survey.count[2:]
         return Counter(chain.from_iterable(deltas[: self._span])) if any(deltas[self._span :]) else every
 
-    @cached_property
+    @lazy
     def report(self) -> NeighbourhoodReport:
         repeated = self._repeated
         unshared = self.op_count - sum(repeated.values())
@@ -702,31 +838,32 @@ class SurveyEntry:
     def newicks(self) -> set[str]:
         """The Newick text of each distinct output tree, as
         :func:`~treespace.newick_io.serialize_newick` writes it."""
-        survey = self._survey
-        return _newicks(survey.tree, survey.rooted, [blocks[: self._span] for blocks in survey.blocks])
+        return _newicks(self._survey.tree, self._survey.rooted, self._span)
 
     def output_keys(self) -> Iterator[tuple[int, ...]]:
         """The sorted normalized split masks of each distinct output tree, once each."""
         survey = self._survey
         if self.report.neighbourhood_size > len(self._repeated):  # some output has a key of its own
-            keys, shared = survey.count[:2]
-            for v, block, i, j in survey.located(keys, lambda key: key not in shared):
-                if block < self._span:
-                    yield survey.full_key(_split_delta(survey.rooted, v, i, j, survey.bisections[v][2].scar))
+            rooted, (keys, shared) = survey.rooted, survey.count[:2]
+            for v, (cut, row) in enumerate(zip(rooted.layout.cuts, keys)):
+                for pos in compress(count(), (key not in shared for key in row)):
+                    block, i, j = cut.op_at(pos)
+                    if block < self._span:
+                        yield survey.full_key(_split_delta(rooted, v, _delta_walk(rooted.layout, v, i, j)))
         yield from map(survey.full_key, self._repeated)
 
-    @cached_property
+    @lazy
     def multiplicities(self) -> dict[CanonicalForm, int]:
         names, ones = self._survey.tree.leaf_order, repeat(1, self.report.neighbourhood_size - len(self._repeated))
         return {CanonicalForm(k, names): c for k, c in zip(self.output_keys(), chain(ones, self._repeated.values()))}
 
-    @cached_property
+    @lazy
     def repeats(self) -> dict[CanonicalForm, int]:
         """The outputs of two or more operations, each with its multiplicity."""
         names, full_key = self._survey.tree.leaf_order, self._survey.full_key
         return {CanonicalForm(full_key(delta), names): c for delta, c in self._repeated.items() if c > 1}
 
-    @cached_property
+    @lazy
     def forms(self) -> frozenset[CanonicalForm]:
         return frozenset(self.multiplicities)
 

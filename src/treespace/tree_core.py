@@ -12,16 +12,17 @@ the label of each leaf vertex, and validates them.  The Newick parser, the
 generators and :func:`treespace.rearrange.apply_op` all hand it edge
 lists; an empty edge list with one label is the one-leaf tree.
 
-Every tree is rooted once, at leaf 0, by :attr:`PhyloTree.preorder`.  Split
-masks, Gamma, the rearrangement survey and the complete-tree predicate all
-read that one traversal; :func:`~treespace.rearrange.apply_op` walks the
-adjacency instead, so that it stays an independent oracle.
+Every tree is walked once, from leaf 0, when it is built: that walk checks
+that the edges connect every vertex and is the tree's rooting,
+:attr:`PhyloTree.preorder`, with the leaf count below each position.  Split
+masks, Gamma, the rearrangement survey and both shape predicates read it;
+:func:`~treespace.rearrange.apply_op` walks the adjacency instead, so that
+it stays an independent oracle.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (
     Cyclic,
@@ -40,17 +41,17 @@ MAX_LEAVES = 64
 Edge = tuple[int, int]
 
 
-def _ordered_names(names: Iterable[str]) -> tuple[str, ...]:
-    """Sort labels numerically when all of them are integer literals.
+def _leaf_order(names: Mapping[int, str]) -> list[tuple[str, int]]:
+    """(label, vertex) per leaf, in leaf index order: by label, numerically
+    when every label is an integer literal.
 
     Trees generated in this package label leaves "1".."n"; numeric-aware
     ordering keeps leaf index i attached to label str(i+1) past n = 9.
     """
-    names = list(names)
     try:
-        return tuple(sorted(names, key=lambda s: (int(s), s)))
+        return [(s, v) for _, s, v in sorted((int(s), s, v) for v, s in names.items())]
     except ValueError:
-        return tuple(sorted(names))
+        return sorted((s, v) for v, s in names.items())
 
 
 class CanonicalForm(NamedTuple):
@@ -74,16 +75,122 @@ class Preorder(NamedTuple):
 
     Position 0 is the neighbour of leaf 0; children are visited in
     descending vertex order.  Per position: its ``vertex`` id, the
-    ``parent`` position (-1 above position 0, where leaf 0 hangs) and the
-    ``cluster`` mask of the leaves below it.  The cluster below a position
-    is the normalized split mask of the edge above it, so the positions
-    number the edges as well, and every subtree is the slice that starts at
-    its top position.
+    ``parent`` position (-1 above position 0, where leaf 0 hangs), the
+    ``cluster`` mask of the leaves below it and their number, ``size``.
+    The cluster below a position is the normalized split mask of the edge
+    above it, so the positions number the edges as well, and every subtree
+    is the slice that starts at its top position.  ``parent`` alone is the
+    tree's rooted shape.
     """
 
     vertex: tuple[int, ...]
     parent: tuple[int, ...]
     cluster: tuple[int, ...]
+    size: tuple[int, ...]
+
+
+class lazy:
+    """A value computed from an instance on its first read and stored in the
+    instance's ``__dict__``, where later reads find it without calling the
+    descriptor.  Like :class:`functools.cached_property`, which takes a lock
+    on every first read up to Python 3.11; two threads that race on a first
+    read both compute the same value."""
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: object, owner: type | None = None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
+def _check_vertices(adj: dict[int, list[int]], names: dict[int, str]) -> None:
+    """Raises unless every vertex has degree 1 or 3 and exactly the leaves
+    carry labels, unique, non-empty strings, at most MAX_LEAVES of them."""
+    leaves = set()
+    for v, nbrs in adj.items():
+        d = len(nbrs)
+        if d == 0 and len(adj) == 1:
+            leaves.add(v)
+        elif d == 1:
+            leaves.add(v)
+        elif d != 3:
+            raise DegreeViolation(f"vertex {v} has degree {d}")
+    for v in leaves:
+        if v not in names:
+            raise EmptyLabel(f"leaf vertex {v} has no label")
+    for v, name in names.items():
+        if v not in leaves:
+            raise DegreeViolation(f"label {name!r} attached to internal vertex {v}")
+        if not isinstance(name, str) or not name:
+            raise EmptyLabel(f"leaf vertex {v} has an empty label")
+    if len(set(names.values())) != len(names):
+        counts: dict[str, int] = {}
+        for name in names.values():
+            counts[name] = counts.get(name, 0) + 1
+        dup = next(name for name, c in counts.items() if c > 1)
+        raise DuplicateLabel(f"label {dup!r} occurs more than once")
+    if len(leaves) > MAX_LEAVES:
+        raise TooManyLeaves(f"{len(leaves)} leaves exceed the cap of {MAX_LEAVES}")
+
+
+def _walk(adj: dict[int, list[int]], index_of: dict[int, int], root: int) -> Preorder:
+    """The preorder of the tree hung from leaf vertex ``root``, and the check
+    that the edges connect every vertex.
+
+    One stack walk from the neighbour of ``root`` that pushes each vertex's
+    other two neighbours in ascending order, so that the larger is visited
+    first, and never turns back along the edge it came by.  Such a walk
+    ends only if it meets no cycle, a doubled edge included, so it is
+    stopped after |V| - 1 positions.  Given |E| = |V| - 1 and the degrees,
+    the edges form a tree exactly when the walk ends there on its own:
+    ending sooner, it missed a vertex; going on, it met a cycle, and then
+    |E| = |V| - 1 leaves some vertex unreachable.  Then one pass up the
+    positions ORs each cluster into its parent's and adds up the sizes, so
+    no mask ever holds bit 0.
+    """
+    limit = len(adj) - 1
+    vertex: list[int] = []
+    parent: list[int] = []
+    cluster: list[int] = []
+    size: list[int] = []
+    stack = [(adj[root][0], root, -1)]
+    pop, push = stack.pop, stack.append
+    for u in range(limit):
+        if not stack:
+            raise Disconnected(f"only {u + 1} of {limit + 1} vertices reachable")
+        v, up, p = pop()
+        vertex.append(v)
+        parent.append(p)
+        i = index_of.get(v)
+        if i is None:
+            cluster.append(0)
+            size.append(0)
+            x, y, z = adj[v]
+            if x == up:
+                x = z
+            elif y == up:
+                y = z
+            if x > y:
+                x, y = y, x
+            push((x, v, u))
+            push((y, v, u))
+        else:
+            cluster.append(1 << i)
+            size.append(1)
+    if stack:
+        raise Disconnected(f"{limit} edges on {limit + 1} vertices close a cycle, so some vertex is unreachable")
+    for u in range(limit - 1, 0, -1):
+        p = parent[u]
+        cluster[p] |= cluster[u]
+        size[p] += size[u]
+    return Preorder(tuple(vertex), tuple(parent), tuple(cluster), tuple(size))
 
 
 class PhyloTree:
@@ -92,12 +199,12 @@ class PhyloTree:
     Built from an edge list, each edge a pair of vertex ids, and the label
     of each leaf vertex.  Vertices are opaque integer ids supplied by the
     caller; only the leaf labels carry meaning.  The constructor checks that
-    the edges form a tree (no self-loop, |E| = |V| - 1, connected), that
-    every vertex has degree 1 or 3, that exactly the leaves are labelled,
-    uniquely, and that there are at most MAX_LEAVES leaves.  All derived
-    structure (leaf indices, the rooted preorder, per-edge split masks, the
-    canonical form) is computed once and cached.  Instances are safe to
-    share between threads.
+    there is no self-loop and |E| = |V| - 1, that every vertex has degree 1
+    or 3, that exactly the leaves are labelled, uniquely, that there are at
+    most MAX_LEAVES leaves, and then, with the one walk that builds the
+    :attr:`preorder`, that the edges are connected.  The leaf order and the
+    preorder are built there; the split masks and the canonical form on
+    first use.  Instances are safe to share between threads.
     """
 
     def __init__(self, edges: Iterable[Edge], leaf_names: Mapping[int, str]):
@@ -111,73 +218,30 @@ class PhyloTree:
             pairs.append((u, v) if u < v else (v, u))
         for v in leaf_names:
             nbrs.setdefault(v, [])  # a leaf on no edge: the one-leaf tree
-        self._adj = {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
+        self._adj = adj = nbrs
         self._edges: tuple[Edge, ...] = tuple(sorted(pairs))
         self._leaf_name: dict[int, str] = dict(leaf_names)
-        self._validate()
-
-    # -- validation -----------------------------------------------------
-
-    def _validate(self) -> None:
-        adj = self._adj
         if not adj:
             raise Disconnected("tree has no vertices")
-        n_vertices = len(adj)
-        if len(self._edges) > n_vertices - 1:
-            raise Cyclic(f"{len(self._edges)} edges on {n_vertices} vertices")
-        if len(self._edges) < n_vertices - 1:
-            raise Disconnected(f"{len(self._edges)} edges cannot connect {n_vertices} vertices")
-
-        # BFS connectivity; with |E| = |V| - 1 this also certifies acyclicity.
-        start = next(iter(adj))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        if len(seen) != n_vertices:
-            raise Disconnected(f"only {len(seen)} of {n_vertices} vertices reachable")
-
-        leaves = set()
-        for v, nbrs in adj.items():
-            d = len(nbrs)
-            if d == 0 and n_vertices == 1:
-                leaves.add(v)
-            elif d == 1:
-                leaves.add(v)
-            elif d != 3:
-                raise DegreeViolation(f"vertex {v} has degree {d}")
-
-        names = self._leaf_name
-        for v in leaves:
-            if v not in names:
-                raise EmptyLabel(f"leaf vertex {v} has no label")
-        for v, name in names.items():
-            if v not in leaves:
-                raise DegreeViolation(f"label {name!r} attached to internal vertex {v}")
-            if not isinstance(name, str) or not name:
-                raise EmptyLabel(f"leaf vertex {v} has an empty label")
-        if len(set(names.values())) != len(names):
-            counts: dict[str, int] = {}
-            for name in names.values():
-                counts[name] = counts.get(name, 0) + 1
-            dup = next(name for name, c in counts.items() if c > 1)
-            raise DuplicateLabel(f"label {dup!r} occurs more than once")
-        if len(leaves) > MAX_LEAVES:
-            raise TooManyLeaves(f"{len(leaves)} leaves exceed the cap of {MAX_LEAVES}")
-        self._leaf_vertices = frozenset(leaves)
+        if len(pairs) > len(adj) - 1:
+            raise Cyclic(f"{len(pairs)} edges on {len(adj)} vertices")
+        if len(pairs) < len(adj) - 1:
+            raise Disconnected(f"{len(pairs)} edges cannot connect {len(adj)} vertices")
+        _check_vertices(adj, self._leaf_name)
+        order = _leaf_order(self._leaf_name)
+        self._leaf_order = tuple(name for name, _ in order)
+        self._index_by_vertex = {v: i for i, (_, v) in enumerate(order)}
+        if len(order) == 1:
+            self._preorder = Preorder((), (), (), ())
+        else:
+            self._preorder = _walk(adj, self._index_by_vertex, order[0][1])
 
     # -- basic accessors ------------------------------------------------
 
     @property
     def n(self) -> int:
         """Number of leaves."""
-        return len(self._leaf_vertices)
+        return len(self._leaf_order)
 
     @property
     def full_mask(self) -> int:
@@ -190,27 +254,19 @@ class PhyloTree:
         return self._edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        """The neighbours of vertex ``v``, ascending."""
+        return tuple(sorted(self._adj[v]))
 
     def is_leaf(self, v: int) -> bool:
-        return v in self._leaf_vertices
+        return v in self._index_by_vertex
 
     def leaf_name(self, v: int) -> str:
         return self._leaf_name[v]
 
-    @cached_property
+    @property
     def leaf_order(self) -> tuple[str, ...]:
         """Leaf labels in index order (index i is ``leaf_order[i]``)."""
-        return _ordered_names(self._leaf_name.values())
-
-    @cached_property
-    def _vertex_by_index(self) -> tuple[int, ...]:
-        by_name = {name: v for v, name in self._leaf_name.items()}
-        return tuple(by_name[name] for name in self.leaf_order)
-
-    @cached_property
-    def _index_by_vertex(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self._vertex_by_index)}
+        return self._leaf_order
 
     def vertex_leaf_index(self, v: int) -> int:
         """Leaf index of a leaf vertex id."""
@@ -218,39 +274,17 @@ class PhyloTree:
 
     # -- split machinery -------------------------------------------------
 
-    @cached_property
+    @property
     def preorder(self) -> Preorder:
-        """The tree rooted at leaf 0 (see :class:`Preorder`); empty for n = 1.
+        """The tree rooted at leaf 0 (see :class:`Preorder`); empty for n = 1."""
+        return self._preorder
 
-        One stack walk from the neighbour of leaf 0, then one pass up the
-        positions ORs each cluster into its parent's, so no mask ever holds
-        bit 0.
-        """
-        if self.n <= 1:
-            return Preorder((), (), ())
-        root = self._vertex_by_index[0]
-        adj, index_of = self._adj, self._index_by_vertex
-        vertex: list[int] = []
-        parent: list[int] = []
-        cluster: list[int] = []
-        stack = [(adj[root][0], root, -1)]
-        while stack:
-            v, up, p = stack.pop()
-            u = len(vertex)
-            vertex.append(v)
-            parent.append(p)
-            cluster.append(1 << index_of[v] if v in index_of else 0)
-            stack += [(w, v, u) for w in adj[v] if w != up]
-        for u in range(len(vertex) - 1, 0, -1):
-            cluster[parent[u]] |= cluster[u]
-        return Preorder(tuple(vertex), tuple(parent), tuple(cluster))
-
-    @cached_property
+    @lazy
     def split_masks(self) -> tuple[int, ...]:
         """Sorted masks of all 2n-3 splits (normalized: bit 0 never set)."""
-        return tuple(sorted(self.preorder.cluster))
+        return tuple(sorted(self._preorder.cluster))
 
-    @cached_property
+    @lazy
     def _canonical_form(self) -> CanonicalForm:
         return CanonicalForm(self.split_masks, self.leaf_order)
 

@@ -157,11 +157,13 @@ def _exhaustive_range(n_max: int) -> range:
 
 def _suite_pool(threads: int, n_max: int):
     """One :func:`scan_pool` for every n of a suite call, or none for one thread."""
-    from .extremal import scan_pool
-
     if threads < 1:
         raise RangeError(f"threads must be >= 1, got {threads}")
-    return scan_pool(threads, n_max) if threads > 1 else nullcontext()
+    if threads == 1:
+        return nullcontext()
+    from .extremal import scan_pool
+
+    return scan_pool(threads, n_max)
 
 
 def _check_shard(args: tuple[TreeCheck, int, tuple[int, ...]]) -> tuple[int, list[dict], int]:
@@ -337,8 +339,9 @@ def complete_tbr_size_sweep(limit: int, start: int = 4) -> tuple[np.ndarray, np.
     return ns, gamma
 
 
-#: Sizes per block of the asymptotic sweep, which bounds its memory.
-SWEEP_BLOCK = 1 << 16
+#: Sizes per block of the asymptotic sweep, which bounds its memory: a
+#: block's int64 arrays (128 KB each) stay in cache, and few are live at once.
+SWEEP_BLOCK = 1 << 14
 
 
 def _sweep_blocks(limit: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:

@@ -2,8 +2,8 @@
 only on restriction and subtree-swap surgery, independent of the scar-edge
 classification rules they are used to validate, a Newick writer independent
 of the preorder one, bisection components and Gamma from an adjacency walk,
-independent of the tree's rooted preorder, and the cluster-set definition of
-a complete tree."""
+independent of the tree's rooted preorder, the cluster-set definition of a
+complete tree and the neighbour definition of a caterpillar."""
 
 from __future__ import annotations
 
@@ -215,6 +215,13 @@ def reference_gamma(tree: PhyloTree) -> int:
     n = tree.n
     sizes = (mask.bit_count() for mask, _, _ in reference_bisections(tree))
     return sum(a * (n - a) for a in sizes if 2 <= a <= n - 2)
+
+
+def reference_is_caterpillar(tree: PhyloTree) -> bool:
+    """Every internal vertex has a leaf neighbour, read off the adjacency."""
+    return all(
+        any(tree.is_leaf(w) for w in tree.neighbors(v)) for v in tree.vertices() if not tree.is_leaf(v)
+    )
 
 
 def _pair_balanced(p: int, q: int) -> bool:

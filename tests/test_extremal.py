@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import cluster_masks, reference_is_complete
+from conftest import cluster_masks, reference_is_caterpillar, reference_is_complete
 
 from treespace import (
     OpKind,
@@ -22,6 +22,7 @@ from treespace import (
     is_complete,
     parse_newick,
     perfect,
+    random_tree,
 )
 from treespace.verify import extremal_suite
 
@@ -35,6 +36,18 @@ class TestIsCaterpillar:
 
     def test_every_t5_tree_is(self):
         assert all(is_caterpillar(t) for t in all_trees(5))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_agrees_with_adjacency_reference(self, n):
+        """The preorder reading against every internal vertex's neighbours."""
+        trees = list(all_trees(n))
+        assert [is_caterpillar(t) for t in trees] == [reference_is_caterpillar(t) for t in trees]
+
+    def test_agrees_with_adjacency_reference_large(self):
+        trees = [random_tree(n, n) for n in range(9, 65)]
+        trees += [f(n) for f in (caterpillar, complete) for n in range(9, 65, 5)]
+        trees += [perfect(n) for n in (8, 12, 16, 24, 32, 48, 64)]
+        assert [is_caterpillar(t) for t in trees] == [reference_is_caterpillar(t) for t in trees]
 
 
 class TestIsComplete:

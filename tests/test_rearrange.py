@@ -39,9 +39,13 @@ from treespace import rearrange
 from treespace.rearrange import (
     _M64,
     _contributions,
+    _delta_walk,
+    _layout,
     _mix,
     _output_key,
     _pairs,
+    _refs_a,
+    _refs_b,
     _Rooted,
     _side_a,
     _side_b,
@@ -468,7 +472,7 @@ class TestOneCount:
             for v, mask in enumerate(rooted.cluster):
                 side_a, side_b = _side_a(rooted, v), _side_b(rooted, v)
                 for i, j in _pairs(side_a, side_b, kind):
-                    delta = _split_delta(rooted, v, i, j, side_b.scar)
+                    delta = _split_delta(rooted, v, _delta_walk(rooted.layout, v, i, j))
                     key = _output_key(tree.full_mask, mask, side_a.refs[i], side_b.refs[j], side_a, side_b)
                     assert splits ^ delta == frozenset(key), (tree, v, i, j)
                     assert by_delta.setdefault(delta, key) == key
@@ -578,6 +582,78 @@ class TestRootedPreparation:
                             want[OpKind.NNI].append(op)
             for kind, ops in want.items():
                 assert enumerate_ops(tree, kind) == ops, kind
+
+
+def reference_blocks(side_a, side_b) -> list[set]:
+    """The five blocks of one bisection, narrowest kind first, as sets of
+    (ref a, ref b) built from :func:`reference_component`'s refs, scar and
+    near-scar refs by the module docstring's rule."""
+    (refs_a, scar_a, near_a), (refs_b, scar_b, near_b) = side_a, side_b
+    rest_a, rest_b = set(refs_a) - {scar_a}, set(refs_b) - {scar_b}
+    return [
+        {(scar_a, rb) for rb in near_b},
+        {(ra, scar_b) for ra in near_a},
+        {(scar_a, rb) for rb in rest_b - near_b},
+        {(ra, scar_b) for ra in rest_a - near_a},
+        {(ra, rb) for ra in rest_a for rb in rest_b},
+    ]
+
+
+LAYOUT_TREES = {
+    "T4-T7": [t for n in (4, 5, 6, 7) for t in all_trees(n)],
+    "random8-24": [random_tree(n, seed) for n in range(8, 25) for seed in (n, n + 100)],
+}
+
+
+class TestShapeLayout:
+    """What a tree's rooted shape fixes is built once per shape."""
+
+    def test_one_layout_per_shape(self):
+        """Labelled trees of one shape share the layout object; another shape has its own."""
+        by_shape: dict = {}
+        for tree in all_trees(7):
+            by_shape.setdefault(tree.preorder.parent, []).append(tree)
+        assert len(by_shape) == 9
+        layouts = set()
+        for trees in by_shape.values():
+            first, other = trees[0], trees[-1]
+            assert first.canonical_form() != other.canonical_form()
+            assert _Rooted(first).layout is _Rooted(other).layout
+            layouts.add(id(_Rooted(first).layout))
+        assert len(layouts) == len(by_shape)
+
+    @pytest.mark.parametrize("trees", LAYOUT_TREES.values(), ids=LAYOUT_TREES.keys())
+    def test_blocks_and_counts_match_adjacency_walk(self, trees):
+        """Each bisection's blocks, read through the tree's refs, are the
+        blocks the adjacency walk's sides give, pair for pair, and each
+        kind's operation count sums its first blocks."""
+        for tree in trees:
+            rooted = _Rooted(tree)
+            want = {mask: reference_blocks(side_a, side_b) for mask, side_a, side_b in reference_bisections(tree)}
+            counts = dict.fromkeys(OpKind, 0)
+            for v, cut in enumerate(rooted.layout.cuts):
+                refs_a, refs_b = _refs_a(rooted, v), _refs_b(rooted, v)
+                blocks = want.pop(rooted.cluster[v])
+                assert len(cut.blocks) == len(blocks) == 5
+                for (rows, cols), block in zip(cut.blocks, blocks):
+                    pairs = [(refs_a[i], refs_b[j]) for i in rows for j in cols]
+                    assert len(pairs) == len(block) and set(pairs) == block, (tree, v)
+                for kind in OpKind:
+                    counts[kind] += sum(map(len, blocks[: rearrange._BLOCK_COUNT[kind]]))
+            assert not want
+            assert rooted.layout.op_count == counts
+
+    def test_cache_stays_bounded(self):
+        """200 surveys of random 64-leaf trees, nearly all of distinct shapes,
+        leave no more layouts than the cache's bound."""
+        bound = _layout.cache_info().maxsize
+        misses = _layout.cache_info().misses
+        for seed in range(200):
+            tree = random_tree(64, seed)
+            assert op_survey(tree, (OpKind.NNI,))[OpKind.NNI].op_count == 4 * (2 * 64 - 6)
+            assert _layout.cache_info().currsize <= bound
+        assert _layout.cache_info().misses - misses > bound
+        assert _layout.cache_info().currsize == bound
 
 
 SPLICE_TREES = {

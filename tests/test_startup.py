@@ -75,9 +75,10 @@ CALLS = {
         ("table", "--what", "tbr-size", "--family", "perfect", "--n-max", "64"),
         BASE | {"treespace.tree_core", "treespace.metrics"},
     ),
-    # One thread, so that the surveys run in this process whatever the CPU count.
-    "formulas": (("verify", "--suite", "formulas", "--n-max", "4", "--threads", "1"), ALL),
-    "redundancy": (("verify", "--suite", "redundancy", "--n-max", "4", "--threads", "1"), ALL),
+    # One thread, so that the surveys run in this process whatever the CPU
+    # count, and no pool is opened: extremal, which opens it, stays unloaded.
+    "formulas": (("verify", "--suite", "formulas", "--n-max", "4", "--threads", "1"), ALL - {"treespace.extremal"}),
+    "redundancy": (("verify", "--suite", "redundancy", "--n-max", "4", "--threads", "1"), ALL - {"treespace.extremal"}),
     "extremal": (
         ("verify", "--suite", "extremal", "--n-max", "4"),
         VERIFY | {"treespace.generators", "treespace.extremal"},

@@ -65,6 +65,39 @@ class TestBuildTree:
         with pytest.raises(TooManyLeaves):
             caterpillar(65)
 
+    def test_cycle_beside_a_tree_rejected(self, monkeypatch):
+        """|E| = |V| - 1 and every degree 1 or 3, but a hexagon with six
+        pendant leaves and a separate 3-leaf star: the walk from leaf 0,
+        on the hexagon, would go round it for ever, and must stop."""
+        import signal
+
+        hexagon = [(10 + i, 10 + (i + 1) % 6) for i in range(6)] + [(10 + i, i) for i in range(6)]
+        star = [(20, 6), (20, 7), (20, 8)]
+        names = {v: "abcdefghi"[v] for v in range(9)}
+
+        def too_slow(*args):
+            raise TimeoutError("the validating walk did not stop")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            with pytest.raises(Disconnected):
+                PhyloTree(hexagon + star, names)
+            with pytest.raises(Disconnected):  # leaf 0 on the star: the walk ends early
+                PhyloTree(hexagon + star, {v: "abcdefghi"[(v + 3) % 9] for v in range(9)})
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_doubled_edge_beside_a_tree_rejected(self):
+        """A doubled edge gives its ends degree 3 and leaves |E| = |V| - 1
+        with a separate cherry: the walk must not take the doubled edge for
+        one edge, or its far side twice, and pass."""
+        with pytest.raises(Disconnected):
+            PhyloTree([(0, 1), (1, 2), (1, 2), (2, 3), (4, 5)], {0: "a", 3: "b", 4: "c", 5: "d"})
+        with pytest.raises(Disconnected):
+            PhyloTree([(0, 1), (1, 2), (2, 1), (2, 3), (4, 5)], {0: "c", 3: "d", 4: "a", 5: "b"})
+
     def test_degenerate_sizes(self):
         single = PhyloTree([], {0: "only"})
         assert single.n == 1 and single.edges() == ()
@@ -98,6 +131,13 @@ class TestSplits:
             assert len(s) == 2 * 9 - 3
             assert sum(is_trivial(t, m) for m in s) == 9
             assert sum(not is_trivial(t, m) for m in s) == 9 - 3
+
+    @pytest.mark.parametrize("n", [4, 9, 33, 64])
+    def test_preorder_sizes_count_the_cluster(self, n):
+        for seed in range(3):
+            _, parent, cluster, size = random_tree(n, seed).preorder
+            assert size == tuple(c.bit_count() for c in cluster)
+            assert all(cluster[p] & cluster[u] == cluster[u] for u, p in enumerate(parent) if p >= 0)
 
     def test_split_normalization(self):
         t = random_tree(10, 3)

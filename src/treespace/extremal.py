@@ -63,7 +63,7 @@ def is_complete(tree: PhyloTree) -> bool:
     n = require_leaves(tree)
     k = (n // 3).bit_length() - 1
     bound = 1 << (k + 1)
-    _, parent, _, size = tree.preorder
+    parent, _, size = tree.preorder
     found = False
     for u, a in enumerate(size):
         if 3 <= a <= bound and not _pair_balanced(size[u + 1], a - size[u + 1]):

@@ -169,7 +169,7 @@ def cluster_texts(tree: PhyloTree) -> tuple[str, list[str]]:
     it: the first child is the next position, the second the other child
     seen.
     """
-    _, parent, cluster, _ = tree.preorder
+    parent, cluster, _ = tree.preorder
     names = {1 << i: _quote(name) for i, name in enumerate(tree.leaf_order)}  # by one-bit mask
     texts = [names.get(c, "") for c in cluster]  # "" at the internal positions
     second = {}  # internal position -> its second child

@@ -67,7 +67,9 @@ Enumeration is the brute-force oracle used to verify every closed-form count
 in :mod:`treespace.metrics`, so it never consults those formulas.
 :func:`apply_op` performs a move by graph surgery over a fresh walk of the
 adjacency, independent of the rooted preparation, and is the oracle the
-survey is tested against.
+survey is tested against.  The survey's refs, hash sums, blocks and split
+deltas are tested against an exact split-key reference that lives in the
+test suite and is built from walks of the adjacency, not from this module.
 """
 
 from __future__ import annotations
@@ -313,7 +315,7 @@ class _Rooted:
     """
 
     def __init__(self, tree: PhyloTree):
-        _, parent, cluster, _ = tree.preorder
+        parent, cluster, _ = tree.preorder
         self.layout = _layout(parent)
         self.parent, self.cluster, self.end = parent, cluster, self.layout.end
         self.hashes = [_mix(c) for c in cluster]
@@ -414,47 +416,6 @@ def _sums_b(rooted: _Rooted, v: int) -> list[int]:
         flips[u] = d - down
     del sums[p]
     return sums
-
-
-class _Side(NamedTuple):
-    """One component of a bisected tree and its reconnection choices.
-
-    ``refs`` names each component edge by its partial split, normalized to
-    the side without the component's smallest leaf; a single leaf has the
-    one choice None.  ``scar`` is the index of the scar edge in ``refs`` and
-    ``near`` the indices of the edges touching it.  ``sums[k]`` is the hash
-    sum modulo 2^64 of the output splits the component contributes when
-    reconnected at ``refs[k]`` (see :func:`_contributions`).  The survey
-    reads the parts it needs from the layout and the four functions above;
-    a whole side is the view the tests hold against an adjacency walk.
-    """
-
-    mask: int
-    refs: list[int | None]
-    scar: int
-    near: tuple[int, ...]
-    sums: list[int]
-
-    @property
-    def single(self) -> bool:
-        return self.refs[0] is None
-
-
-def _side_a(rooted: _Rooted, v: int) -> _Side:
-    """Side A = C(v) of the bisection of the edge above v."""
-    return _Side(rooted.cluster[v], _refs_a(rooted, v), 0, rooted.layout.cuts[v].near_a, _sums_a(rooted, v))
-
-
-def _side_b(rooted: _Rooted, v: int) -> _Side:
-    """Side B, the rest of the tree, when the edge above v is bisected."""
-    cut = rooted.layout.cuts[v]
-    return _Side((rooted.cluster[0] | 1) ^ rooted.cluster[v], _refs_b(rooted, v), cut.scar_b, cut.near_b, _sums_b(rooted, v))
-
-
-def _pairs(side_a: _Side, side_b: _Side, kind: OpKind) -> list[tuple[int, int]]:
-    """Index pairs (ref a, ref b) of the operations of :func:`_blocks`, in order."""
-    blocks = _blocks(len(side_a.refs), side_a.near, len(side_b.refs), side_b.scar, side_b.near)
-    return [(i, j) for rows, cols in blocks[: _BLOCK_COUNT[kind]] for i in rows for j in cols]
 
 
 # -- public operations --------------------------------------------------------
@@ -570,35 +531,7 @@ def apply_op(tree: PhyloTree, op: RearrangementOp) -> PhyloTree:
     return PhyloTree(edges, names)
 
 
-# -- fast canonical assembly ---------------------------------------------------
-
-
-def _contributions(side: _Side, ref: int | None, full: int) -> list[int]:
-    """Normalized output-split masks this component contributes when
-    reconnected at ``ref``.
-
-    Every other component edge g separates the same leaves as before on the
-    side away from the attachment point, so g flips to its complement within
-    the component exactly when it contains ``ref``; the subdivided edge
-    contributes both of its sides.  A complement within the component side
-    that holds leaf 0 is normalized to its complement in the full leaf set,
-    so either way it is g ^ A for side A of the bisection.
-    """
-    if side.single:
-        return []
-    a = side.mask ^ full if side.mask & 1 else side.mask
-    parts = [a ^ g if (ref & g) == ref else g for g in side.refs]  # ref itself gives a ^ ref
-    parts.append(ref)
-    return parts
-
-
-def _output_key(full: int, mask: int, ra: int | None, rb: int | None, side_a: _Side, side_b: _Side) -> tuple[int, ...]:
-    """Exact key of one operation's output tree: its sorted normalized split
-    masks.  The reference the tests hold the survey's split deltas to."""
-    key = _contributions(side_a, ra, full) + _contributions(side_b, rb, full)
-    key.append(mask)
-    key.sort()
-    return tuple(key)
+# -- hash keys and split deltas -------------------------------------------------
 
 
 def _hash_keys(rooted: _Rooted, span: int, width: int) -> list[list[int]]:
@@ -874,10 +807,12 @@ def op_survey(
 ) -> dict[OpKind, SurveyEntry]:
     """Neighbourhoods and counts for the requested kinds from one preparation.
 
-    Output splits are recombined directly from the component partial splits,
-    which is an independent route from apply_op's graph surgery (the two are
-    cross-checked in the test suite).  One hash count, run when a report is
-    first read, serves every kind (see the module docstring).
+    Each output's splits are recombined from the tree's clusters at the
+    positions of its shape's layout: a route independent of apply_op's graph
+    surgery and of the test suite's split-key reference, which are both
+    built from walks of the adjacency and cross-checked against it.  One
+    hash count, run when a report is first read, serves every kind (see the
+    module docstring).
     """
     require_leaves(tree)
     survey = _Survey(tree, kinds)

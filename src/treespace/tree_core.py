@@ -10,12 +10,14 @@ the same leaf set are identical exactly when their split sets are equal.
 There is one way to build a tree: :class:`PhyloTree` takes an edge list and
 the label of each leaf vertex, and validates them.  The Newick parser, the
 generators and :func:`treespace.rearrange.apply_op` all hand it edge
-lists; an empty edge list with one label is the one-leaf tree.
+lists; an empty edge list with one label is the one-leaf tree.  The tree
+keeps the adjacency, not the list.
 
 Every tree is walked once, from leaf 0, when it is built: that walk checks
 that the edges connect every vertex and is the tree's rooting,
-:attr:`PhyloTree.preorder`, with the leaf count below each position.  Split
-masks, Gamma, the rearrangement survey and both shape predicates read it;
+:attr:`PhyloTree.preorder`: per position, its parent position, the cluster
+of leaves below it and their count.  Split masks, Gamma, the rearrangement
+survey and both shape predicates read it;
 :func:`~treespace.rearrange.apply_op` walks the adjacency instead, so that
 it stays an independent oracle.
 """
@@ -65,25 +67,20 @@ class CanonicalForm(NamedTuple):
     split_masks: tuple[int, ...]
     leaf_names: tuple[str, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.leaf_names)
-
 
 class Preorder(NamedTuple):
     """A tree rooted at leaf 0, its other vertices numbered in preorder.
 
     Position 0 is the neighbour of leaf 0; children are visited in
-    descending vertex order.  Per position: its ``vertex`` id, the
-    ``parent`` position (-1 above position 0, where leaf 0 hangs), the
-    ``cluster`` mask of the leaves below it and their number, ``size``.
+    descending vertex order.  Per position: the ``parent`` position (-1
+    above position 0, where leaf 0 hangs), the ``cluster`` mask of the
+    leaves below it and their number, ``size``.
     The cluster below a position is the normalized split mask of the edge
     above it, so the positions number the edges as well, and every subtree
     is the slice that starts at its top position.  ``parent`` alone is the
     tree's rooted shape.
     """
 
-    vertex: tuple[int, ...]
     parent: tuple[int, ...]
     cluster: tuple[int, ...]
     size: tuple[int, ...]
@@ -156,7 +153,6 @@ def _walk(adj: dict[int, list[int]], index_of: dict[int, int], root: int) -> Pre
     no mask ever holds bit 0.
     """
     limit = len(adj) - 1
-    vertex: list[int] = []
     parent: list[int] = []
     cluster: list[int] = []
     size: list[int] = []
@@ -166,7 +162,6 @@ def _walk(adj: dict[int, list[int]], index_of: dict[int, int], root: int) -> Pre
         if not stack:
             raise Disconnected(f"only {u + 1} of {limit + 1} vertices reachable")
         v, up, p = pop()
-        vertex.append(v)
         parent.append(p)
         i = index_of.get(v)
         if i is None:
@@ -190,7 +185,7 @@ def _walk(adj: dict[int, list[int]], index_of: dict[int, int], root: int) -> Pre
         p = parent[u]
         cluster[p] |= cluster[u]
         size[p] += size[u]
-    return Preorder(tuple(vertex), tuple(parent), tuple(cluster), tuple(size))
+    return Preorder(tuple(parent), tuple(cluster), tuple(size))
 
 
 class PhyloTree:
@@ -209,30 +204,29 @@ class PhyloTree:
 
     def __init__(self, edges: Iterable[Edge], leaf_names: Mapping[int, str]):
         nbrs: dict[int, list[int]] = {}
-        pairs: list[Edge] = []
+        edge_count = 0
         for u, v in edges:
             if u == v:
                 raise Cyclic(f"self-loop at vertex {v}")
             nbrs.setdefault(u, []).append(v)
             nbrs.setdefault(v, []).append(u)
-            pairs.append((u, v) if u < v else (v, u))
+            edge_count += 1
         for v in leaf_names:
             nbrs.setdefault(v, [])  # a leaf on no edge: the one-leaf tree
         self._adj = adj = nbrs
-        self._edges: tuple[Edge, ...] = tuple(sorted(pairs))
         self._leaf_name: dict[int, str] = dict(leaf_names)
         if not adj:
             raise Disconnected("tree has no vertices")
-        if len(pairs) > len(adj) - 1:
-            raise Cyclic(f"{len(pairs)} edges on {len(adj)} vertices")
-        if len(pairs) < len(adj) - 1:
-            raise Disconnected(f"{len(pairs)} edges cannot connect {len(adj)} vertices")
+        if edge_count > len(adj) - 1:
+            raise Cyclic(f"{edge_count} edges on {len(adj)} vertices")
+        if edge_count < len(adj) - 1:
+            raise Disconnected(f"{edge_count} edges cannot connect {len(adj)} vertices")
         _check_vertices(adj, self._leaf_name)
         order = _leaf_order(self._leaf_name)
         self._leaf_order = tuple(name for name, _ in order)
         self._index_by_vertex = {v: i for i, (_, v) in enumerate(order)}
         if len(order) == 1:
-            self._preorder = Preorder((), (), (), ())
+            self._preorder = Preorder((), (), ())
         else:
             self._preorder = _walk(adj, self._index_by_vertex, order[0][1])
 
@@ -249,9 +243,6 @@ class PhyloTree:
 
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self._adj))
-
-    def edges(self) -> tuple[Edge, ...]:
-        return self._edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """The neighbours of vertex ``v``, ascending."""

@@ -1,9 +1,10 @@
 """Shared helpers: restriction, and definitional rearrangement checks built
 only on restriction and subtree-swap surgery, independent of the scar-edge
 classification rules they are used to validate, a Newick writer independent
-of the preorder one, bisection components and Gamma from an adjacency walk,
-independent of the tree's rooted preorder, the cluster-set definition of a
-complete tree and the neighbour definition of a caterpillar."""
+of the preorder one, bisection components, the exact split key of each
+operation's output and Gamma from an adjacency walk, independent of the
+tree's rooted preorder, the cluster-set definition of a complete tree and
+the neighbour definition of a caterpillar."""
 
 from __future__ import annotations
 
@@ -14,6 +15,11 @@ import pytest
 from treespace import PhyloTree
 from treespace.newick_io import _quote
 from treespace.tree_core import Edge
+
+
+def edge_list(tree: PhyloTree) -> list[Edge]:
+    """Every edge once, as (lower id, higher id), ascending, read off the adjacency."""
+    return [(u, w) for u in tree.vertices() for w in tree.neighbors(u) if u < w]
 
 
 def names_of_mask(tree: PhyloTree, mask: int) -> set[str]:
@@ -91,7 +97,7 @@ def swap_clusters(tree: PhyloTree, attachments: dict[int, tuple[int, int]], y_ma
     ry, ay = attachments[y_mask]
     rz, az = attachments[z_mask]
     dropped = {tuple(sorted((ry, ay))), tuple(sorted((rz, az)))}
-    edges: list[Edge] = [e for e in tree.edges() if e not in dropped]
+    edges: list[Edge] = [e for e in edge_list(tree) if e not in dropped]
     edges += [(ay, rz), (az, ry)]
     names = {v: tree.leaf_name(v) for v in tree.vertices() if tree.is_leaf(v)}
     return PhyloTree(edges, names)
@@ -202,11 +208,45 @@ def reference_bisections(tree: PhyloTree) -> list[tuple[int, tuple, tuple]]:
     """Per edge: (side A mask, side A, side B) from :func:`reference_component`,
     side A being the component without leaf index 0."""
     out = []
-    for u, w in tree.edges():
+    for u, w in edge_list(tree):
         one, other = reference_component(tree, u, w), reference_component(tree, w, u)
         side_a, side_b = (other, one) if one[0] & 1 else (one, other)
         out.append((side_a[0], side_a[1:], side_b[1:]))
     return out
+
+
+def reference_contributions(component: int, refs: tuple, ref: int | None, full: int) -> list[int]:
+    """Normalized output-split masks a component with leaf mask
+    ``component`` and the :func:`reference_component` refs ``refs``
+    contributes when reconnected at ``ref``.
+
+    Every other component edge g separates the same leaves as before on the
+    side away from the attachment point, so g flips to its complement within
+    the component exactly when it contains ``ref``; the subdivided edge
+    contributes both of its sides.  A complement within the component side
+    that holds leaf 0 is normalized to its complement in the full leaf set,
+    so either way it is g ^ A for side A of the bisection.  A single leaf
+    contributes no edge.
+    """
+    if ref is None:
+        return []
+    a = component ^ full if component & 1 else component
+    parts = [a ^ g if (ref & g) == ref else g for g in refs]  # ref itself gives a ^ ref
+    parts.append(ref)
+    return parts
+
+
+def reference_output_key(
+    full: int, mask: int, side_a: tuple, side_b: tuple, ra: int | None, rb: int | None
+) -> tuple[int, ...]:
+    """Exact key of the output of (ref a, ref b), the edge with split
+    ``mask`` bisected: its sorted normalized split masks, from the sides
+    of :func:`reference_bisections`."""
+    key = reference_contributions(mask, side_a[0], ra, full)
+    key += reference_contributions(full ^ mask, side_b[0], rb, full)
+    key.append(mask)
+    key.sort()
+    return tuple(key)
 
 
 def reference_gamma(tree: PhyloTree) -> int:

@@ -75,7 +75,6 @@ PUBLIC = {
 # The public members of PhyloTree.
 TREE_PUBLIC = {
     "canonical_form",
-    "edges",
     "full_mask",
     "is_leaf",
     "leaf_name",

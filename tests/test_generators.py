@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import is_cherry
+from conftest import edge_list, is_cherry
 
 from treespace import (
     NotPerfectSize,
@@ -124,7 +124,7 @@ class TestAllTrees:
 
     def test_all_valid(self):
         for t in all_trees(5):
-            assert len(t.edges()) == 2 * 5 - 3
+            assert len(edge_list(t)) == 2 * 5 - 3
 
     def test_range(self):
         with pytest.raises(RangeError):

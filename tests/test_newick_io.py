@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_cherry, reference_newick
+from conftest import edge_list, is_cherry, reference_newick
 from treespace import (
     BRANCH_LENGTHS_DISCARDED,
     ROOT_SUPPRESSED,
@@ -264,7 +264,7 @@ class TestRoundTrip:
         drawn = random_tree(n, seed)
         suffixes = ["", "", " it's", "\tx y", "''"]
         names = {v: drawn.leaf_name(v) + rng.choice(suffixes) for v in drawn.vertices() if drawn.is_leaf(v)}
-        tree = PhyloTree(drawn.edges(), names)
+        tree = PhyloTree(edge_list(drawn), names)
         text, has_lengths = free_form_newick(tree, rooted, rng)
         doc = parse_newick(text)
         assert doc.tree == tree
@@ -311,7 +311,7 @@ def free_form_newick(tree: PhyloTree, rooted: bool, rng) -> tuple[str, bool]:
         return space() + text + space() + length()
 
     if rooted:
-        u, w = rng.choice(tree.edges())
+        u, w = rng.choice(edge_list(tree))
         body = render(u, w) + "," + render(w, u)
     else:
         centre = rng.choice([v for v in tree.vertices() if not tree.is_leaf(v)])

@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nni_definitional, reference_bisections, restrict, restriction_preserved, spr_definitional
+from conftest import (
+    nni_definitional,
+    reference_bisections,
+    reference_contributions,
+    reference_output_key,
+    restrict,
+    restriction_preserved,
+    spr_definitional,
+)
 
 from treespace import (
     CanonicalForm,
@@ -38,18 +46,15 @@ from treespace import (
 from treespace import rearrange
 from treespace.rearrange import (
     _M64,
-    _contributions,
     _delta_walk,
     _layout,
     _mix,
-    _output_key,
-    _pairs,
     _refs_a,
     _refs_b,
     _Rooted,
-    _side_a,
-    _side_b,
     _split_delta,
+    _sums_a,
+    _sums_b,
     op_survey,
 )
 
@@ -68,13 +73,6 @@ def leaf_mask(tree, *names):
 def kind_of(tree, op):
     """Most specific kind whose operations include ``op``: NNI before SPR before TBR."""
     return next(kind for kind in OpKind if op in set(enumerate_ops(tree, kind)))
-
-
-def sides_of(tree, mask):
-    """The survey's two sides of the bisection of the edge with this split mask."""
-    rooted = _Rooted(tree)
-    v = rooted.cluster.index(mask)
-    return _side_a(rooted, v), _side_b(rooted, v)
 
 
 def scar_refs(tree, mask):
@@ -195,7 +193,7 @@ class TestApply:
         def refuse(*args):
             raise AssertionError("apply_op used the survey's bisection sides")
 
-        for name in ("_Rooted", "_side_a", "_side_b"):
+        for name in ("_Rooted", "_layout", "_refs_a", "_refs_b", "_sums_a", "_sums_b"):
             monkeypatch.setattr(rearrange, name, refuse)
         for tree, op, want in expected:
             assert apply_op(tree, op) == want
@@ -343,14 +341,35 @@ class TestCountFormulas:
         assert report.neighbourhood_size == tbr_size(t)
 
 
+#: How many of :func:`reference_blocks` hold each kind's operations.
+REFERENCE_BLOCK_COUNT = {OpKind.NNI: 2, OpKind.SPR: 4, OpKind.TBR: 5}
+
+
+def reference_blocks(side_a, side_b) -> list[set]:
+    """The five blocks of one bisection, narrowest kind first, as sets of
+    (ref a, ref b) built from :func:`reference_component`'s refs, scar and
+    near-scar refs by the module docstring's rule."""
+    (refs_a, scar_a, near_a), (refs_b, scar_b, near_b) = side_a, side_b
+    rest_a, rest_b = set(refs_a) - {scar_a}, set(refs_b) - {scar_b}
+    return [
+        {(scar_a, rb) for rb in near_b},
+        {(ra, scar_b) for ra in near_a},
+        {(scar_a, rb) for rb in rest_b - near_b},
+        {(ra, scar_b) for ra in rest_a - near_a},
+        {(ra, rb) for ra in rest_a for rb in rest_b},
+    ]
+
+
 def exact_multiplicities(tree):
-    """Per kind, output multiplicities keyed by every operation's sorted split masks."""
+    """Per kind, output multiplicities keyed by every operation's sorted split
+    masks, the operations and keys both from the adjacency walk's sides."""
     counts = {kind: Counter() for kind in OpKind}
-    for mask in tree.split_masks:
-        side_a, side_b = sides_of(tree, mask)
+    for mask, side_a, side_b in reference_bisections(tree):
+        blocks = reference_blocks(side_a, side_b)
         for kind, counter in counts.items():
-            for i, j in _pairs(side_a, side_b, kind):
-                counter[_output_key(tree.full_mask, mask, side_a.refs[i], side_b.refs[j], side_a, side_b)] += 1
+            for block in blocks[: REFERENCE_BLOCK_COUNT[kind]]:
+                for ra, rb in block:
+                    counter[reference_output_key(tree.full_mask, mask, side_a, side_b, ra, rb)] += 1
     return {
         kind: {CanonicalForm(key, tree.leaf_order): c for key, c in counter.items()}
         for kind, counter in counts.items()
@@ -467,13 +486,15 @@ class TestOneCount:
         are equal."""
         for tree in trees:
             rooted, splits = _Rooted(tree), frozenset(tree.split_masks)
+            sides = {mask: (side_a, side_b) for mask, side_a, side_b in reference_bisections(tree)}
             by_delta: dict = {}
             by_key: dict = {}
-            for v, mask in enumerate(rooted.cluster):
-                side_a, side_b = _side_a(rooted, v), _side_b(rooted, v)
-                for i, j in _pairs(side_a, side_b, kind):
+            for v, (mask, cut) in enumerate(zip(rooted.cluster, rooted.layout.cuts)):
+                refs_a, refs_b = _refs_a(rooted, v), _refs_b(rooted, v)
+                pairs = [(i, j) for rows, cols in cut.blocks[: REFERENCE_BLOCK_COUNT[kind]] for i in rows for j in cols]
+                for i, j in pairs:
                     delta = _split_delta(rooted, v, _delta_walk(rooted.layout, v, i, j))
-                    key = _output_key(tree.full_mask, mask, side_a.refs[i], side_b.refs[j], side_a, side_b)
+                    key = reference_output_key(tree.full_mask, mask, *sides[mask], refs_a[i], refs_b[j])
                     assert splits ^ delta == frozenset(key), (tree, v, i, j)
                     assert by_delta.setdefault(delta, key) == key
                     assert by_key.setdefault(key, delta) == delta
@@ -522,21 +543,32 @@ class TestRootedPreparation:
 
     @pytest.mark.parametrize("trees", REFERENCE_TREES.values(), ids=REFERENCE_TREES.keys())
     def test_sides_match_adjacency_walk(self, trees):
+        """Each side's refs, scar and near-scar refs, read through the layout's indices."""
         for tree in trees:
+            rooted = _Rooted(tree)
             for mask, want_a, want_b in reference_bisections(tree):
-                for side, (refs, scar, near) in zip(sides_of(tree, mask), (want_a, want_b)):
-                    assert tuple(sorted(side.refs, key=lambda r: -1 if r is None else r)) == refs
-                    assert side.refs[side.scar] == scar
-                    assert frozenset(side.refs[k] for k in side.near) == near
+                v = rooted.cluster.index(mask)
+                cut = rooted.layout.cuts[v]
+                sides = (_refs_a(rooted, v), 0, cut.near_a), (_refs_b(rooted, v), cut.scar_b, cut.near_b)
+                for (refs, scar, near), (want_refs, want_scar, want_near) in zip(sides, (want_a, want_b)):
+                    assert tuple(sorted(refs, key=lambda r: -1 if r is None else r)) == want_refs
+                    assert refs[scar] == want_scar
+                    assert frozenset(refs[k] for k in near) == want_near
 
     @pytest.mark.parametrize("trees", REFERENCE_TREES.values(), ids=REFERENCE_TREES.keys())
     def test_sums_hash_the_contributions(self, trees):
         """Each prefix sum equals the hash sum of the splits it stands for."""
         for tree in trees[::7]:
-            for mask, _, _ in reference_bisections(tree):
-                for side in sides_of(tree, mask):
-                    for ref, total in zip(side.refs, side.sums):
-                        parts = _contributions(side, ref, tree.full_mask)
+            rooted, full = _Rooted(tree), tree.full_mask
+            for mask, side_a, side_b in reference_bisections(tree):
+                v = rooted.cluster.index(mask)
+                sides = (
+                    (mask, side_a, _refs_a(rooted, v), _sums_a(rooted, v)),
+                    (full ^ mask, side_b, _refs_b(rooted, v), _sums_b(rooted, v)),
+                )
+                for component, (want_refs, _, _), refs, sums in sides:
+                    for ref, total in zip(refs, sums):
+                        parts = reference_contributions(component, want_refs, ref, full)
                         assert sum(map(_mix, parts)) & _M64 == total
 
     @pytest.mark.parametrize(
@@ -584,21 +616,6 @@ class TestRootedPreparation:
                 assert enumerate_ops(tree, kind) == ops, kind
 
 
-def reference_blocks(side_a, side_b) -> list[set]:
-    """The five blocks of one bisection, narrowest kind first, as sets of
-    (ref a, ref b) built from :func:`reference_component`'s refs, scar and
-    near-scar refs by the module docstring's rule."""
-    (refs_a, scar_a, near_a), (refs_b, scar_b, near_b) = side_a, side_b
-    rest_a, rest_b = set(refs_a) - {scar_a}, set(refs_b) - {scar_b}
-    return [
-        {(scar_a, rb) for rb in near_b},
-        {(ra, scar_b) for ra in near_a},
-        {(scar_a, rb) for rb in rest_b - near_b},
-        {(ra, scar_b) for ra in rest_a - near_a},
-        {(ra, rb) for ra in rest_a for rb in rest_b},
-    ]
-
-
 LAYOUT_TREES = {
     "T4-T7": [t for n in (4, 5, 6, 7) for t in all_trees(n)],
     "random8-24": [random_tree(n, seed) for n in range(8, 25) for seed in (n, n + 100)],
@@ -639,7 +656,7 @@ class TestShapeLayout:
                     pairs = [(refs_a[i], refs_b[j]) for i in rows for j in cols]
                     assert len(pairs) == len(block) and set(pairs) == block, (tree, v)
                 for kind in OpKind:
-                    counts[kind] += sum(map(len, blocks[: rearrange._BLOCK_COUNT[kind]]))
+                    counts[kind] += sum(map(len, blocks[: REFERENCE_BLOCK_COUNT[kind]]))
             assert not want
             assert rooted.layout.op_count == counts
 

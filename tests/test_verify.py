@@ -104,13 +104,10 @@ def test_failures_independent_of_worker_count(monkeypatch):
 
 
 def test_sweep_matches_exact_closed_form():
-    ns, sizes = complete_tbr_size_sweep(4096)
-    idx = np.random.default_rng(0).integers(0, len(ns), size=300)
-    for i in idx:
-        assert int(sizes[i]) == complete_tbr_size(int(ns[i]))
-    # and the boundary cells
-    for n in (4, 5, 63, 64, 65, 4095, 4096):
-        assert int(sizes[n - 4]) == complete_tbr_size(n)
+    """The sweep equals the pure-integer closed form at every n <= 2^16."""
+    ns, sizes = complete_tbr_size_sweep(1 << 16)
+    assert ns.tolist() == list(range(4, (1 << 16) + 1))
+    assert sizes.tolist() == [complete_tbr_size(n) for n in range(4, (1 << 16) + 1)]
 
 
 def test_blocked_sweep_matches_full_sweep():

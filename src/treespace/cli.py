@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker processes (formulas, redundancy, extremal; default: the CPUs this process may use)",
+        help="worker processes to fork, at most one per shard of the largest T_n "
+        "(formulas, redundancy, extremal; default: the CPUs this process may use)",
     )
     p.set_defaults(fn=cmd_verify)
 

@@ -4,20 +4,18 @@ Over all trees on n leaves, the TBR neighbourhood is largest exactly for
 caterpillars and smallest exactly for complete (maximally balanced) trees.
 The scan tallies every labelled tree in T_n by its neighbourhood size and
 the two predicates, and checks both characterizations from the tally.
+With more than one thread, forked children tally the shards of T_n and
+send back their tallies, which merge to the serial scan's.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import RangeError
 from .metrics import caterpillar_tbr_size, complete_tbr_size, gamma_complete, tbr_size
 from .tree_core import PhyloTree, require_leaves
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor, ProcessPoolExecutor
 
 
 def is_caterpillar(tree: PhyloTree) -> bool:
@@ -147,31 +145,18 @@ def _scan_chunk(args: tuple[int, tuple[int, ...]]) -> _Accumulator:
     return acc
 
 
-def scan_pool(threads: int, n: int) -> ProcessPoolExecutor:
-    """A process pool to share between scans of T_n and smaller trees.
-
-    It has ``threads`` workers, but never more than T_n has shards: a worker
-    beyond that would have nothing to scan.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    from .generators import shards
-
-    return ProcessPoolExecutor(max_workers=min(threads, len(shards(n, threads)[0])))
-
-
-def extremal_scan(n: int, threads: int = 1, pool: Executor | None = None) -> ExtremalScanResult:
+def extremal_scan(n: int, threads: int = 1) -> ExtremalScanResult:
     """Scan every tree in T_n (4 <= n <= 8) for TBR-neighbourhood extremes.
 
-    ``threads`` must be at least 1.  With ``threads`` > 1 a process pool
-    scans the shards of T_n that :func:`generators.shards` names by
-    insertion-code prefix; each worker builds its own trees, and the partial
-    results merge to the same result as the serial scan.  The pool is
-    ``pool`` when given (a :func:`scan_pool`), otherwise one opened for this
-    call.
+    ``threads`` must be at least 1.  With ``threads`` > 1 the shards of T_n
+    that :func:`generators.shards` names by insertion-code prefix are
+    scanned by :func:`generators.fork_map` in that many forked children, but
+    never more than T_n has shards.  Each child builds its own trees, this
+    process scans none, and the partial results merge in shard order to the
+    same result as the serial scan.
     """
     # Imported here, so that the predicates above load without the enumerator.
-    from .generators import all_trees, shards
+    from .generators import all_trees, fork_map, shards
 
     if not 4 <= n <= 8:
         raise RangeError(f"extremal scan supports 4 <= n <= 8, got {n}")
@@ -182,8 +167,7 @@ def extremal_scan(n: int, threads: int = 1, pool: Executor | None = None) -> Ext
         for tree in all_trees(n):
             acc.add(tree)
         return acc.result()
-    prefixes, chunksize = shards(n, threads)
-    with scan_pool(threads, n) if pool is None else nullcontext(pool) as pool:
-        for part in pool.map(_scan_chunk, [(n, prefix) for prefix in prefixes], chunksize=chunksize):
-            acc.merge(part)
+    prefixes = shards(n)
+    for part in fork_map(_scan_chunk, [(n, prefix) for prefix in prefixes], min(threads, len(prefixes))):
+        acc.merge(part)
     return acc.result()

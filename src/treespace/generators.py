@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+import os
 import random
-from typing import Iterator, Sequence
+import sys
+from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence
 
 from .errors import RangeError, TooManyLeaves
 from .metrics import perfect_form
@@ -191,17 +193,91 @@ def insertion_prefixes(n: int, length: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(2 * leaf - 3) for leaf in range(3, 3 + length)))
 
 
-#: Length of the insertion-code prefixes that shard T_n between pool workers:
+#: Length of the insertion-code prefixes that shard T_n between workers:
 #: 3 * 5 * 7 = 105 shards of equal size once n >= 6.
 SHARD_PREFIX_LENGTH = 3
 
 
-def shards(n: int, threads: int) -> tuple[list[tuple[int, ...]], int]:
-    """How ``threads`` pool workers split T_n: the insertion-code prefixes of
-    the shards, in enumeration order (3 for n = 4, 15 for n = 5, 105 from
-    n = 6 on), and the number of shards handed to a worker at a time."""
-    prefixes = list(insertion_prefixes(n, min(SHARD_PREFIX_LENGTH, n - 3)))
-    return prefixes, max(1, len(prefixes) // (4 * threads))
+def shards(n: int) -> list[tuple[int, ...]]:
+    """The insertion-code prefixes that split T_n between workers, in
+    enumeration order: 3 shards for n = 4, 15 for n = 5, 105 from n = 6 on."""
+    return list(insertion_prefixes(n, min(SHARD_PREFIX_LENGTH, n - 3)))
+
+
+def fork_map(fn: Callable, tasks: Sequence, workers: int) -> list:
+    """``[fn(task) for task in tasks]``, computed in ``workers`` forked children.
+
+    Child k runs tasks k, k + workers, k + 2 * workers, ... and pickles its
+    results, or the exception that stopped it, back over a pipe; the results
+    come back in task order, and an exception is raised again here.  Every
+    child is reaped before this returns, and on an error the unfinished ones
+    are killed first.  A child inherits this process's memory, so neither
+    ``fn`` nor the tasks are pickled.  Where ``os.fork`` is missing, or
+    another thread runs in this process (a child would inherit any lock it
+    holds, held for good), this process runs the tasks itself.
+    """
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or threading is not None and threading.active_count() > 1:
+        return [fn(task) for task in tasks]
+    import pickle
+
+    children: list[tuple[int, BinaryIO]] = []
+    results = [None] * len(tasks)
+    try:
+        for k in range(workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _run_child(fn, tasks[k::workers], read, write)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        for k, (pid, pipe) in enumerate(children):
+            try:
+                ok, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"worker process {pid} ended without sending its results") from None
+            if not ok:
+                raise value
+            results[k::workers] = value
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)  # none is reaped yet, so each pid is still its child's
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    return results
+
+
+def _run_child(fn: Callable, tasks: Sequence, read: int, write: int) -> NoReturn:
+    """The body of a :func:`fork_map` child: run the tasks, send the
+    pickled outcome down ``write`` and exit without returning to the caller."""
+    import pickle
+
+    code = 1
+    try:
+        os.close(read)
+        try:
+            outcome = True, [fn(task) for task in tasks]
+        except BaseException as exc:
+            outcome = False, exc
+        try:
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # an unpicklable result or exception
+            data = pickle.dumps((False, RuntimeError(f"a worker's outcome could not be pickled: {exc!r}")))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def tree_count(n: int) -> int:

@@ -3,12 +3,13 @@
 Each suite walks a body of trees (exhaustive T_n for small n, random samples
 for larger n, or a pure closed-form sweep), evaluates its assertions, and
 collects counterexamples instead of raising, so a run always produces a
-complete report.
+complete report.  The exhaustive suites can share the shards of T_n between
+forked workers (:func:`generators.fork_map`); their parts merge in shard
+order, so a report does not depend on the number of workers.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from . import metrics
@@ -149,26 +150,17 @@ def _check_redundancy_tree(col: _Collector, tree: PhyloTree) -> None:
 TreeCheck = Callable[[_Collector, PhyloTree], None]
 
 
-def _exhaustive_range(n_max: int) -> range:
+def _exhaustive_range(n_max: int, threads: int) -> range:
     if not 4 <= n_max <= 8:
         raise RangeError(f"exhaustive suites support 4 <= n_max <= 8, got {n_max}")
-    return range(4, n_max + 1)
-
-
-def _suite_pool(threads: int, n_max: int):
-    """One :func:`scan_pool` for every n of a suite call, or none for one thread."""
     if threads < 1:
         raise RangeError(f"threads must be >= 1, got {threads}")
-    if threads == 1:
-        return nullcontext()
-    from .extremal import scan_pool
-
-    return scan_pool(threads, n_max)
+    return range(4, n_max + 1)
 
 
 def _check_shard(args: tuple[TreeCheck, int, tuple[int, ...]]) -> tuple[int, list[dict], int]:
     """Run a per-tree check over the trees of T_n whose insertion code starts
-    with the prefix: (checks, first failures, trees).  The pool's entry."""
+    with the prefix: (checks, first failures, trees).  A worker's task."""
     from .generators import all_trees
 
     check, n, prefix = args
@@ -183,26 +175,24 @@ def _check_shard(args: tuple[TreeCheck, int, tuple[int, ...]]) -> tuple[int, lis
 def _check_exhaustive(col: _Collector, check: TreeCheck, n_max: int, threads: int) -> dict[str, int]:
     """Run ``check`` on every tree of T_4 .. T_{n_max}; the trees checked per n.
 
-    With ``threads`` > 1 a pool checks the shards of each T_n, and their
-    parts merge in enumeration order, so the checks and the failures kept
-    are those of the serial run.
+    With ``threads`` > 1 the shards of every T_n at once are shared between
+    that many forked workers, but never more than T_{n_max} has shards.
+    Their parts merge in enumeration order, so the checks and the failures
+    kept are those of the serial run.
     """
-    from .generators import shards
+    from .generators import fork_map, shards
 
-    trees_checked: dict[str, int] = {}
-    ns = _exhaustive_range(n_max)  # before the pool is sized from n_max
-    with _suite_pool(threads, n_max) as pool:
-        for n in ns:
-            if pool is None:
-                parts = [_check_shard((check, n, ()))]
-            else:
-                prefixes, chunksize = shards(n, threads)
-                parts = pool.map(_check_shard, [(check, n, prefix) for prefix in prefixes], chunksize=chunksize)
-            count = 0
-            for checks, failures, trees in parts:
-                col.merge(checks, failures)
-                count += trees
-            trees_checked[f"exhaustive_n{n}"] = count
+    ns = _exhaustive_range(n_max, threads)
+    if threads == 1:
+        tasks = [(check, n, ()) for n in ns]
+        parts = map(_check_shard, tasks)
+    else:
+        tasks = [(check, n, prefix) for n in ns for prefix in shards(n)]
+        parts = fork_map(_check_shard, tasks, min(threads, len(shards(n_max))))
+    trees_checked = dict.fromkeys((f"exhaustive_n{n}" for n in ns), 0)
+    for (_, n, _), (checks, failures, trees) in zip(tasks, parts):
+        col.merge(checks, failures)
+        trees_checked[f"exhaustive_n{n}"] += trees
     return trees_checked
 
 
@@ -212,8 +202,8 @@ def formulas_suite(n_max: int = 7, samples: int = 0, seed: int = 0, threads: int
     Exhaustive over T_4 .. T_{n_max}; optionally ``samples`` random trees for
     each n in SAMPLE_NS, checked the same way: the TBR closed forms depend on
     the tree only through Gamma, which is computed per tree.  ``threads`` > 1
-    checks the shards of each T_n on that many worker processes (the samples
-    stay in this process); the result equals the serial one.
+    checks the shards of T_4 .. T_{n_max} in that many forked workers (the
+    samples stay in this process); the result equals the serial one.
     """
     if samples < 0:
         raise RangeError(f"samples must be >= 0, got {samples}")
@@ -237,8 +227,8 @@ def redundancy_suite(n_max: int = 7, threads: int = 1) -> SuiteResult:
     multiplicity 4 are exactly the NNI neighbourhood (each reachable by 4
     distinct NNI operations), so op count minus neighbourhood size is
     3*(2n-6) for TBR and SPR alike.  ``threads`` > 1 checks the shards of
-    each T_n on that many worker processes; the result equals the serial
-    one.
+    T_4 .. T_{n_max} in that many forked workers; the result equals the
+    serial one.
     """
     col = _Collector("redundancy")
     return col.result({"trees": _check_exhaustive(col, _check_redundancy_tree, n_max, threads)})
@@ -249,38 +239,36 @@ def extremal_suite(n_max: int = 8, threads: int = 1) -> SuiteResult:
 
     The maximizers must be exactly the caterpillars and the minimizers
     exactly the complete trees, with the extreme values matching their
-    closed forms.  ``threads`` > 1 scans each T_n on that many worker
-    processes, one pool for every n.
+    closed forms.  ``threads`` > 1 scans each T_n in turn with that many
+    forked workers, each :func:`extremal.extremal_scan` forking its own.
     """
     from .extremal import extremal_scan
 
     col = _Collector("extremal")
     scans = {}
-    ns = _exhaustive_range(n_max)  # before the pool is sized from n_max
-    with _suite_pool(threads, n_max) as pool:
-        for n in ns:
-            scan = extremal_scan(n, threads, pool)
-            col.check(
-                scan.max_value == metrics.caterpillar_tbr_size(n),
-                f"n={n}: scan max {scan.max_value} != caterpillar formula {metrics.caterpillar_tbr_size(n)}",
-            )
-            col.check(
-                scan.min_value == metrics.complete_tbr_size(n),
-                f"n={n}: scan min {scan.min_value} != complete formula {metrics.complete_tbr_size(n)}",
-            )
-            col.check(
-                scan.min_gamma == metrics.gamma_complete(n),
-                f"n={n}: scan min gamma {scan.min_gamma} != closed form {metrics.gamma_complete(n)}",
-            )
-            col.check(
-                scan.argmax_all_caterpillar,
-                f"n={n}: maximizer set is not exactly the caterpillar set",
-            )
-            col.check(
-                scan.argmin_all_complete,
-                f"n={n}: minimizer set is not exactly the complete-tree set",
-            )
-            scans[str(n)] = scan.to_json()
+    for n in _exhaustive_range(n_max, threads):
+        scan = extremal_scan(n, threads)
+        col.check(
+            scan.max_value == metrics.caterpillar_tbr_size(n),
+            f"n={n}: scan max {scan.max_value} != caterpillar formula {metrics.caterpillar_tbr_size(n)}",
+        )
+        col.check(
+            scan.min_value == metrics.complete_tbr_size(n),
+            f"n={n}: scan min {scan.min_value} != complete formula {metrics.complete_tbr_size(n)}",
+        )
+        col.check(
+            scan.min_gamma == metrics.gamma_complete(n),
+            f"n={n}: scan min gamma {scan.min_gamma} != closed form {metrics.gamma_complete(n)}",
+        )
+        col.check(
+            scan.argmax_all_caterpillar,
+            f"n={n}: maximizer set is not exactly the caterpillar set",
+        )
+        col.check(
+            scan.argmin_all_complete,
+            f"n={n}: minimizer set is not exactly the complete-tree set",
+        )
+        scans[str(n)] = scan.to_json()
     return col.result({"scans": scans})
 
 
@@ -290,53 +278,78 @@ def _octaves(start: int, stop: int) -> Iterator[tuple[int, int, int]]:
         yield k, max(0, (1 << k) - start), min(stop + 1, 2 << k) - start
 
 
+def _gamma_coefficients(n: int) -> tuple[int, int]:
+    """(P, Q) with gamma_complete(n) = P + Q * n: each term of the closed form
+    is linear in n, with coefficients that depend on n only through S_j and
+    the bits of n."""
+    k = n.bit_length() - 1
+    p = q = 0
+    for j in range(1, k):
+        s, two_j = (n >> j) << j, 1 << j
+        alpha = n >> (j - 1) & 1
+        # (S_j - 2^j) * (2n - S_j) + alpha_(j-1) * 2^j * (n - 2^j)
+        q += 2 * (s - two_j) + alpha * two_j
+        p -= s * (s - two_j) + alpha * two_j * two_j
+    if not n >> (k - 1) & 1:
+        # (alpha_(k-1) - 1) * 2^(k-1) * (n - 2^(k-1))
+        q -= 1 << (k - 1)
+        p += 1 << (2 * k - 2)
+    return p, q
+
+
 def complete_tbr_size_sweep(limit: int, start: int = 4) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized complete_tbr_size for every n in [start, limit], start >= 4.
 
     Returns (ns, sizes) as int64 arrays; safe up to limit = 2**20 without
-    overflow.  Cross-checked against the pure-integer closed form in the
-    test suite.
+    overflow.  Gamma is summed as P(n) + Q(n) * n, where P and Q change only
+    at the steps of the closed form: where floor(n / 2^j) or bit j-1 of n
+    changes, and where an octave's second half starts.  Their values at
+    ``start`` come from the scalar closed form, each step's change is
+    written at its own offset by a strided slice, and one cumulative sum
+    per coefficient fills in the rest.  Cross-checked against the
+    pure-integer closed form in the test suite.
     """
     import numpy as np
 
     ns = np.arange(start, limit + 1, dtype=np.int64)
-    gamma = np.zeros_like(ns)
-    for j in range(1, int(limit).bit_length() - 1):
-        # The j-th term of gamma_complete counts only for n >= 2^(j+1).
-        lo = max(0, (2 << j) - start)
-        if lo >= len(ns):
-            break
-        m, g, two_j = ns[lo:], gamma[lo:], 1 << j
-        # (S_j - 2^j) * (2n - S_j) with S_j = (n >> j) << j, in place
-        s = m >> j
-        s <<= j
-        t = m * 2
-        t -= s
-        s -= two_j
-        s *= t
-        g += s
-        # + alpha_(j-1) * 2^j * (n - 2^j)
-        s = m - two_j
-        s *= two_j
-        t = m >> (j - 1)
-        t &= 1
-        t *= s
-        g += t
-    for k, a, b in _octaves(start, limit):
-        # + (alpha_(k-1) - 1) * 2^(k-1) * (n - 2^(k-1)), k = floor(log2 n)
-        m, half_top = ns[a:b], 1 << (k - 1)
-        t = m >> (k - 1)
-        t &= 1
-        t -= 1
-        t *= half_top
-        t *= m - half_top
-        gamma[a:b] += t
-    gamma *= 4
-    t = ns * 4
-    t -= 2
-    t *= ns - 3
-    gamma -= t
-    return ns, gamma
+    # The changes of P and Q from n - 1 to n at each offset, then P and Q.
+    p, q = np.zeros_like(ns), np.zeros_like(ns)
+    p[0], q[0] = _gamma_coefficients(start)
+    for j in range(1, int(limit).bit_length()):
+        two_j, four_j, half = 1 << j, 1 << 2 * j, 1 << (j - 1)
+        # At n = i * 2^j, i >= 2, S_j grows and alpha_(j-1) falls to 0: Q
+        # gains 2^j and P loses (2i - 3) * 4^j.  At i = 2, where the j-th
+        # term starts counting, this takes in the octave term's change as n
+        # enters octave j + 1.
+        a = max(2, start // two_j + 1) * two_j - start
+        if a < len(ns):
+            q[a::two_j] += two_j
+            t = ns[a::two_j] * -(2 << j)  # -(2i - 3) * 4^j = -2^(j+1) * n + 3 * 4^j
+            t += 3 * four_j
+            p[a::two_j] += t
+        # At n = (2i + 1) * 2^(j-1), i >= 2, alpha_(j-1) rises to 1.
+        a = max(2, (start - half) // two_j + 1) * two_j + half - start
+        if a < len(ns):
+            q[a::two_j] += two_j
+            p[a::two_j] -= four_j
+    for k in range(2, int(limit).bit_length() + 1):
+        # The octave term of floor(log2 n) = k is 0 from n = 3 * 2^(k-1) on.
+        n = 3 << (k - 1)
+        if start < n <= limit:
+            q[n - start] += 1 << (k - 1)
+            p[n - start] -= 1 << (2 * k - 2)
+    np.cumsum(p, out=p)
+    np.cumsum(q, out=q)
+    q *= ns
+    p += q
+    # size = 4 * gamma - (4n - 2)(n - 3) = 4 * gamma - (4n - 14) * n - 6
+    np.multiply(ns, 4, out=q)
+    q -= 14
+    q *= ns
+    p *= 4
+    p -= q
+    p -= 6
+    return ns, p
 
 
 #: Sizes per block of the asymptotic sweep, which bounds its memory: a
@@ -358,7 +371,10 @@ def asymptotic_suite(limit: int = 1 << 20) -> SuiteResult:
     sweep, that the size/target ratio stays >= 1/2 from RATIO_HALF_FROM on,
     and that along n = 3 * 2^k the ratio increases towards 1 with the gap
     bounded by 8 / (3 floor(log2 n)).  The sweep runs in blocks of
-    SWEEP_BLOCK sizes.
+    SWEEP_BLOCK sizes; each block's sizes come from
+    :func:`complete_tbr_size_sweep`, which sums Gamma from coefficients
+    written only where the closed form steps, so a block costs O(1) numpy
+    work per size whatever its n.
     """
     import numpy as np
 

@@ -305,28 +305,22 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite,n_max,shards", [("formulas", "4", 3), ("extremal", "5", 15), ("redundancy", "6", 105)])
     def test_pool_never_outnumbers_shards(self, capsys, monkeypatch, suite, n_max, shards):
-        """A pool gets at most one worker per shard of the largest T_n.  The
-        stand-in pool records its size and runs the shards in this process."""
-        import concurrent.futures
+        """A suite forks at most one worker per shard of the largest T_n; the
+        extremal suite forks per n, capped by that T_n's shards.  The
+        stand-in for fork_map records the workers asked for and runs the
+        tasks in this process, so --threads 100000 starts no process."""
+        from treespace import generators
 
         sizes = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def recording_map(fn, tasks, workers):
+            sizes.append(workers)
+            return [fn(task) for task in tasks]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(generators, "fork_map", recording_map)
         report = run_json(capsys, "verify", "--suite", suite, "--n-max", n_max, "--threads", "100000")
-        assert report["results"]["passed"] and sizes == [shards]
+        assert report["results"]["passed"]
+        assert sizes == ([3, shards] if suite == "extremal" else [shards])
 
     @pytest.mark.parametrize("suite,option,value", [
         ("formulas", "--samples", "-1"), ("extremal", "--threads", "0"), ("extremal", "--threads", "-5"),

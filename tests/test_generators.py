@@ -1,4 +1,8 @@
-"""Tree families and the exhaustive T_n enumerator."""
+"""Tree families, the exhaustive T_n enumerator and the workers that share it."""
+
+import os
+import threading
+import time
 
 import pytest
 
@@ -20,7 +24,7 @@ from treespace import (
     random_tree,
     tree_count,
 )
-from treespace.generators import insertion_prefixes
+from treespace.generators import fork_map, insertion_prefixes, shards
 
 
 class TestCaterpillar:
@@ -153,6 +157,58 @@ class TestAllTrees:
     def test_prefix_length_range(self):
         with pytest.raises(RangeError):
             insertion_prefixes(6, 4)
+
+    @pytest.mark.parametrize("n,count", [(4, 3), (5, 15), (6, 105), (8, 105)])
+    def test_shards(self, n, count):
+        assert shards(n) == list(insertion_prefixes(n, min(3, n - 3))) and len(shards(n)) == count
+
+
+class TestForkMap:
+    def test_results_in_task_order(self):
+        """Child k runs tasks k, k + 3, ...; the results come back in task order."""
+        out = fork_map(lambda x: (x * x, os.getpid()), list(range(8)), 3)
+        assert [square for square, _ in out] == [x * x for x in range(8)]
+        pids = [pid for _, pid in out]
+        assert os.getpid() not in pids
+        assert [pids.index(pid) for pid in pids] == [i % 3 for i in range(8)]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failure_kills_the_other_workers(self):
+        """The first worker fails at once; the second, which would sleep a
+        minute, is killed and reaped before the error is raised here."""
+
+        def task(i):
+            if i == 0:
+                raise KeyError("first worker")
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="first worker"):
+            fork_map(task, [0, 1], 2)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_unpicklable_result(self):
+        with pytest.raises(RuntimeError, match="could not be pickled"):
+            fork_map(lambda x: (lambda: x), [1, 2], 2)
+
+    def test_without_fork_runs_here(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert fork_map(lambda x: (x, os.getpid()), [1, 2, 3], 2) == [(x, os.getpid()) for x in (1, 2, 3)]
+
+    def test_beside_another_thread_runs_here(self):
+        """A fork would copy the locks another thread holds, so none is made."""
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            assert fork_map(lambda x: (x, os.getpid()), [1, 2, 3], 2) == [(x, os.getpid()) for x in (1, 2, 3)]
+        finally:
+            release.set()
+            other.join(60)
+        assert not other.is_alive()
 
 
 class TestFamilyExamples:

@@ -76,9 +76,15 @@ CALLS = {
         BASE | {"treespace.tree_core", "treespace.metrics"},
     ),
     # One thread, so that the surveys run in this process whatever the CPU
-    # count, and no pool is opened: extremal, which opens it, stays unloaded.
+    # count.  extremal is not loaded: the workers are forked by generators.
     "formulas": (("verify", "--suite", "formulas", "--n-max", "4", "--threads", "1"), ALL - {"treespace.extremal"}),
     "redundancy": (("verify", "--suite", "redundancy", "--n-max", "4", "--threads", "1"), ALL - {"treespace.extremal"}),
+    # Two threads: the surveys run in the forked workers, so this process
+    # loads neither rearrange nor newick_io.
+    "formulas-threads": (
+        ("verify", "--suite", "formulas", "--n-max", "5", "--threads", "2"),
+        VERIFY | {"treespace.generators"},
+    ),
     "extremal": (
         ("verify", "--suite", "extremal", "--n-max", "4"),
         VERIFY | {"treespace.generators", "treespace.extremal"},
@@ -91,11 +97,13 @@ CALLS = {
 def test_import_budget(tmp_path, tree_file, call):
     """Each call loads exactly the treespace modules its subcommand runs,
     never dataclasses, and numpy only for the asymptotic sweep.  inspect
-    arrives only with numpy, which imports it itself."""
+    arrives only with numpy, which imports it itself.  Workers are forked
+    directly, without concurrent.futures or multiprocessing."""
     argv, modules = CALLS[call]
     loaded = loaded_modules(tmp_path, *(arg.format(tree=tree_file) for arg in argv))
     assert {m for m in loaded if m.split(".")[0] == "treespace"} == modules
     assert "dataclasses" not in loaded
+    assert not {m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")}
     assert ("numpy" in loaded) == (call == "asymptotic")
     assert ("inspect" in loaded) <= ("numpy" in loaded)
 

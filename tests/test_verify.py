@@ -1,9 +1,12 @@
 """Verification-suite plumbing: structure, sweep consistency, failure capture."""
 
+import os
+
 import numpy as np
 import pytest
 
-from treespace import RangeError, metrics, verify
+from treespace import RangeError, extremal, generators, metrics, verify
+from treespace.extremal import extremal_scan
 from treespace.generators import all_trees
 from treespace.metrics import complete_tbr_size
 from treespace.newick_io import serialize_newick
@@ -59,23 +62,75 @@ def test_formulas_suite_evaluates_each_closed_form_once(monkeypatch):
     assert calls == {"tbr_size": 18, "tbr_op_count": 18}
 
 
-def test_extremal_suite_opens_one_pool(monkeypatch):
-    """All n of one parallel suite call share one process pool, and the
-    result equals the serial one."""
-    import concurrent.futures
+@pytest.fixture
+def fork_calls(monkeypatch):
+    """Records (tasks, workers) of every fork_map call and the pid of every
+    child forked; the children are real."""
+    calls, pids = [], []
+    fork_map, fork = generators.fork_map, os.fork
 
-    opened = []
+    def counted_map(fn, tasks, workers):
+        calls.append((len(tasks), workers))
+        return fork_map(fn, tasks, workers)
 
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(self)
-            super().__init__(*args, **kwargs)
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    parallel = extremal_suite(n_max=7, threads=2)
-    assert len(opened) == 1
+    monkeypatch.setattr(generators, "fork_map", counted_map)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return calls, pids
+
+
+def test_extremal_suite_opens_one_pool(fork_calls):
+    """Each n of a parallel extremal suite forks one set of workers, at most
+    one per shard of T_n, and the result equals the serial one."""
+    calls, pids = fork_calls
+    parallel = extremal_suite(n_max=7, threads=3)
+    assert calls == [(3, 3), (15, 3), (105, 3), (105, 3)]
+    assert len(set(pids)) == len(pids) == 4 * 3
     assert parallel == extremal_suite(n_max=7, threads=1)
-    assert parallel.passed and len(opened) == 1
+    assert parallel.passed and len(calls) == 4
+
+
+@pytest.mark.parametrize("suite", [formulas_suite, redundancy_suite])
+def test_exhaustive_suite_forks_once(fork_calls, suite):
+    """The shards of every T_n of a call go to one set of workers, sized by
+    the shards of the largest T_n."""
+    calls, pids = fork_calls
+    assert suite(6, threads=3) == suite(6)
+    assert calls == [(3 + 15 + 105, 3)] and len(pids) == 3
+
+
+class PlantedFault(Exception):
+    """Raised by a check on the trees of one shard, inside a worker."""
+
+
+PLANTED_SHARD = (1, 2, 3)
+
+
+@pytest.mark.parametrize("run", [formulas_suite, extremal_suite, extremal_scan], ids=lambda run: run.__name__)
+def test_worker_exception_reaches_the_parent(monkeypatch, run):
+    """A check that raises in a worker raises the same exception type in this
+    process, and every worker has been reaped by then."""
+    bad = set(all_trees(6, PLANTED_SHARD))
+
+    def planted(original):
+        def check(*args):
+            if args[-1] in bad:
+                raise PlantedFault(f"planted in shard {PLANTED_SHARD}")
+            return original(*args)
+
+        return check
+
+    monkeypatch.setattr(verify, "_check_formula_tree", planted(verify._check_formula_tree))
+    monkeypatch.setattr(extremal, "is_complete", planted(extremal.is_complete))
+    with pytest.raises(PlantedFault, match="planted in shard"):
+        run(6, threads=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_redundancy_suite_small():
@@ -108,6 +163,35 @@ def test_sweep_matches_exact_closed_form():
     ns, sizes = complete_tbr_size_sweep(1 << 16)
     assert ns.tolist() == list(range(4, (1 << 16) + 1))
     assert sizes.tolist() == [complete_tbr_size(n) for n in range(4, (1 << 16) + 1)]
+
+
+#: n = 2^k and n = 3 * 2^k up to 2^20: where the steps of every j fall
+#: together, and where each octave term starts and ends.
+STEP_CENTRES = sorted({c << k for c in (1, 3) for k in range(2, 21) if c << k <= 1 << 20})
+
+
+def test_sweep_matches_closed_form_around_every_step():
+    """Around every centre, +-64 sizes: as blocks of their own, whose
+    coefficients start from the scalar closed form, and read off one sweep
+    from 4 to 2^20, which sums every step below them."""
+    limit = 1 << 20
+    whole = complete_tbr_size_sweep(limit)[1]
+    for centre in STEP_CENTRES:
+        lo, hi = max(4, centre - 64), min(centre + 64, limit)
+        expected = [complete_tbr_size(n) for n in range(lo, hi + 1)]
+        ns, sizes = complete_tbr_size_sweep(hi, lo)
+        assert ns.tolist() == list(range(lo, hi + 1))
+        assert sizes.tolist() == expected, centre
+        assert whole[lo - 4 : hi - 3].tolist() == expected, centre
+
+
+@pytest.mark.parametrize("start", [5, 7, 3 * (1 << 15) + 1, (1 << 17) + 3, (1 << 20) - 37])
+def test_sweep_block_at_odd_offset(start):
+    """A block that starts between steps begins from the right coefficients."""
+    limit = min(start + 4099, 1 << 20)
+    ns, sizes = complete_tbr_size_sweep(limit, start)
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == [complete_tbr_size(n) for n in range(start, limit + 1)]
 
 
 def test_blocked_sweep_matches_full_sweep():

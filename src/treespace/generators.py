@@ -16,7 +16,7 @@ from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence
 
 from .errors import RangeError, TooManyLeaves
 from .metrics import perfect_form
-from .tree_core import MAX_LEAVES, Edge, PhyloTree, require_leaves
+from .tree_core import MAX_LEAVES, Edge, PhyloTree, _leaf_order, require_leaves
 
 
 class TreeFamily(enum.Enum):
@@ -158,7 +158,12 @@ def all_trees(n: int, prefix: Sequence[int] = ()) -> Iterator[PhyloTree]:
     """Every labelled topology on n leaves exactly once; (2n-5)!! trees.
 
     The same insertion recursion as random_tree, enumerated exhaustively in
-    a fixed order.  Capped at n = 9 (135135 trees).
+    a fixed order.  Capped at n = 9 (135135 trees).  Beside each partial
+    tree's edge list, which fixes the order, the recursion carries its
+    adjacency: a copy of the parent's with the four entries the insertion
+    changes.  The leaf order is computed once per call, and each finished
+    tree skips :class:`PhyloTree`'s checks, which the insertion already
+    guarantees, but not its walk.
 
     A tree's insertion code lists, for leaves 3, 4, ..., n-1 (0-based), the
     index of the edge that leaf subdivides; leaf i has 2i-3 edges to choose
@@ -171,19 +176,28 @@ def all_trees(n: int, prefix: Sequence[int] = ()) -> Iterator[PhyloTree]:
     if len(prefix) > n - 3 or any(not 0 <= i < 2 * leaf - 3 for leaf, i in enumerate(prefix, 3)):
         raise RangeError(f"{tuple(prefix)} is not an insertion-code prefix for n = {n}")
     names = _names(n)
+    order = _leaf_order(names)
+    leaf_order = tuple(name for name, _ in order)
+    index_by_vertex = {v: i for i, (_, v) in enumerate(order)}
+    root = order[0][1]
 
-    def grow(edges: list[Edge], leaf: int) -> Iterator[PhyloTree]:
+    def grow(edges: list[Edge], adj: dict[int, list[int]], leaf: int) -> Iterator[PhyloTree]:
         if leaf == n:
-            yield PhyloTree(edges, names)
+            yield PhyloTree._grown(adj, names, leaf_order, index_by_vertex, root)
             return
         w = n + leaf - 2
         depth = leaf - 3
         for i in range(len(edges)) if depth >= len(prefix) else (prefix[depth],):
             u, v = edges[i]
             rest = edges[:i] + edges[i + 1 :] + [(u, w), (w, v), (w, leaf)]
-            yield from grow(rest, leaf + 1)
+            grown = adj.copy()
+            grown[u] = [w if x == v else x for x in adj[u]]
+            grown[v] = [w if x == u else x for x in adj[v]]
+            grown[w] = [u, v, leaf]
+            grown[leaf] = [w]
+            yield from grow(rest, grown, leaf + 1)
 
-    yield from grow([(0, n), (1, n), (2, n)], 3)
+    yield from grow([(0, n), (1, n), (2, n)], {0: [n], 1: [n], 2: [n], n: [0, 1, 2]}, 3)
 
 
 def insertion_prefixes(n: int, length: int) -> Iterator[tuple[int, ...]]:

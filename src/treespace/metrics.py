@@ -18,7 +18,7 @@ def gamma(tree: PhyloTree) -> int:
     """Sum of |A|*|B| over all non-trivial splits A|B of the tree.
 
     The leaf count below each position of the tree's rooted preorder is
-    |A| for the split of the edge above it; the walk that validated the
+    |A| for the split of the edge above it; the walk that built the
     tree counted them, and no split or cluster mask is read.  The test
     suite's ``reference_gamma`` walks the adjacency instead, an independent
     route (the two are property-tested equal).

@@ -7,11 +7,16 @@ bipartition of the leaf set fits in one integer bitmask.  The sorted set of
 edge bitmasks is a complete fingerprint of the labelled tree: two trees on
 the same leaf set are identical exactly when their split sets are equal.
 
-There is one way to build a tree: :class:`PhyloTree` takes an edge list and
-the label of each leaf vertex, and validates them.  The Newick parser, the
-generators and :func:`treespace.rearrange.apply_op` all hand it edge
-lists; an empty edge list with one label is the one-leaf tree.  The tree
-keeps the adjacency, not the list.
+There are two routes into a tree, and both end in the same walk.
+:class:`PhyloTree` takes an edge list and the label of each leaf vertex,
+and validates them; the Newick parser, the named families,
+:func:`~treespace.generators.random_tree` and
+:func:`treespace.rearrange.apply_op` all hand it edge lists, and an empty
+edge list with one label is the one-leaf tree.  The tree keeps the
+adjacency, not the list.  :func:`~treespace.generators.all_trees` instead
+grows each tree's adjacency from its parent's by one leaf insertion, whose
+degrees and labels are valid by construction, and hands it to a private
+constructor with the leaf order it computed once for all of T_n.
 
 Every tree is walked once, from leaf 0, when it is built: that walk checks
 that the edges connect every vertex and is the tree's rooting,
@@ -199,36 +204,65 @@ class PhyloTree:
     most MAX_LEAVES leaves, and then, with the one walk that builds the
     :attr:`preorder`, that the edges are connected.  The leaf order and the
     preorder are built there; the split masks and the canonical form on
-    first use.  Instances are safe to share between threads.
+    first use.  The trees of :func:`~treespace.generators.all_trees` skip
+    the checks before the walk (see :meth:`_grown`) and are otherwise the
+    same.  Instances are safe to share between threads.
     """
 
     def __init__(self, edges: Iterable[Edge], leaf_names: Mapping[int, str]):
-        nbrs: dict[int, list[int]] = {}
+        adj: dict[int, list[int]] = {}
         edge_count = 0
         for u, v in edges:
             if u == v:
                 raise Cyclic(f"self-loop at vertex {v}")
-            nbrs.setdefault(u, []).append(v)
-            nbrs.setdefault(v, []).append(u)
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
             edge_count += 1
         for v in leaf_names:
-            nbrs.setdefault(v, [])  # a leaf on no edge: the one-leaf tree
-        self._adj = adj = nbrs
-        self._leaf_name: dict[int, str] = dict(leaf_names)
+            adj.setdefault(v, [])  # a leaf on no edge: the one-leaf tree
+        names = dict(leaf_names)
         if not adj:
             raise Disconnected("tree has no vertices")
         if edge_count > len(adj) - 1:
             raise Cyclic(f"{edge_count} edges on {len(adj)} vertices")
         if edge_count < len(adj) - 1:
             raise Disconnected(f"{edge_count} edges cannot connect {len(adj)} vertices")
-        _check_vertices(adj, self._leaf_name)
-        order = _leaf_order(self._leaf_name)
-        self._leaf_order = tuple(name for name, _ in order)
-        self._index_by_vertex = {v: i for i, (_, v) in enumerate(order)}
-        if len(order) == 1:
-            self._preorder = Preorder((), (), ())
-        else:
-            self._preorder = _walk(adj, self._index_by_vertex, order[0][1])
+        _check_vertices(adj, names)
+        order = _leaf_order(names)
+        index_by_vertex = {v: i for i, (_, v) in enumerate(order)}
+        self._store(adj, names, tuple(name for name, _ in order), index_by_vertex, order[0][1])
+
+    @classmethod
+    def _grown(
+        cls,
+        adj: dict[int, list[int]],
+        leaf_name: dict[int, str],
+        leaf_order: tuple[str, ...],
+        index_by_vertex: dict[int, int],
+        root: int,
+    ) -> "PhyloTree":
+        """A tree from an adjacency whose degrees and labels are valid by
+        construction, with its leaf order, leaf index and the vertex of
+        leaf 0 given: no checks, only the walk.  The tree keeps the
+        arguments, so the caller must not change them afterwards."""
+        tree = cls.__new__(cls)
+        tree._store(adj, leaf_name, leaf_order, index_by_vertex, root)
+        return tree
+
+    def _store(
+        self,
+        adj: dict[int, list[int]],
+        leaf_name: dict[int, str],
+        leaf_order: tuple[str, ...],
+        index_by_vertex: dict[int, int],
+        root: int,
+    ) -> None:
+        """The tail both routes share: keep the fields and walk from ``root``."""
+        self._adj = adj
+        self._leaf_name = leaf_name
+        self._leaf_order = leaf_order
+        self._index_by_vertex = index_by_vertex
+        self._preorder = _walk(adj, index_by_vertex, root) if len(leaf_order) > 1 else Preorder((), (), ())
 
     # -- basic accessors ------------------------------------------------
 

@@ -1,6 +1,7 @@
-"""Shared helpers: restriction, and definitional rearrangement checks built
-only on restriction and subtree-swap surgery, independent of the scar-edge
-classification rules they are used to validate, a Newick writer independent
+"""Shared helpers: the edge lists of T_n by leaf insertion, restriction,
+and definitional rearrangement checks built only on restriction and
+subtree-swap surgery, independent of the scar-edge classification rules
+they are used to validate, a Newick writer independent
 of the preorder one, bisection components, the exact split key of each
 operation's output and Gamma from an adjacency walk, independent of the
 tree's rooted preorder, the cluster-set definition of a complete tree and
@@ -8,7 +9,7 @@ the neighbour definition of a caterpillar."""
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import pytest
 
@@ -20,6 +21,29 @@ from treespace.tree_core import Edge
 def edge_list(tree: PhyloTree) -> list[Edge]:
     """Every edge once, as (lower id, higher id), ascending, read off the adjacency."""
     return [(u, w) for u in tree.vertices() for w in tree.neighbors(u) if u < w]
+
+
+def reference_insertion_edges(n: int, prefix: tuple[int, ...] = ()) -> Iterator[list[Edge]]:
+    """The edge list of every tree of T_n whose insertion code starts with
+    ``prefix``, in enumeration order, by leaf insertion on edge lists alone.
+
+    Leaf ``leaf`` (0-based, from 3) subdivides edge i of the current list
+    with the new vertex n + leaf - 2; the list drops that edge and appends
+    the three new ones.  No adjacency is kept, so it checks the grown
+    adjacency of :func:`treespace.all_trees` instead of sharing its route.
+    """
+
+    def grow(edges: list[Edge], leaf: int) -> Iterator[list[Edge]]:
+        if leaf == n:
+            yield edges
+            return
+        w = n + leaf - 2
+        depth = leaf - 3
+        for i in range(len(edges)) if depth >= len(prefix) else (prefix[depth],):
+            u, v = edges[i]
+            yield from grow(edges[:i] + edges[i + 1 :] + [(u, w), (w, v), (w, leaf)], leaf + 1)
+
+    return grow([(0, n), (1, n), (2, n)], 3)
 
 
 def names_of_mask(tree: PhyloTree, mask: int) -> set[str]:

@@ -199,3 +199,14 @@ class TestParallelScan:
         monkeypatch.setattr(PhyloTree, "_canonical_form", property(refuse))
         assert extremal_scan(7) == serial_scans[7]
         assert extremal_scan(7, threads=2) == serial_scans[7]
+
+    def test_trees_are_never_revalidated(self, serial_scans, monkeypatch):
+        """all_trees grows its trees without PhyloTree's checks, here and in
+        the scan's workers."""
+
+        def refuse(tree, *args, **kwargs):
+            raise AssertionError("a tree of T_n went through PhyloTree.__init__")
+
+        monkeypatch.setattr(PhyloTree, "__init__", refuse)
+        assert sum(1 for _ in all_trees(7)) == 945
+        assert extremal_scan(7, threads=2) == serial_scans[7]

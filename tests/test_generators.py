@@ -6,10 +6,11 @@ import time
 
 import pytest
 
-from conftest import edge_list, is_cherry
+from conftest import edge_list, is_cherry, reference_insertion_edges
 
 from treespace import (
     NotPerfectSize,
+    PhyloTree,
     RangeError,
     TooFewLeaves,
     all_trees,
@@ -161,6 +162,33 @@ class TestAllTrees:
     @pytest.mark.parametrize("n,count", [(4, 3), (5, 15), (6, 105), (8, 105)])
     def test_shards(self, n, count):
         assert shards(n) == list(insertion_prefixes(n, min(3, n - 3))) and len(shards(n)) == count
+
+
+class TestGrownTrees:
+    """Each tree of T_n grows its adjacency from its parent's and skips the
+    constructor's checks; it must equal the validated build of the same
+    edge list."""
+
+    @staticmethod
+    def check(n, prefix=()):
+        names = {i: str(i + 1) for i in range(n)}
+        count = 0
+        for grown, edges in zip(all_trees(n, prefix), reference_insertion_edges(n, prefix), strict=True):
+            built = PhyloTree(edges, names)
+            assert grown.preorder == built.preorder  # parent, cluster and size
+            assert grown.leaf_order == built.leaf_order
+            assert grown.vertices() == built.vertices()
+            assert all(grown.neighbors(v) == built.neighbors(v) for v in built.vertices())
+            assert grown.canonical_form() == built.canonical_form()
+            count += 1
+        return count
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_equals_the_validated_build(self, n):
+        assert self.check(n) == tree_count(n)
+
+    def test_every_shard_of_t6(self):
+        assert [self.check(6, prefix) for prefix in shards(6)] == [1] * 105
 
 
 class TestForkMap:

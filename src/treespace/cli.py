@@ -112,7 +112,7 @@ def cmd_neighbourhood(args: argparse.Namespace) -> int:
     inputs = {"source": args.input, "op": kind.value, "newick": serialize_newick(tree)}
     entry = op_survey(tree, (kind,))[kind]
     if args.emit_trees:
-        # The spliced texts give the size (the hash count runs for a histogram only); the op input names the kind.
+        # The spliced texts give the size (the key count runs for a histogram only); the op input names the kind.
         newicks = sorted(entry.newicks())
         results = {"n": tree.n, "op_count": entry.op_count, "neighbourhood_size": len(newicks)}
         if args.multiplicities:
@@ -246,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker processes to fork, at most one per shard of the largest T_n "
-        "(formulas, redundancy, extremal; default: the CPUs this process may use)",
+        help="worker processes to fork, at most one per shard of the largest T_n; the extremal "
+        "suite forks for that T_n alone (formulas, redundancy, extremal; default: the CPUs this process may use)",
     )
     p.set_defaults(fn=cmd_verify)
 

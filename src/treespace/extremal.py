@@ -3,15 +3,16 @@
 Over all trees on n leaves, the TBR neighbourhood is largest exactly for
 caterpillars and smallest exactly for complete (maximally balanced) trees.
 The scan tallies every labelled tree in T_n by its neighbourhood size and
-the two predicates, and checks both characterizations from the tally.
-With more than one thread, forked children tally the shards of T_n and
-send back their tallies, which merge to the serial scan's.
+the two predicates, and checks both characterizations from the tally.  All
+three depend only on the tree's rooted shape, so each is computed once per
+shape.  With more than one thread, forked children tally the shards of T_n
+and send back their tallies, which merge to the serial scan's.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import RangeError
 from .metrics import caterpillar_tbr_size, complete_tbr_size, gamma_complete, tbr_size
@@ -97,6 +98,22 @@ class ExtremalScanResult(NamedTuple):
         }
 
 
+def _tallies(trees: Iterable[PhyloTree]) -> Iterator[tuple[int, bool, bool]]:
+    """Each tree's (TBR neighbourhood size, is caterpillar, is complete).
+
+    All three read only the tree's preorder ``parent`` positions and the
+    leaf counts those fix, so they are computed for the first tree of each
+    rooted shape and remembered for the rest of ``trees``.
+    """
+    memo: dict[tuple[int, ...], tuple[int, bool, bool]] = {}
+    for tree in trees:
+        parent = tree.preorder.parent
+        tally = memo.get(parent)
+        if tally is None:
+            tally = memo[parent] = (tbr_size(tree), is_caterpillar(tree), is_complete(tree))
+        yield tally
+
+
 class _Accumulator:
     """Associatively mergeable partial scan state: the number of trees with
     each (TBR neighbourhood size, is caterpillar, is complete)."""
@@ -105,8 +122,8 @@ class _Accumulator:
         self.n = n
         self.counts: Counter[tuple[int, bool, bool]] = Counter()
 
-    def add(self, tree: PhyloTree) -> None:
-        self.counts[tbr_size(tree), is_caterpillar(tree), is_complete(tree)] += 1
+    def update(self, trees: Iterable[PhyloTree]) -> None:
+        self.counts.update(_tallies(trees))
 
     def merge(self, other: "_Accumulator") -> None:
         self.counts.update(other.counts)
@@ -140,8 +157,7 @@ def _scan_chunk(args: tuple[int, tuple[int, ...]]) -> _Accumulator:
 
     n, prefix = args
     acc = _Accumulator(n)
-    for tree in all_trees(n, prefix):
-        acc.add(tree)
+    acc.update(all_trees(n, prefix))
     return acc
 
 
@@ -164,8 +180,7 @@ def extremal_scan(n: int, threads: int = 1) -> ExtremalScanResult:
         raise RangeError(f"threads must be >= 1, got {threads}")
     acc = _Accumulator(n)
     if threads == 1:
-        for tree in all_trees(n):
-            acc.add(tree)
+        acc.update(all_trees(n))
         return acc.result()
     prefixes = shards(n)
     for part in fork_map(_scan_chunk, [(n, prefix) for prefix in prefixes], min(threads, len(prefixes))):

@@ -20,35 +20,43 @@ partial split per component (the bipartition its reconnection edge induces
 inside the component), which makes operations serializable and independent
 of internal vertex ids.
 
-Counting a neighbourhood keys each operation's output tree by a hash: the sum
-modulo 2^64 of a fixed 64-bit mix of each of its 2n-3 split masks, the
-bipartition hashing of HashRF (Sul & Williams, 2008) and of Amenta, Clarke &
-St. John's majority tree (2003).  The survey reads the tree's preorder (its
-one rooting, at leaf 0), so every subtree is one slice and the cluster C(v)
-below each vertex is the split of the edge above it.  Bisecting that
-edge leaves side A = C(v) and side B, the rest, and every component edge
-keeps a cluster of the rooted tree with A at most added or removed.
-Reconnecting a component at edge r flips exactly the component edges between
-r and the component's root, so the hash of its contributed splits, for every
-r at once, is a base sum plus a prefix sum down the slice of v (side A) or
-down the rest of the preorder (side B): O(n) per bisection, with no walk of
-its own.  The operations of one bisection are blocks, rows of A by cols of
-B, narrowest kind first (:func:`_blocks`), and their keys the sums of the
-two hash lists.  One survey counts the keys of the widest kind asked for,
-and every kind reads that count.  It stays exact: equal trees always share
-a hash, so a key held once is one distinct output tree, of each kind whose
-blocks hold its operation.  The operations of every shared key (the four
-behind each NNI neighbour, plus any true collision) are found by block
-position and re-checked once, keyed by their split delta: the splits
-removed and added along the two reconnection paths (:func:`_split_delta`).
+Counting a neighbourhood keys each operation's output tree by the sum of
+one term for each of its 2n-3 split masks.  Up to 8 leaves
+(:data:`_EXACT_LEAVES`) every normalized mask is below 2^n, at most 2^8,
+and the term is ``1 << mask``, so the key is the output's split set
+written as a bitmap of 2^n bits: exact, and decoded back to the splits by
+its set bits.  Above that the term is a fixed 64-bit mix of the mask and the sum is taken
+modulo 2^64, the bipartition hashing of HashRF (Sul & Williams, 2008) and
+of Amenta, Clarke & St. John's majority tree (2003).  The survey reads the
+tree's preorder (its one rooting, at leaf 0), so every subtree is one slice
+and the cluster C(v) below each vertex is the split of the edge above it.
+Bisecting that edge leaves side A = C(v) and side B, the rest, and every
+component edge keeps a cluster of the rooted tree with A at most added or
+removed.  Reconnecting a component at edge r flips exactly the component
+edges between r and the component's root, so the sum of the terms of its
+contributed splits, for every r at once, is a base sum plus a prefix sum
+down the slice of v (side A) or down the rest of the preorder (side B):
+O(n) per bisection, with no walk of its own.  The operations of one
+bisection are blocks, rows of A by cols of B, narrowest kind first
+(:func:`_blocks`), and their keys the sums of the two lists.  One survey
+builds the keys of the widest kind asked for, and a narrower kind's keys
+are a prefix of each bisection's row.  Exact keys are counted per kind,
+over its prefixes.  Hashed keys are counted once, and every kind reads
+that count.  It stays exact: equal trees always share a hash, so a key
+held once is one distinct output tree, of each kind whose blocks hold its
+operation.  The operations of every shared key (the four behind each NNI
+neighbour, plus any true collision) are found by block position and
+re-checked once, keyed by their split delta: the splits removed and added
+along the two reconnection paths (:func:`_split_delta`).
 
 Which positions each of these steps reads depends only on the tree's rooted
 shape, its preorder's parent positions, and many labelled trees share one:
 T_7's 945 trees have 9 shapes and T_8's 10,395 have 21.  So the slice ends,
 each side's ref count, scar and near-scar indices, the blocks, each kind's
-operation count and the positions of each re-checked split delta are built
-once per shape (:class:`_Layout`, in a bounded cache), and a tree computes
-only its own refs, hash sums, keys and re-check from its own clusters.
+operation count per bisection and the positions of each re-checked split
+delta are built once per shape (:class:`_Layout`, in a bounded cache), and
+a tree computes only its own refs, sums, keys and re-check from its own
+clusters.
 
 The Newick text of each output, written as
 :func:`treespace.newick_io.serialize_newick` writes it, is spliced from
@@ -67,7 +75,7 @@ Enumeration is the brute-force oracle used to verify every closed-form count
 in :mod:`treespace.metrics`, so it never consults those formulas.
 :func:`apply_op` performs a move by graph surgery over a fresh walk of the
 adjacency, independent of the rooted preparation, and is the oracle the
-survey is tested against.  The survey's refs, hash sums, blocks and split
+survey is tested against.  The survey's refs, sums, keys, blocks and split
 deltas are tested against an exact split-key reference that lives in the
 test suite and is built from walks of the adjacency, not from this module.
 """
@@ -149,9 +157,16 @@ class NeighbourhoodReport(_ReportFields):
 
 _M64 = (1 << 64) - 1
 
-#: Width in bits of the output-tree hash keys.  Only tests narrow it, to force
-#: collisions through the exact re-check.
+#: Width in bits of the hashed output-tree keys, those of trees of more than
+#: :data:`_EXACT_LEAVES` leaves.  Only tests narrow it, to force collisions
+#: through the exact re-check.
 _HASH_BITS = 64
+
+#: Up to this many leaves every normalized split mask is below 2^n <= 2^8,
+#: so the sum of ``1 << mask`` over an output's splits is its split set as
+#: a bitmap of 2^n bits: an exact key.  Only tests lower it, to drive trees
+#: this small through the hash and its re-check.
+_EXACT_LEAVES = 8
 
 
 @lru_cache(maxsize=1 << 16)  # each mask recurs in several components of one tree
@@ -227,10 +242,11 @@ class _Cut(NamedTuple):
 class _Layout:
     """Everything of a survey that depends only on the tree's rooted shape,
     its preorder's ``parent`` positions: the slice ends ``end`` (the
-    subtree of u is ``u:end[u]``), a :class:`_Cut` per bisection, each
-    kind's operation count, and the positions the split delta of each
-    operation the exact re-check met walks (:meth:`recheck`).  A tree reads
-    its own clusters at these positions.  Built once per shape
+    subtree of u is ``u:end[u]``), a :class:`_Cut` per bisection, per kind
+    the length of its operations' prefix of each bisection's key row
+    (``row_ops``) and their sum (``op_count``), and the positions the split
+    delta of each operation the exact re-check met walks (:meth:`recheck`).
+    A tree reads its own clusters at these positions.  Built once per shape
     (:func:`_layout`).
     """
 
@@ -243,10 +259,11 @@ class _Layout:
                 end[p] = end[u]
         self.parent, self.end = parent, end
         self.cuts = [self._cut(v) for v in range(size)]
-        self.op_count = {
-            kind: sum(len(rows) * len(cols) for cut in self.cuts for rows, cols in cut.blocks[:span])
+        self.row_ops = {
+            kind: [sum(len(rows) * len(cols) for rows, cols in cut.blocks[:span]) for cut in self.cuts]
             for kind, span in _BLOCK_COUNT.items()
         }
+        self.op_count = {kind: sum(row_ops) for kind, row_ops in self.row_ops.items()}
         self.walks: dict[tuple[int, int], tuple[int, _Walk]] = {}
 
     def _cut(self, v: int) -> _Cut:
@@ -310,15 +327,26 @@ class _Rooted:
     above u (-1 above position 0), and ``cluster[u]`` is C(u), the leaves
     below u.  C(u) is also the normalized split mask of the edge above u,
     so the positions number the edges as well.  ``layout`` is the shape's
-    :class:`_Layout` and ``end`` its slice ends.  ``hashes[u]`` is h(C(u))
-    and ``prefix`` holds their running sums.
+    :class:`_Layout` and ``end`` its slice ends.
+
+    ``term`` maps a split mask to its part of a key and ``width`` masks a
+    sum of terms to the key's bits.  Up to :data:`_EXACT_LEAVES` leaves the
+    term is ``1 << mask`` and the width 2^n bits, so a key is the output's
+    split set, ``exact``; above, the term is :func:`_mix` and the width
+    :data:`_HASH_BITS`.  ``hashes[u]`` is the term of C(u) and ``prefix``
+    holds their running sums.
     """
 
     def __init__(self, tree: PhyloTree):
         parent, cluster, _ = tree.preorder
         self.layout = _layout(parent)
         self.parent, self.cluster, self.end = parent, cluster, self.layout.end
-        self.hashes = [_mix(c) for c in cluster]
+        self.exact = tree.n <= _EXACT_LEAVES
+        if self.exact:
+            self.term, self.width = (1).__lshift__, (1 << (1 << tree.n)) - 1
+        else:
+            self.term, self.width = _mix, (1 << _HASH_BITS) - 1
+        self.hashes = [*map(self.term, cluster)]
         self.prefix = list(accumulate(self.hashes, initial=0))
 
 
@@ -343,8 +371,8 @@ def _refs_a(rooted: _Rooted, v: int) -> list[int | None]:
 
 
 def _sums_a(rooted: _Rooted, v: int) -> list[int]:
-    """Per ref of side A, the hash sum of the output splits A contributes
-    when reconnected there.
+    """Per ref of side A, the sum of the terms (:class:`_Rooted`) of the
+    output splits A contributes when reconnected there.
 
     v is suppressed, so its children x and y share the scar edge.
     Reconnected at the scar, every edge gives its own cluster and the scar
@@ -354,18 +382,19 @@ def _sums_a(rooted: _Rooted, v: int) -> list[int]:
     slice.  The same holds below y.
     """
     cluster, parent, end, hashes, prefix = rooted.cluster, rooted.parent, rooted.end, rooted.hashes, rooted.prefix
+    term, width = rooted.term, rooted.width
     a = cluster[v]
     x, stop = v + 1, end[v]
     if x == stop:
         return [0]
     y = end[x]
     at_scar = prefix[stop] - prefix[x]
-    sums = [at_scar & _M64]
+    sums = [at_scar & width]
     flips = [0] * stop  # per vertex below x or y: the sum at the edge above it, less its own hash
     flips[x], flips[y] = at_scar - hashes[x], at_scar - hashes[y]
     for u in chain(range(x + 1, y), range(y + 1, stop)):
-        d = flips[parent[u]] + _mix(a ^ cluster[u])
-        sums.append(d & _M64)
+        d = flips[parent[u]] + term(a ^ cluster[u])
+        sums.append(d & width)
         flips[u] = d - hashes[u]
     return sums
 
@@ -385,8 +414,8 @@ def _refs_b(rooted: _Rooted, v: int) -> list[int | None]:
 
 
 def _sums_b(rooted: _Rooted, v: int) -> list[int]:
-    """Per ref of side B, the hash sum of the output splits B contributes
-    when reconnected there.
+    """Per ref of side B, the sum of the terms (:class:`_Rooted`) of the
+    output splits B contributes when reconnected there.
 
     B stays rooted at leaf 0.  The parent p of v is suppressed, so v's
     sibling s hangs from p's parent and its edge is the scar.  An ancestor
@@ -399,20 +428,21 @@ def _sums_b(rooted: _Rooted, v: int) -> list[int]:
     if v == 0:
         return [0]
     cluster, parent, hashes, prefix = rooted.cluster, rooted.parent, rooted.hashes, rooted.prefix
+    term, width = rooted.term, rooted.width
     a, p, stop, size = cluster[v], parent[v], rooted.end[v], len(cluster)
     # Per position but v's slice (p's entry is dropped last): the hashes of C'(u) | A and C'(u).
-    flipped = [*map(_mix, map(a.__or__, cluster[:v])), *map(_mix, map(a.__or__, cluster[stop:]))]
+    flipped = [*map(term, map(a.__or__, cluster[:v])), *map(term, map(a.__or__, cluster[stop:]))]
     kept = [*hashes[:v], *hashes[stop:]]
     flipped[p] = kept[p] = 0  # s continues from p's parent
     total = prefix[size] - prefix[stop] + prefix[v] - hashes[p]
     for u in rooted.layout.cuts[v].above:
-        flipped[u], kept[u] = hashes[u], _mix(cluster[u] ^ a)
+        flipped[u], kept[u] = hashes[u], term(cluster[u] ^ a)
         total += kept[u] - hashes[u]
     flips = [0] * size + [total]  # per position: the base and its flips up to leaf 0 (the last slot: parent -1)
     sums = []
     for u, up, down in zip(chain(range(v), range(stop, size)), flipped, kept):
         d = flips[parent[u]] + up
-        sums.append(d & _M64)
+        sums.append(d & width)
         flips[u] = d - down
     del sums[p]
     return sums
@@ -534,8 +564,9 @@ def apply_op(tree: PhyloTree, op: RearrangementOp) -> PhyloTree:
 # -- hash keys and split deltas -------------------------------------------------
 
 
-def _hash_keys(rooted: _Rooted, span: int, width: int) -> list[list[int]]:
-    """Per bisection, the hash keys of the operations in its first ``span`` blocks, in order."""
+def _hash_keys(rooted: _Rooted, span: int) -> list[list[int]]:
+    """Per bisection, the keys of the operations in its first ``span`` blocks, in order."""
+    width = rooted.width
     out = []
     for v, cut in enumerate(rooted.layout.cuts):
         base, sums_a, sums_b = rooted.hashes[v], _sums_a(rooted, v), _sums_b(rooted, v)
@@ -707,8 +738,13 @@ def _newicks(tree: PhyloTree, rooted: _Rooted, span: int) -> set[str]:
 class _Survey:
     """What the entries of one :func:`op_survey` call share: the tree's
     rooting and its shape's layout, the number of blocks the widest kind
-    asked for fills, and that kind's one hash count, with its re-check (see
-    the module docstring)."""
+    asked for fills, and the keys of that kind's operations (see the module
+    docstring).
+
+    Exact keys are counted per kind, over the kind's prefix of each
+    bisection's key row.  Hashed keys are counted once, for the widest
+    kind, and the operations of every shared key re-checked by split delta.
+    """
 
     def __init__(self, tree: PhyloTree, kinds: tuple[OpKind, ...]):
         self.tree = tree
@@ -716,10 +752,14 @@ class _Survey:
         self.span = max(map(_BLOCK_COUNT.__getitem__, kinds), default=_BLOCK_COUNT[OpKind.NNI])
 
     @lazy
-    def count(self) -> tuple[list[list[int]], set[int], list[list[frozenset[int]]], Counter]:
-        """Keys per bisection, the shared keys, per block their operations' split deltas, and those counted."""
-        rooted = self.rooted
-        keys = _hash_keys(rooted, self.span, (1 << _HASH_BITS) - 1)
+    def keys(self) -> list[list[int]]:
+        """Per bisection, the keys of the widest kind's operations, in block order."""
+        return _hash_keys(self.rooted, self.span)
+
+    @lazy
+    def rechecked(self) -> tuple[set[int], list[list[frozenset[int]]], Counter]:
+        """Of hashed keys: the shared keys, per block their operations' split deltas, and those counted."""
+        rooted, keys = self.rooted, self.keys
         counts = Counter(chain.from_iterable(keys))
         shared = set(compress(counts, map((1).__lt__, counts.values())))
         deltas: list[list[frozenset[int]]] = [[] for _ in range(self.span)]
@@ -728,25 +768,44 @@ class _Survey:
             for pos in compress(count(), map(shared.__contains__, row)):
                 block, walk = recheck(v, pos)
                 deltas[block].append(_split_delta(rooted, v, walk))
-        return keys, shared, deltas, Counter(chain.from_iterable(deltas))
+        return shared, deltas, Counter(chain.from_iterable(deltas))
 
-    def full_key(self, delta: frozenset[int]) -> tuple[int, ...]:
-        """The sorted split masks of the output with this split delta."""
-        return tuple(sorted(delta.symmetric_difference(self.rooted.cluster)))
+    def repeated(self, kind: OpKind) -> Counter:
+        """The operations of ``kind`` counted by output: with exact keys
+        every output, by key; with hashed keys those of shared keys, by
+        split delta."""
+        if self.rooted.exact:
+            row_ops = self.rooted.layout.row_ops[kind]
+            return Counter(chain.from_iterable(row[:k] for row, k in zip(self.keys, row_ops)))
+        deltas, every = self.rechecked[1:]
+        span = _BLOCK_COUNT[kind]
+        return Counter(chain.from_iterable(deltas[:span])) if any(deltas[span:]) else every
+
+    def full_key(self, key: int | frozenset[int]) -> tuple[int, ...]:
+        """The sorted split masks of the output with this exact key, or with this split delta."""
+        if self.rooted.exact:
+            masks = []
+            while key:
+                low = key & -key
+                masks.append(low.bit_length() - 1)
+                key ^= low
+            return tuple(masks)
+        return tuple(sorted(key.symmetric_difference(self.rooted.cluster)))
 
 
 class SurveyEntry:
     """Survey output for one operation kind.
 
     ``op_count`` is the size of the kind's blocks, which the shape's layout
-    holds, and ``report`` reads the survey's hash count.
-    :meth:`output_keys`, ``multiplicities`` (output tree to the number of
-    operations producing it) and ``forms`` are built on demand, each
-    output's split masks the input's with a split delta flipped: that of an
-    operation whose key no other shares, or one of the re-check.
-    ``repeats`` reads the re-check alone, as an output of two or more
-    operations always shares its key.  :meth:`newicks` reads no key at all:
-    it splices each output's text from the layout's blocks.
+    holds, and ``report`` reads the survey's count of the kind
+    (:meth:`_Survey.repeated`).  :meth:`output_keys`, ``multiplicities``
+    (output tree to the number of operations producing it) and ``forms``
+    are built on demand, each output's split masks decoded from its exact
+    key, or the input's with a split delta flipped: that of an operation
+    whose hashed key no other shares, or one of the re-check.  ``repeats``
+    reads that count alone, as an output of two or more operations always
+    shares its key.  :meth:`newicks` reads no key at all: it splices each
+    output's text from the layout's blocks.
     """
 
     def __init__(self, survey: _Survey, kind: OpKind):
@@ -754,9 +813,8 @@ class SurveyEntry:
         self.op_count = survey.rooted.layout.op_count[kind]
 
     @lazy
-    def _repeated(self) -> Counter:  # the re-checked operations of this kind, by split delta
-        deltas, every = self._survey.count[2:]
-        return Counter(chain.from_iterable(deltas[: self._span])) if any(deltas[self._span :]) else every
+    def _repeated(self) -> Counter:  # this kind's counted operations, by exact key or split delta
+        return self._survey.repeated(self._kind)
 
     @lazy
     def report(self) -> NeighbourhoodReport:
@@ -776,8 +834,8 @@ class SurveyEntry:
     def output_keys(self) -> Iterator[tuple[int, ...]]:
         """The sorted normalized split masks of each distinct output tree, once each."""
         survey = self._survey
-        if self.report.neighbourhood_size > len(self._repeated):  # some output has a key of its own
-            rooted, (keys, shared) = survey.rooted, survey.count[:2]
+        if self.report.neighbourhood_size > len(self._repeated):  # some output has a hashed key of its own
+            rooted, keys, shared = survey.rooted, survey.keys, survey.rechecked[0]
             for v, (cut, row) in enumerate(zip(rooted.layout.cuts, keys)):
                 for pos in compress(count(), (key not in shared for key in row)):
                     block, i, j = cut.op_at(pos)
@@ -811,8 +869,8 @@ def op_survey(
     positions of its shape's layout: a route independent of apply_op's graph
     surgery and of the test suite's split-key reference, which are both
     built from walks of the adjacency and cross-checked against it.  One
-    hash count, run when a report is first read, serves every kind (see the
-    module docstring).
+    pass that builds the keys, run when a report is first read, serves
+    every kind (see the module docstring).
     """
     require_leaves(tree)
     survey = _Survey(tree, kinds)

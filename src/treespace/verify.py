@@ -239,15 +239,16 @@ def extremal_suite(n_max: int = 8, threads: int = 1) -> SuiteResult:
 
     The maximizers must be exactly the caterpillars and the minimizers
     exactly the complete trees, with the extreme values matching their
-    closed forms.  ``threads`` > 1 scans each T_n in turn with that many
-    forked workers, each :func:`extremal.extremal_scan` forking its own.
+    closed forms.  ``threads`` > 1 scans T_{n_max} with that many forked
+    workers (:func:`extremal.extremal_scan`); the smaller T_n, whose serial
+    scans cost less than the forks, are scanned in this process.
     """
     from .extremal import extremal_scan
 
     col = _Collector("extremal")
     scans = {}
     for n in _exhaustive_range(n_max, threads):
-        scan = extremal_scan(n, threads)
+        scan = extremal_scan(n, threads if n == n_max else 1)
         col.check(
             scan.max_value == metrics.caterpillar_tbr_size(n),
             f"n={n}: scan max {scan.max_value} != caterpillar formula {metrics.caterpillar_tbr_size(n)}",

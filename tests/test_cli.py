@@ -305,10 +305,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite,n_max,shards", [("formulas", "4", 3), ("extremal", "5", 15), ("redundancy", "6", 105)])
     def test_pool_never_outnumbers_shards(self, capsys, monkeypatch, suite, n_max, shards):
-        """A suite forks at most one worker per shard of the largest T_n; the
-        extremal suite forks per n, capped by that T_n's shards.  The
-        stand-in for fork_map records the workers asked for and runs the
-        tasks in this process, so --threads 100000 starts no process."""
+        """A suite forks at most one worker per shard of the largest T_n,
+        and the extremal suite forks for that T_n alone.  The stand-in for
+        fork_map records the workers asked for and runs the tasks in this
+        process, so --threads 100000 starts no process."""
         from treespace import generators
 
         sizes = []
@@ -320,7 +320,7 @@ class TestVerify:
         monkeypatch.setattr(generators, "fork_map", recording_map)
         report = run_json(capsys, "verify", "--suite", suite, "--n-max", n_max, "--threads", "100000")
         assert report["results"]["passed"]
-        assert sizes == ([3, shards] if suite == "extremal" else [shards])
+        assert sizes == [shards]
 
     @pytest.mark.parametrize("suite,option,value", [
         ("formulas", "--samples", "-1"), ("extremal", "--threads", "0"), ("extremal", "--threads", "-5"),

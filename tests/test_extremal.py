@@ -1,6 +1,7 @@
 """Extremal predicates and exhaustive arg-max/arg-min scans."""
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,9 @@ from treespace import (
     parse_newick,
     perfect,
     random_tree,
+    tbr_size,
 )
+from treespace.generators import shards
 from treespace.verify import extremal_suite
 
 
@@ -135,6 +138,37 @@ class TestScan:
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(RangeError, match=f"threads must be >= 1, got {threads}"):
             extremal_scan(5, threads=threads)
+
+
+class TestShapeTally:
+    """The scan computes each tree's tally once per rooted shape."""
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_equals_the_direct_tally(self, n):
+        """Tree by tree, the remembered tally is the tree's own, and the
+        accumulator counts them as a direct Counter does."""
+        trees = list(all_trees(n))
+        direct = [(tbr_size(t), is_caterpillar(t), is_complete(t)) for t in trees]
+        assert list(extremal._tallies(trees)) == direct
+        acc = extremal._Accumulator(n)
+        acc.update(trees)
+        assert acc.counts == Counter(direct)
+
+    def test_each_shape_once_per_memo(self, monkeypatch):
+        """is_complete runs once per rooted shape in a serial scan, and at
+        most once per shape in each shard's chunk."""
+        calls: list = []
+        original = extremal.is_complete
+        monkeypatch.setattr(extremal, "is_complete", lambda tree: calls.append(tree.preorder.parent) or original(tree))
+        assert extremal_scan(8).tree_count == 10395
+        assert sorted(calls) == sorted({tree.preorder.parent for tree in all_trees(8)})
+        chunk_calls = 0
+        for prefix in shards(7):
+            calls.clear()
+            assert extremal._scan_chunk((7, prefix)).counts.total() == 9
+            assert len(calls) == len(set(calls))
+            chunk_calls += len(calls)
+        assert chunk_calls < 945
 
 
 class TestVerdictsCanFail:

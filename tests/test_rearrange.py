@@ -45,16 +45,16 @@ from treespace import (
 )
 from treespace import rearrange
 from treespace.rearrange import (
-    _M64,
     _delta_walk,
+    _hash_keys,
     _layout,
-    _mix,
     _refs_a,
     _refs_b,
     _Rooted,
     _split_delta,
     _sums_a,
     _sums_b,
+    _Survey,
     op_survey,
 )
 
@@ -376,26 +376,42 @@ def exact_multiplicities(tree):
     }
 
 
+#: ``_EXACT_LEAVES`` per key path: below 4 every tree is hashed, and at 8
+#: the trees of at most 8 leaves are keyed by their exact split bitmaps.
+KEY_PATHS = {"hashed": 3, "exact": rearrange._EXACT_LEAVES}
+
+
+def key_paths(monkeypatch, tree):
+    """Sets each key path in turn, and yields its name once the tree is
+    known to take it."""
+    for path, leaves in KEY_PATHS.items():
+        monkeypatch.setattr(rearrange, "_EXACT_LEAVES", leaves)
+        assert _Rooted(tree).exact == (path == "exact" and tree.n <= 8)
+        yield path
+
+
 class TestHashSurvey:
     def test_forced_collisions_are_split_exactly(self, monkeypatch):
         """With 8-bit hash keys most groups merge distinct trees; the exact
-        re-check must still give the sorted-key route's counts and forms."""
+        re-check must still give the sorted-key route's counts and forms,
+        and so must exact keys."""
         monkeypatch.setattr(rearrange, "_HASH_BITS", 8)
         trees = [t for n in (4, 5, 6, 7) for t in all_trees(n)]
         large = [random_tree(16, 3), random_tree(24, 4)]
         for tree in trees + large:
             exact = exact_multiplicities(tree)
-            for kind, entry in op_survey(tree).items():
-                want = exact[kind]
-                assert entry.multiplicities == want
-                assert entry.forms == frozenset(want)
-                assert entry.report == NeighbourhoodReport(
-                    n=tree.n,
-                    kind=kind,
-                    op_count=sum(want.values()),
-                    neighbourhood_size=len(want),
-                    multiplicity_histogram=dict(Counter(want.values())),
-                )
+            for path in key_paths(monkeypatch, tree):
+                for kind, entry in op_survey(tree).items():
+                    want = exact[kind]
+                    assert entry.multiplicities == want, (path, kind, tree)
+                    assert entry.forms == frozenset(want)
+                    assert entry.report == NeighbourhoodReport(
+                        n=tree.n,
+                        kind=kind,
+                        op_count=sum(want.values()),
+                        neighbourhood_size=len(want),
+                        multiplicity_histogram=dict(Counter(want.values())),
+                    )
         for tree in large:
             # More TBR neighbours than 8-bit keys: by pigeonhole some hash
             # group held distinct trees, and the re-check split it.
@@ -403,22 +419,24 @@ class TestHashSurvey:
 
     def test_forced_collisions_each_kind_alone(self, monkeypatch):
         """The same exact re-check with one kind asked for at a time, so each
-        kind's keys are counted and located without the others'."""
+        kind's keys are counted and located without the others', and the
+        same on exact keys."""
         monkeypatch.setattr(rearrange, "_HASH_BITS", 8)
         trees = [t for n in (4, 5, 6, 7) for t in all_trees(n)] + [random_tree(16, 3), random_tree(24, 4)]
         for tree in trees:
             exact = exact_multiplicities(tree)
-            for kind in OpKind:
-                want = exact[kind]
-                entry = op_survey(tree, (kind,))[kind]
-                assert entry.multiplicities == want
-                assert entry.report == NeighbourhoodReport(
-                    n=tree.n,
-                    kind=kind,
-                    op_count=sum(want.values()),
-                    neighbourhood_size=len(want),
-                    multiplicity_histogram=dict(Counter(want.values())),
-                )
+            for path in key_paths(monkeypatch, tree):
+                for kind in OpKind:
+                    want = exact[kind]
+                    entry = op_survey(tree, (kind,))[kind]
+                    assert entry.multiplicities == want, (path, kind, tree)
+                    assert entry.report == NeighbourhoodReport(
+                        n=tree.n,
+                        kind=kind,
+                        op_count=sum(want.values()),
+                        neighbourhood_size=len(want),
+                        multiplicity_histogram=dict(Counter(want.values())),
+                    )
 
     @pytest.mark.parametrize(
         "tree",
@@ -445,26 +463,32 @@ class TestHashSurvey:
     @staticmethod
     def check_repeats(trees) -> int:
         """Asserts ``repeats`` on every kind; returns how many outputs of one
-        operation the exact re-check saw."""
-        rechecked_singles = 0
+        operation the survey's count holds: those the exact re-check saw,
+        or every one on exact keys."""
+        singles = 0
         for tree in trees:
             for kind, entry in op_survey(tree).items():
                 want = {f: c for f, c in entry.multiplicities.items() if c > 1}
                 assert entry.repeats == want, (kind, tree)
-                rechecked_singles += sum(c == 1 for c in entry._repeated.values())
-        return rechecked_singles
+                singles += sum(c == 1 for c in entry._repeated.values())
+        return singles
 
     def test_repeats_are_the_multiple_outputs(self):
-        """``repeats``, read from the exact re-check alone, holds exactly the
+        """``repeats``, read from the survey's count alone, holds exactly the
         outputs of two or more operations."""
         self.check_repeats(t for n in (4, 5, 6, 7) for t in all_trees(n))
 
     def test_repeats_under_forced_collisions(self, monkeypatch):
         """With 8-bit keys, distinct outputs of one operation each share a
-        hash and are re-checked too; ``repeats`` must still leave them out."""
+        hash and are re-checked too; ``repeats`` must still leave them out,
+        and leave out the single outputs of exact keys."""
         monkeypatch.setattr(rearrange, "_HASH_BITS", 8)
         trees = [t for n in (4, 5, 6) for t in all_trees(n)] + [random_tree(n, n) for n in range(7, 13)]
-        assert self.check_repeats(trees) > 0
+        for path, leaves in KEY_PATHS.items():
+            monkeypatch.setattr(rearrange, "_EXACT_LEAVES", leaves)
+            singles = self.check_repeats(trees)
+            if path == "hashed":
+                assert singles > 0
 
 
 DELTA_TREES = {
@@ -502,17 +526,51 @@ class TestOneCount:
     def test_every_subset_of_kinds_reads_one_count(self, monkeypatch):
         """With 8-bit keys, so that distinct outputs collide, each kind of a
         survey of two or three kinds, in either order, reports as that kind
-        surveyed alone."""
+        surveyed alone; on exact keys too."""
         monkeypatch.setattr(rearrange, "_HASH_BITS", 8)
         trees = [t for n in (4, 5, 6) for t in all_trees(n)] + [random_tree(n, n) for n in (9, 12, 16)]
         subsets = [kinds for r in (2, 3) for kinds in itertools.combinations(OpKind, r)]
         for tree in trees:
-            alone = {kind: op_survey(tree, (kind,))[kind] for kind in OpKind}
-            for kinds in subsets + [kinds[::-1] for kinds in subsets]:
-                for kind, entry in op_survey(tree, kinds).items():
-                    assert entry.report == alone[kind].report, (kinds, kind, tree)
-                    assert entry.multiplicities == alone[kind].multiplicities
-                    assert entry.repeats == alone[kind].repeats
+            for path in key_paths(monkeypatch, tree):
+                alone = {kind: op_survey(tree, (kind,))[kind] for kind in OpKind}
+                for kinds in subsets + [kinds[::-1] for kinds in subsets]:
+                    for kind, entry in op_survey(tree, kinds).items():
+                        assert entry.report == alone[kind].report, (path, kinds, kind, tree)
+                        assert entry.multiplicities == alone[kind].multiplicities
+                        assert entry.repeats == alone[kind].repeats
+
+    def test_exact_keys_are_the_split_bitmaps(self):
+        """Up to 8 leaves each operation's key is the sum of 1 << mask over
+        its sorted-key output's splits, and decodes back to those splits."""
+        trees = [t for n in (4, 5, 6, 7) for t in all_trees(n)] + list(all_trees(8))[::50]
+        for tree in trees:
+            rooted, survey = _Rooted(tree), _Survey(tree, (OpKind.TBR,))
+            assert rooted.exact
+            sides = {mask: (side_a, side_b) for mask, side_a, side_b in reference_bisections(tree)}
+            for v, (mask, cut, row) in enumerate(zip(rooted.cluster, rooted.layout.cuts, _hash_keys(rooted, 5))):
+                refs_a, refs_b = _refs_a(rooted, v), _refs_b(rooted, v)
+                pairs = [(i, j) for rows, cols in cut.blocks for i in rows for j in cols]
+                assert len(row) == len(pairs)
+                for key, (i, j) in zip(row, pairs):
+                    want = reference_output_key(tree.full_mask, mask, *sides[mask], refs_a[i], refs_b[j])
+                    assert key == sum(1 << m for m in want), (tree, v, i, j)
+                    assert survey.full_key(key) == want
+
+    def test_exact_keys_skip_the_recheck(self, monkeypatch):
+        """A survey of at most 8 leaves reads every kind without a split
+        delta; one of 9 leaves re-checks its shared keys by split delta."""
+
+        def refuse(*args):
+            raise AssertionError("the survey re-checked a key")
+
+        monkeypatch.setattr(rearrange, "_split_delta", refuse)
+        monkeypatch.setattr(rearrange._Layout, "recheck", refuse)
+        for n in range(4, 9):
+            for tree in (caterpillar(n), complete(n), random_tree(n, n)):
+                for entry in op_survey(tree).values():
+                    entry.report, entry.multiplicities, entry.repeats, list(entry.output_keys())
+        with pytest.raises(AssertionError, match="re-checked"):
+            op_survey(random_tree(9, 9), (OpKind.NNI,))[OpKind.NNI].report
 
     def test_one_key_building_pass(self, monkeypatch):
         """Whatever kinds are asked for, an op_survey call builds its hash
@@ -555,9 +613,17 @@ class TestRootedPreparation:
                     assert refs[scar] == want_scar
                     assert frozenset(refs[k] for k in near) == want_near
 
-    @pytest.mark.parametrize("trees", REFERENCE_TREES.values(), ids=REFERENCE_TREES.keys())
-    def test_sums_hash_the_contributions(self, trees):
-        """Each prefix sum equals the hash sum of the splits it stands for."""
+    @pytest.mark.parametrize(
+        "trees,exact_leaves",
+        [(trees, KEY_PATHS["exact"]) for trees in REFERENCE_TREES.values()]
+        + [(REFERENCE_TREES["T4-T7"], KEY_PATHS["hashed"])],
+        ids=[*REFERENCE_TREES, "T4-T7-hashed"],
+    )
+    def test_sums_hash_the_contributions(self, monkeypatch, trees, exact_leaves):
+        """Each prefix sum equals the sum of the terms of the splits it
+        stands for, in the key's width: exact up to 8 leaves, hashed above
+        (and below, in T4-T7-hashed)."""
+        monkeypatch.setattr(rearrange, "_EXACT_LEAVES", exact_leaves)
         for tree in trees[::7]:
             rooted, full = _Rooted(tree), tree.full_mask
             for mask, side_a, side_b in reference_bisections(tree):
@@ -569,7 +635,7 @@ class TestRootedPreparation:
                 for component, (want_refs, _, _), refs, sums in sides:
                     for ref, total in zip(refs, sums):
                         parts = reference_contributions(component, want_refs, ref, full)
-                        assert sum(map(_mix, parts)) & _M64 == total
+                        assert sum(map(rooted.term, parts)) & rooted.width == total
 
     @pytest.mark.parametrize(
         "trees",

@@ -85,14 +85,15 @@ def fork_calls(monkeypatch):
 
 
 def test_extremal_suite_opens_one_pool(fork_calls):
-    """Each n of a parallel extremal suite forks one set of workers, at most
-    one per shard of T_n, and the result equals the serial one."""
+    """A parallel extremal suite forks one set of workers, for the shards of
+    T_{n_max} alone, and scans the smaller T_n in this process; the result
+    equals the serial one."""
     calls, pids = fork_calls
     parallel = extremal_suite(n_max=7, threads=3)
-    assert calls == [(3, 3), (15, 3), (105, 3), (105, 3)]
-    assert len(set(pids)) == len(pids) == 4 * 3
+    assert calls == [(105, 3)]
+    assert len(set(pids)) == len(pids) == 3
     assert parallel == extremal_suite(n_max=7, threads=1)
-    assert parallel.passed and len(calls) == 4
+    assert parallel.passed and len(calls) == 1
 
 
 @pytest.mark.parametrize("suite", [formulas_suite, redundancy_suite])

@@ -63,35 +63,20 @@ class _Builder:
         self.next_id += 1
         return v
 
-    def balanced(self, leaves: list[int]) -> int:
-        """Perfectly balanced rooted subtree; len(leaves) must be a power of 2."""
-        if len(leaves) == 1:
-            return leaves[0]
-        root = self.fresh()
-        mid = len(leaves) // 2
-        self.edges.append((root, self.balanced(leaves[:mid])))
-        self.edges.append((root, self.balanced(leaves[mid:])))
-        return root
-
     def complete_rooted(self, leaves: list[int]) -> int:
-        """Maximally balanced rooted subtree on an arbitrary leaf count.
+        """Maximally balanced rooted subtree on m >= 1 leaves.
 
-        For m >= 3 the root splits off a perfectly balanced block of 2^j
-        leaves, where j is the unique index with 3*2^(j-1) <= m < 3*2^j,
-        and recurses on the remainder.
+        The root splits off a block of 2^j leaves, where j is the unique
+        index with 3*2^(j-1) <= m < 3*2^j (j = 0 for m = 2), and both parts
+        recurse.  A block of 2^j leaves splits into halves all the way
+        down, so on m = 2^k leaves the subtree is perfectly balanced.
         """
         m = len(leaves)
         if m == 1:
             return leaves[0]
-        if m == 2:
-            root = self.fresh()
-            self.edges.append((root, leaves[0]))
-            self.edges.append((root, leaves[1]))
-            return root
-        j = (m // 3).bit_length()
-        block = 1 << j
+        block = 1 << (m // 3).bit_length()
         root = self.fresh()
-        self.edges.append((root, self.balanced(leaves[:block])))
+        self.edges.append((root, self.complete_rooted(leaves[:block])))
         self.edges.append((root, self.complete_rooted(leaves[block:])))
         return root
 
@@ -109,7 +94,7 @@ def complete(n: int) -> PhyloTree:
     b = _Builder(n)
     k = (n // 3).bit_length() - 1
     half = 1 << (k + 1)
-    left = b.balanced(list(range(half)))
+    left = b.complete_rooted(list(range(half)))
     right = b.complete_rooted(list(range(half, n)))
     b.edges.append((left, right))
     return PhyloTree(b.edges, _names(n))
@@ -125,14 +110,14 @@ def perfect(n: int) -> PhyloTree:
     _check_cap(n)
     b = _Builder(n)
     if form == "two_fold":
-        left = b.balanced(list(range(n // 2)))
-        right = b.balanced(list(range(n // 2, n)))
+        left = b.complete_rooted(list(range(n // 2)))
+        right = b.complete_rooted(list(range(n // 2, n)))
         b.edges.append((left, right))
     else:
         center = b.fresh()
         third = n // 3
         for i in range(3):
-            b.edges.append((center, b.balanced(list(range(i * third, (i + 1) * third)))))
+            b.edges.append((center, b.complete_rooted(list(range(i * third, (i + 1) * third)))))
     return PhyloTree(b.edges, _names(n))
 
 

@@ -47,16 +47,16 @@ held once is one distinct output tree, of each kind whose blocks hold its
 operation.  The operations of every shared key (the four behind each NNI
 neighbour, plus any true collision) are found by block position and
 re-checked once, keyed by their split delta: the splits removed and added
-along the two reconnection paths (:func:`_split_delta`).
+along the two reconnection paths (:func:`_split_delta`).  Either way an
+output is named outside the survey by its sorted split masks.
 
 Which positions each of these steps reads depends only on the tree's rooted
 shape, its preorder's parent positions, and many labelled trees share one:
 T_7's 945 trees have 9 shapes and T_8's 10,395 have 21.  So the slice ends,
-each side's ref count, scar and near-scar indices, the blocks, each kind's
-operation count per bisection and the positions of each re-checked split
-delta are built once per shape (:class:`_Layout`, in a bounded cache), and
-a tree computes only its own refs, sums, keys and re-check from its own
-clusters.
+each side's ref count, scar and near-scar indices, the blocks and each
+kind's operation count per bisection are built once per shape
+(:class:`_Layout`, in a bounded cache), and a tree computes only its own
+refs, sums, keys and re-check from its own clusters.
 
 The Newick text of each output, written as
 :func:`treespace.newick_io.serialize_newick` writes it, is spliced from
@@ -85,12 +85,12 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count
 from typing import Container, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidOp
 from .newick_io import cluster_texts
-from .tree_core import CanonicalForm, Edge, PhyloTree, lazy, require_leaves
+from .tree_core import Edge, PhyloTree, lazy, require_leaves
 
 
 class OpKind(enum.Enum):
@@ -242,12 +242,10 @@ class _Cut(NamedTuple):
 class _Layout:
     """Everything of a survey that depends only on the tree's rooted shape,
     its preorder's ``parent`` positions: the slice ends ``end`` (the
-    subtree of u is ``u:end[u]``), a :class:`_Cut` per bisection, per kind
-    the length of its operations' prefix of each bisection's key row
-    (``row_ops``) and their sum (``op_count``), and the positions the split
-    delta of each operation the exact re-check met walks (:meth:`recheck`).
-    A tree reads its own clusters at these positions.  Built once per shape
-    (:func:`_layout`).
+    subtree of u is ``u:end[u]``), a :class:`_Cut` per bisection, and per
+    kind the length of its operations' prefix of each bisection's key row
+    (``row_ops``) and their sum (``op_count``).  A tree reads its own
+    clusters at these positions.  Built once per shape (:func:`_layout`).
     """
 
     def __init__(self, parent: tuple[int, ...]):
@@ -264,7 +262,6 @@ class _Layout:
             for kind, span in _BLOCK_COUNT.items()
         }
         self.op_count = {kind: sum(row_ops) for kind, row_ops in self.row_ops.items()}
-        self.walks: dict[tuple[int, int], tuple[int, _Walk]] = {}
 
     def _cut(self, v: int) -> _Cut:
         """The refs of A are x, then x+1 .. y-1, then y+1 .. stop-1 (x and y
@@ -300,17 +297,6 @@ class _Layout:
             pp = parent[pp]
         cols, scar_b = len(parent) - (stop - v) - 1, index(s)
         return _Cut(near_a, scar_b, near_b, tuple(above), _blocks(rows, near_a, cols, scar_b, near_b))
-
-    def recheck(self, v: int, pos: int) -> tuple[int, _Walk]:
-        """The block of the operation at ``pos`` of bisection v, and its
-        :func:`_delta_walk`, kept for the next tree of this shape.  Only the
-        re-check reads it, so it holds the operations of shared keys: the
-        four of each NNI neighbour, and any true collision."""
-        found = self.walks.get((v, pos))
-        if found is None:
-            block, i, j = self.cuts[v].op_at(pos)
-            found = self.walks[v, pos] = block, _delta_walk(self, v, i, j)
-        return found
 
 
 @lru_cache(maxsize=32)  # T_8, the largest exhaustive body, has 21 shapes
@@ -743,7 +729,8 @@ class _Survey:
 
     Exact keys are counted per kind, over the kind's prefix of each
     bisection's key row.  Hashed keys are counted once, for the widest
-    kind, and the operations of every shared key re-checked by split delta.
+    kind, and the operations of every shared key re-checked by split delta;
+    each kind counts the deltas of its own blocks.
     """
 
     def __init__(self, tree: PhyloTree, kinds: tuple[OpKind, ...]):
@@ -757,18 +744,17 @@ class _Survey:
         return _hash_keys(self.rooted, self.span)
 
     @lazy
-    def rechecked(self) -> tuple[set[int], list[list[frozenset[int]]], Counter]:
-        """Of hashed keys: the shared keys, per block their operations' split deltas, and those counted."""
+    def rechecked(self) -> tuple[set[int], list[list[frozenset[int]]]]:
+        """Of hashed keys: the shared keys, and per block their operations' split deltas."""
         rooted, keys = self.rooted, self.keys
         counts = Counter(chain.from_iterable(keys))
         shared = set(compress(counts, map((1).__lt__, counts.values())))
         deltas: list[list[frozenset[int]]] = [[] for _ in range(self.span)]
-        recheck = rooted.layout.recheck
-        for v, row in enumerate(keys):
+        for v, (cut, row) in enumerate(zip(rooted.layout.cuts, keys)):
             for pos in compress(count(), map(shared.__contains__, row)):
-                block, walk = recheck(v, pos)
-                deltas[block].append(_split_delta(rooted, v, walk))
-        return shared, deltas, Counter(chain.from_iterable(deltas))
+                block, i, j = cut.op_at(pos)
+                deltas[block].append(_split_delta(rooted, v, _delta_walk(rooted.layout, v, i, j)))
+        return shared, deltas
 
     def repeated(self, kind: OpKind) -> Counter:
         """The operations of ``kind`` counted by output: with exact keys
@@ -777,9 +763,7 @@ class _Survey:
         if self.rooted.exact:
             row_ops = self.rooted.layout.row_ops[kind]
             return Counter(chain.from_iterable(row[:k] for row, k in zip(self.keys, row_ops)))
-        deltas, every = self.rechecked[1:]
-        span = _BLOCK_COUNT[kind]
-        return Counter(chain.from_iterable(deltas[:span])) if any(deltas[span:]) else every
+        return Counter(chain.from_iterable(self.rechecked[1][: _BLOCK_COUNT[kind]]))
 
     def full_key(self, key: int | frozenset[int]) -> tuple[int, ...]:
         """The sorted split masks of the output with this exact key, or with this split delta."""
@@ -798,14 +782,13 @@ class SurveyEntry:
 
     ``op_count`` is the size of the kind's blocks, which the shape's layout
     holds, and ``report`` reads the survey's count of the kind
-    (:meth:`_Survey.repeated`).  :meth:`output_keys`, ``multiplicities``
-    (output tree to the number of operations producing it) and ``forms``
-    are built on demand, each output's split masks decoded from its exact
-    key, or the input's with a split delta flipped: that of an operation
-    whose hashed key no other shares, or one of the re-check.  ``repeats``
-    reads that count alone, as an output of two or more operations always
-    shares its key.  :meth:`newicks` reads no key at all: it splices each
-    output's text from the layout's blocks.
+    (:meth:`_Survey.repeated`).  Each output is named by its sorted split
+    masks.  :meth:`output_keys` builds them on demand, decoded from an
+    exact key, or the input's splits with a split delta flipped: that of an
+    operation whose hashed key no other shares, or one of the re-check.
+    ``repeats`` reads that count alone, as an output of two or more
+    operations always shares its key.  :meth:`newicks` reads no key at all:
+    it splices each output's text from the layout's blocks.
     """
 
     def __init__(self, survey: _Survey, kind: OpKind):
@@ -844,19 +827,10 @@ class SurveyEntry:
         yield from map(survey.full_key, self._repeated)
 
     @lazy
-    def multiplicities(self) -> dict[CanonicalForm, int]:
-        names, ones = self._survey.tree.leaf_order, repeat(1, self.report.neighbourhood_size - len(self._repeated))
-        return {CanonicalForm(k, names): c for k, c in zip(self.output_keys(), chain(ones, self._repeated.values()))}
-
-    @lazy
-    def repeats(self) -> dict[CanonicalForm, int]:
-        """The outputs of two or more operations, each with its multiplicity."""
-        names, full_key = self._survey.tree.leaf_order, self._survey.full_key
-        return {CanonicalForm(full_key(delta), names): c for delta, c in self._repeated.items() if c > 1}
-
-    @lazy
-    def forms(self) -> frozenset[CanonicalForm]:
-        return frozenset(self.multiplicities)
+    def repeats(self) -> dict[tuple[int, ...], int]:
+        """The sorted split masks of each output of two or more operations, with its multiplicity."""
+        full_key = self._survey.full_key
+        return {full_key(key): c for key, c in self._repeated.items() if c > 1}
 
 
 def op_survey(

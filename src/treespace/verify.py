@@ -123,9 +123,9 @@ def _check_redundancy_tree(col: _Collector, tree: PhyloTree) -> None:
     nni, spr, tbr = op_survey(tree).values()
     mults = set(tbr.report.multiplicity_histogram)
     col.check(mults <= {1, 4}, f"TBR multiplicities {sorted(mults)} not in {{1, 4}}", tree)
-    quadruple = frozenset(f for f, c in tbr.repeats.items() if c == 4)
+    quadruple = {k for k, c in tbr.repeats.items() if c == 4}
     col.check(
-        quadruple == nni.forms,
+        quadruple == set(nni.output_keys()),
         "multiplicity-4 TBR outputs differ from the NNI neighbourhood",
         tree,
     )

@@ -4,8 +4,9 @@ subtree-swap surgery, independent of the scar-edge classification rules
 they are used to validate, a Newick writer independent
 of the preorder one, bisection components, the exact split key of each
 operation's output and Gamma from an adjacency walk, independent of the
-tree's rooted preorder, the cluster-set definition of a complete tree and
-the neighbour definition of a caterpillar."""
+tree's rooted preorder, the cluster-set definition of a complete tree,
+the neighbour definition of a caterpillar, and a survey's outputs as
+canonical forms."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import Iterable, Iterator
 
 import pytest
 
-from treespace import PhyloTree
+from treespace import CanonicalForm, PhyloTree
 from treespace.newick_io import _quote
 from treespace.tree_core import Edge
 
@@ -271,6 +272,14 @@ def reference_output_key(
     key.append(mask)
     key.sort()
     return tuple(key)
+
+
+def multiplicities(entry, tree: PhyloTree) -> dict[CanonicalForm, int]:
+    """Each distinct output of a survey entry of ``tree`` as a canonical
+    form, with the number of operations producing it: its ``repeats``
+    count, or 1."""
+    repeats = entry.repeats
+    return {CanonicalForm(k, tree.leaf_order): repeats.get(k, 1) for k in entry.output_keys()}
 
 
 def reference_gamma(tree: PhyloTree) -> int:

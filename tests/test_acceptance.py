@@ -8,6 +8,7 @@ equalities; nothing here is approximate.
 from __future__ import annotations
 
 import pytest
+from conftest import multiplicities
 
 from treespace import (
     NewickSyntaxError,
@@ -110,8 +111,8 @@ def test_criterion_04_redundancy_law(exhaustive_surveys):
         for n, tree, survey in exhaustive_surveys:
             tbr = survey[OpKind.TBR]
             assert set(tbr.report.multiplicity_histogram) <= {1, 4}, serialize_newick(tree)
-            quadruple = {form for form, c in tbr.multiplicities.items() if c == 4}
-            assert quadruple == set(survey[OpKind.NNI].forms), serialize_newick(tree)
+            quadruple = {form for form, c in multiplicities(tbr, tree).items() if c == 4}
+            assert quadruple == set(multiplicities(survey[OpKind.NNI], tree)), serialize_newick(tree)
             slack = tbr.report.op_count - tbr.report.neighbourhood_size
             assert slack == 3 * (2 * n - 6), serialize_newick(tree)
 

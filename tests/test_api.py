@@ -88,12 +88,27 @@ TREE_PUBLIC = {
 }
 
 
+# The public members of a survey entry.
+SURVEY_ENTRY_PUBLIC = {
+    "newicks",
+    "op_count",
+    "output_keys",
+    "repeats",
+    "report",
+}
+
+
 def test_public_names():
     assert set(treespace.__all__) == PUBLIC
 
 
 def test_tree_public_members():
     assert {name for name in dir(PhyloTree) if not name.startswith("_")} == TREE_PUBLIC
+
+
+def test_survey_entry_public_members(quartet):
+    entry = treespace.op_survey(quartet)[treespace.OpKind.TBR]
+    assert {name for name in dir(entry) if not name.startswith("_")} == SURVEY_ENTRY_PUBLIC
 
 
 def test_benchmark_tracer_installs(monkeypatch):

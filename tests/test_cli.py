@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import treespace
 from conftest import reference_newick
-from treespace import rearrange
+from treespace import rearrange, tree_core
 from treespace.cli import FAMILY_CHOICES, OP_CHOICES, SUITE_CHOICES, TABLE_N_CAP, main
 from treespace.generators import all_trees, random_tree
 from treespace.newick_io import parse_newick, serialize_newick
@@ -109,7 +109,7 @@ class TestNeighbourhood:
         def refuse(*args):
             raise AssertionError("the count path built a canonical form")
 
-        monkeypatch.setattr(rearrange, "CanonicalForm", refuse)
+        monkeypatch.setattr(tree_core, "CanonicalForm", refuse)
         results = run_json(capsys, "neighbourhood", cat6_file, "--op", "tbr", "--multiplicities")["results"]
         assert results["multiplicity_histogram"] == {"1": 28, "4": 6}
 
@@ -173,7 +173,7 @@ class TestEmitOracle:
         def refuse(*args):
             raise AssertionError("the emit path built a canonical form")
 
-        monkeypatch.setattr(rearrange, "CanonicalForm", refuse)
+        monkeypatch.setattr(tree_core, "CanonicalForm", refuse)
         code, out, err = run(capsys, "neighbourhood", str(path), "--op", kind.value,
                              "--emit-trees", "--multiplicities", "--emit-ops")
         assert code == 0

@@ -83,6 +83,15 @@ def repeats_keeps_single_outputs(self):
     return {full_key(key): c for key, c in self._repeated.items()}
 
 
+def repeats_drops_one_output(self):
+    """``SurveyEntry.repeats`` losing one output of several operations: the
+    one with the highest key."""
+    full_key = self._survey.full_key
+    out = {full_key(key): c for key, c in self._repeated.items() if c > 1}
+    out.pop(max(out, default=None), None)
+    return out
+
+
 def complete_rooted_block_too_small(self, leaves):
     """``_Builder.complete_rooted`` splitting off a block one power of two too small."""
     m = len(leaves)
@@ -137,6 +146,13 @@ MUTANTS = {
         rearrange.SurveyEntry,
         "repeats",
         property(repeats_keeps_single_outputs),
+        repeats_are_the_multiple_outputs,
+        False,
+    ),
+    "repeats_drops_one_output": Mutant(
+        rearrange.SurveyEntry,
+        "repeats",
+        property(repeats_drops_one_output),
         repeats_are_the_multiple_outputs,
         False,
     ),

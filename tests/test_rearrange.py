@@ -467,13 +467,15 @@ class TestHashSurvey:
 
     @staticmethod
     def check_repeats(trees) -> int:
-        """Asserts ``repeats`` on every kind; returns how many outputs of one
-        operation the survey's count holds: those the exact re-check saw,
-        or every one on exact keys."""
+        """Asserts ``repeats`` on every kind against the adjacency walk's
+        reference multiplicities; returns how many outputs of one operation
+        the survey's count holds: those the exact re-check saw, or every one
+        on exact keys."""
         singles = 0
         for tree in trees:
+            exact = exact_multiplicities(tree)
             for kind, entry in op_survey(tree).items():
-                want = {f.split_masks: c for f, c in multiplicities(entry, tree).items() if c > 1}
+                want = {f.split_masks: c for f, c in exact[kind].items() if c > 1}
                 assert entry.repeats == want, (kind, tree)
                 singles += sum(c == 1 for c in entry._repeated.values())
         return singles

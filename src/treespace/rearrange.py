@@ -131,7 +131,8 @@ class NeighbourhoodReport(_ReportFields):
     """Counts for one tree and one operation kind.
 
     ``multiplicity_histogram`` maps output-tree multiplicity (how many
-    distinct operations produce that tree) to the number of such outputs.
+    distinct operations produce that tree) to the number of such outputs,
+    both at least 1.
     """
 
     __slots__ = ()
@@ -143,6 +144,8 @@ class NeighbourhoodReport(_ReportFields):
         size = sum(multiplicity_histogram.values())
         if ops != op_count or size != neighbourhood_size:
             raise ValueError("multiplicity histogram disagrees with the counts")
+        if any(m < 1 or c < 1 for m, c in multiplicity_histogram.items()):
+            raise ValueError("multiplicity histogram has an entry below 1")
         return super().__new__(cls, n, kind, op_count, neighbourhood_size, multiplicity_histogram)
 
     def to_json(self) -> dict:

@@ -85,8 +85,10 @@ class TestIsComplete:
 class TestIsCompleteReference:
     """The one-pass predicate against the quadratic cluster-set definition."""
 
-    @pytest.mark.parametrize("n", range(4, 8))
+    @pytest.mark.parametrize("n", range(4, 9))
     def test_every_small_tree(self, n):
+        """Up to n = 7 the size condition never decides a verdict; T_8 is
+        the first T_n where it does."""
         for t in all_trees(n):
             assert is_complete(t) == reference_is_complete(t)
 

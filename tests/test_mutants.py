@@ -1,107 +1,114 @@
 """Planted defects: every gate named here must be able to fail.
 
-Each mutant is a copy of one library function with one defect, applied by
-monkeypatch, together with the check meant to catch it: a verify suite at
-small n, or a named test of this suite.  A mutant the check lets through
-marks a blind gate.  Defects on the hashed key path run with
+Each defect is one entry of MUTANTS: a function (its owner and name), the
+text ``old`` of its current source and the text ``new`` that replaces it,
+and the check meant to catch it: a verify suite at small n, or a named
+test of this suite.  :func:`patched` rebuilds the function from its live
+source with that one edit, in its own module's globals.  Under the defect
+the check must raise ``raises``; unmutated, it must pass.  A defect that
+survives marks a blind gate, which gets a new check, never a looser one.
+
+To add a defect, add one entry, with ``old`` and ``new`` copied from the
+file exactly as written, indentation included; ``old`` must occur once in
+the function.  The owner is where the check looks the name up: a test
+module that imports a function by name gets the patch itself.  A check
+should fail on a short comparison, as ``pytest -v`` diffs the values of a
+failed assertion in full, and long sequences take it minutes.
+
+Defects on the hashed key path (``hashed``) run with
 ``rearrange._EXACT_LEAVES`` lowered to 3 and 8-bit hash keys, so that
 trees this small are hashed and most of their operations re-checked by
-split delta: with full keys only the four operations of each NNI
-neighbour share a key, and some defects would only permute them.
+split delta: with full keys only the four operations of each NNI neighbour
+share a key, and some defects would only permute them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
-from typing import Callable, NamedTuple
+import __future__
+import ast
+import inspect
+import textwrap
+import types
+import warnings
+from contextlib import contextmanager
+from typing import Callable, Iterator, NamedTuple
 
 import pytest
+import test_extremal
 import test_generators
+import test_metrics
+import test_newick_io
 import test_rearrange
+import test_tree_core
+import test_verify
 
-from treespace import all_trees, generators, rearrange
-from treespace.verify import formulas_suite, redundancy_suite
-
-
-def split_delta_ignores_joined(rooted, v, walk):
-    """:func:`rearrange._split_delta` without the split C(w) | A that B gains."""
-    cluster = rooted.cluster
-    a = cluster[v]
-    lost, flipped, _ = walk
-    return frozenset([cluster[u] for u in lost]).symmetric_difference([cluster[u] ^ a for u in flipped])
+from treespace import OpKind, all_trees, extremal, generators, metrics, rearrange, tree_core
+from treespace.tree_core import lazy
+from treespace.verify import extremal_suite, formulas_suite, redundancy_suite
 
 
-def delta_walk_skips_ancestors_of_s(layout, v, i, j):
-    """:func:`rearrange._delta_walk` without the ancestors of v's sibling s
-    that are not w's."""
-    parent, end = layout.parent, layout.end
-    lost, flipped, joined, path = [], [], (), []
-    if i:
-        w = v + 1 + i if v + 1 + i < end[v + 1] else v + 2 + i
-        u = parent[w]
-        while parent[u] != v:
-            path.append(u)
-            u = parent[u]
-        lost.append(u)
-        flipped.append(w)
-    if j != layout.cuts[v].scar_b:
-        p = parent[v]
-        w = j if j < p else j + 1 if j < v - 1 else j + end[v] - v + 1
-        lost.append(p)
-        joined = (w,)
-        u = parent[w]
-        while u >= 0 and not u < v < end[u]:
-            path.append(u)
-            u = parent[u]
-    return (*lost, *path), (*flipped, *path), joined
+def patched(owner: object, name: str, old: str, new: str) -> Callable | lazy:
+    """``owner.name`` rebuilt from its current source with the one
+    occurrence of ``old`` replaced by ``new``, decorators dropped.
+
+    The new function runs in the original's module globals, so a patched
+    library function sees the module as it is at call time, monkeypatches
+    included.  A :class:`~treespace.tree_core.lazy` is rebuilt from its
+    ``compute`` and wrapped again.  Any warning while compiling is an error.
+    """
+    live = inspect.getattr_static(owner, name)
+    func = inspect.unwrap(live.compute if isinstance(live, lazy) else live)
+    lines, first = inspect.getsourcelines(func)
+    source = "".join(lines)
+    found = source.count(old)
+    assert found == 1, f"{func.__qualname__}: {old!r} occurs {found} times in its source, not once"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        module = ast.parse(textwrap.dedent(source.replace(old, new)))
+        module.body[0].decorator_list.clear()
+        ast.increment_lineno(module, first - 1)
+        flags = __future__.annotations.compiler_flag
+        code = compile(module, inspect.getsourcefile(func), "exec", flags, dont_inherit=True)
+    body = next(c for c in code.co_consts if isinstance(c, types.CodeType))
+    fn = types.FunctionType(body, func.__globals__, func.__name__, func.__defaults__, func.__closure__)
+    fn.__qualname__, fn.__kwdefaults__ = func.__qualname__, func.__kwdefaults__
+    if not isinstance(live, lazy):
+        return fn
+    wrapped = lazy(fn)
+    wrapped.__set_name__(owner, name)
+    return wrapped
 
 
-def op_at_next_column(self, pos):
-    """:meth:`rearrange._Cut.op_at` naming the next column of the block, or
-    its last."""
-    for block, (rows, cols) in enumerate(self.blocks):
-        if pos < len(rows) * len(cols):
-            r, c = divmod(pos, len(cols))
-            return block, rows[r], cols[min(c + 1, len(cols) - 1)]
-        pos -= len(rows) * len(cols)
-    raise IndexError("no operation at that position")
+class Mutant(NamedTuple):
+    owner: object
+    name: str
+    old: str
+    new: str
+    check: Callable[[], None]
+    hashed: bool = False
+    raises: type[BaseException] = AssertionError
 
 
-def repeated_reads_every_block(self, kind):
-    """:meth:`rearrange._Survey.repeated` counting the re-checked operations
-    of every kind the survey built, not only those of ``kind``."""
-    if self.rooted.exact:
-        row_ops = self.rooted.layout.row_ops[kind]
-        return Counter(chain.from_iterable(row[:k] for row, k in zip(self.keys, row_ops)))
-    return Counter(chain.from_iterable(self.rechecked[1]))
+@contextmanager
+def planted(mutant: Mutant | None, hashed: bool) -> Iterator[None]:
+    """The mutant's defect in place (none for None) and, with ``hashed``,
+    every tree of 4 or more leaves keyed by an 8-bit hash, all undone on
+    exit.  The cache of shape layouts is emptied on the way in and out, so
+    that no layout built with or without a defect of ``_blocks`` hides it."""
+    rearrange._layout.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            if hashed:
+                mp.setattr(rearrange, "_EXACT_LEAVES", 3)
+                mp.setattr(rearrange, "_HASH_BITS", 8)
+            if mutant:
+                mp.setattr(mutant.owner, mutant.name, patched(mutant.owner, mutant.name, mutant.old, mutant.new))
+            yield
+    finally:
+        rearrange._layout.cache_clear()
 
 
-def repeats_keeps_single_outputs(self):
-    """``SurveyEntry.repeats`` keeping the outputs of one operation."""
-    full_key = self._survey.full_key
-    return {full_key(key): c for key, c in self._repeated.items()}
-
-
-def repeats_drops_one_output(self):
-    """``SurveyEntry.repeats`` losing one output of several operations: the
-    one with the highest key."""
-    full_key = self._survey.full_key
-    out = {full_key(key): c for key, c in self._repeated.items() if c > 1}
-    out.pop(max(out, default=None), None)
-    return out
-
-
-def complete_rooted_block_too_small(self, leaves):
-    """``_Builder.complete_rooted`` splitting off a block one power of two too small."""
-    m = len(leaves)
-    if m == 1:
-        return leaves[0]
-    block = 1 << max(0, (m // 3).bit_length() - 1)
-    root = self.fresh()
-    self.edges.append((root, complete_rooted_block_too_small(self, leaves[:block])))
-    self.edges.append((root, complete_rooted_block_too_small(self, leaves[block:])))
-    return root
+# -- checks ------------------------------------------------------------------
 
 
 def redundancy_up_to_6() -> None:
@@ -114,6 +121,11 @@ def formulas_up_to_6() -> None:
     assert result.passed, result.failures[:1]
 
 
+def extremal_up_to_7() -> None:
+    result = extremal_suite(n_max=7)
+    assert result.passed, result.failures[:1]
+
+
 def repeats_are_the_multiple_outputs() -> None:
     test_rearrange.TestHashSurvey.check_repeats(t for n in (4, 5, 6) for t in all_trees(n))
 
@@ -123,70 +135,169 @@ def complete_predicate_and_closed_form() -> None:
         test_generators.TestComplete().test_predicate_and_closed_form(n)
 
 
-class Mutant(NamedTuple):
-    owner: object
-    name: str
-    defect: Callable
-    check: Callable[[], None]
-    hashed: bool
+def is_complete_against_reference() -> None:
+    for n in range(4, 9):
+        test_extremal.TestIsCompleteReference().test_every_small_tree(n)
 
+
+def perfect_values() -> None:
+    for n in test_metrics.PERFECT_NS:
+        test_metrics.TestPerfectValues().test_agrees_with_complete_form(n)
+
+
+def doubled_edge_rejected() -> None:
+    test_tree_core.TestBuildTree().test_doubled_edge_beside_a_tree_rejected()
+
+
+def first_fault_wins() -> None:
+    for text, exc, position in test_newick_io.PRECEDENCE:
+        test_newick_io.TestNegativeCorpus().test_first_fault_wins(text, exc, position)
+
+
+def spliced_texts() -> None:
+    trees = [t for n in (4, 5, 6) for t in all_trees(n)]
+    test_rearrange.TestNewickSplice().test_texts_are_the_exact_outputs(trees, tuple(OpKind))
+
+
+def sweep_around_every_step() -> None:
+    test_verify.test_sweep_matches_closed_form_around_every_step()
+
+
+# -- the table ---------------------------------------------------------------
 
 MUTANTS = {
     "split_delta_ignores_joined": Mutant(
-        rearrange, "_split_delta", split_delta_ignores_joined, redundancy_up_to_6, True
+        rearrange, "_split_delta", "    gained += [cluster[u] | a for u in joined]\n", "", redundancy_up_to_6, True
     ),
     "delta_walk_skips_ancestors_of_s": Mutant(
-        rearrange, "_delta_walk", delta_walk_skips_ancestors_of_s, formulas_up_to_6, True
+        rearrange, "_delta_walk", "while u != top:", "while False:", formulas_up_to_6, True
     ),
-    "op_at_next_column": Mutant(rearrange._Cut, "op_at", op_at_next_column, redundancy_up_to_6, True),
+    "op_at_next_column": Mutant(
+        rearrange._Cut, "op_at", "cols[c]", "cols[min(c + 1, len(cols) - 1)]", redundancy_up_to_6, True
+    ),
+    # Caught by the report's own check: the count takes in other kinds'
+    # outputs, and the single outputs go below zero to keep the sums.
     "repeated_reads_every_block": Mutant(
-        rearrange._Survey, "repeated", repeated_reads_every_block, redundancy_up_to_6, True
+        rearrange._Survey, "repeated", "self.rechecked[1][: _BLOCK_COUNT[kind]]", "self.rechecked[1]",
+        redundancy_up_to_6, hashed=True, raises=ValueError,
     ),
     "repeats_keeps_single_outputs": Mutant(
-        rearrange.SurveyEntry,
-        "repeats",
-        property(repeats_keeps_single_outputs),
-        repeats_are_the_multiple_outputs,
-        False,
+        rearrange.SurveyEntry, "repeats", " if c > 1}", "}", repeats_are_the_multiple_outputs
     ),
     "repeats_drops_one_output": Mutant(
-        rearrange.SurveyEntry,
-        "repeats",
-        property(repeats_drops_one_output),
+        rearrange.SurveyEntry, "repeats", "return {full_key(key): c for key, c in self._repeated.items() if c > 1}",
+        "return dict(sorted({full_key(key): c for key, c in self._repeated.items() if c > 1}.items())[:-1])",
         repeats_are_the_multiple_outputs,
-        False,
     ),
     "complete_rooted_block_too_small": Mutant(
-        generators._Builder,
-        "complete_rooted",
-        complete_rooted_block_too_small,
-        complete_predicate_and_closed_form,
-        False,
+        generators._Builder, "complete_rooted", "block = 1 << (m // 3).bit_length()",
+        "block = 1 << max(0, (m // 3).bit_length() - 1)", complete_predicate_and_closed_form,
     ),
+    # Closed forms.
+    "nni_size_off_by_two": Mutant(metrics, "nni_size", "2 * n - 6", "2 * n - 4", formulas_up_to_6),
+    "spr_size_wrong_factor": Mutant(metrics, "spr_size", "(2 * n - 7)", "(2 * n - 6)", formulas_up_to_6),
+    "spr_op_count_wrong_factor": Mutant(metrics, "spr_op_count", "(n - 3)", "(n - 2)", formulas_up_to_6),
+    "tbr_op_count_wrong_factor": Mutant(metrics, "tbr_op_count", "(n - 2)", "(n - 3)", formulas_up_to_6),
+    "tbr_size_wrong_slope": Mutant(metrics, "tbr_size", "(4 * n - 2)", "(4 * n - 6)", formulas_up_to_6),
+    "caterpillar_tbr_size_off_by_one": Mutant(
+        metrics, "caterpillar_tbr_size", "16 * n + 6", "16 * n + 9", extremal_up_to_7
+    ),
+    "gamma_complete_drops_octave_term": Mutant(
+        metrics, "gamma_complete", "total += ((n >> (k - 1) & 1) - 1)", "total += 0 * ((n >> (k - 1) & 1) - 1)",
+        extremal_up_to_7,
+    ),
+    "perfect_tbr_size_wrong_two_fold_slope": Mutant(
+        test_metrics, "perfect_tbr_size", "(4 * k - 13)", "(4 * k - 12)", perfect_values
+    ),
+    "sweep_octave_term_ends_an_octave_early": Mutant(
+        test_verify, "complete_tbr_size_sweep", "n = 3 << (k - 1)", "n = 2 << (k - 1)", sweep_around_every_step
+    ),
+    # The survey's sums, blocks, layouts, re-check and spliced texts.
+    "sums_a_scar_flips_swapped": Mutant(
+        rearrange, "_sums_a", "flips[x], flips[y] = at_scar - hashes[x], at_scar - hashes[y]",
+        "flips[x], flips[y] = at_scar - hashes[y], at_scar - hashes[x]", formulas_up_to_6,
+    ),
+    "sums_b_keeps_ancestors_of_v": Mutant(
+        rearrange, "_sums_b", "        total += kept[u] - hashes[u]\n", "", formulas_up_to_6
+    ),
+    "blocks_one_nni_near_column": Mutant(
+        rearrange, "_blocks", "((0,), near_b),", "((0,), near_b[:1]),", formulas_up_to_6
+    ),
+    "blocks_spr_row_repeats_nni_cols": Mutant(
+        rearrange, "_blocks", "[j for j in rest_cols if j not in near_b]", "rest_cols", formulas_up_to_6
+    ),
+    "blocks_keep_scar_scar": Mutant(
+        rearrange, "_blocks", "rest_rows = range(1, rows)", "rest_rows = range(0, rows)", formulas_up_to_6
+    ),
+    "layout_shared_across_shapes": Mutant(
+        rearrange, "_layout", "return _Layout(parent)",
+        "return _layout.__dict__.setdefault(len(parent), _Layout(parent))", formulas_up_to_6,
+    ),
+    "delta_walk_keeps_parent_split": Mutant(
+        rearrange, "_delta_walk", "        lost.append(p)\n", "", redundancy_up_to_6, True
+    ),
+    "recheck_skips_keys_of_four": Mutant(
+        rearrange._Survey, "rechecked", "map((1).__lt__,", "map((4).__lt__,", redundancy_up_to_6, True
+    ),
+    "join_children_reversed": Mutant(rearrange, "_join", "(c & -c) < (d & -d)", "(c & -c) > (d & -d)", spliced_texts),
+    # Shape predicates.
+    "is_caterpillar_first_child_only": Mutant(
+        extremal, "is_caterpillar", " or a - size[u + 1] == 1", "", extremal_up_to_7
+    ),
+    "is_complete_ignores_size": Mutant(
+        test_extremal, "is_complete", "found = found or bound in (a, b)", "found = True", is_complete_against_reference
+    ),
+    "pair_balanced_strict_lower_bound": Mutant(
+        extremal, "_pair_balanced", "a <= 2 * b", "a < 2 * b", complete_predicate_and_closed_form
+    ),
+    # Input validation.
+    "walk_takes_doubled_edge": Mutant(
+        tree_core, "_walk", "if stack:", "if False:", doubled_edge_rejected, raises=pytest.fail.Exception
+    ),
+    "parser_last_fault_wins": Mutant(test_newick_io, "parse_newick", "min(faults)", "max(faults)", first_fault_wins),
 }
-
-
-def hash_small_trees(monkeypatch) -> None:
-    """Every tree of 4 or more leaves keyed by an 8-bit hash: most of its
-    operations then share a key with another and are re-checked."""
-    monkeypatch.setattr(rearrange, "_EXACT_LEAVES", 3)
-    monkeypatch.setattr(rearrange, "_HASH_BITS", 8)
 
 
 CHECKS = {(m.check, m.hashed) for m in MUTANTS.values()}
 
 
 @pytest.mark.parametrize("check,hashed", sorted(CHECKS, key=lambda c: (c[0].__name__, c[1])))
-def test_check_passes_unmutated(monkeypatch, check, hashed):
-    if hashed:
-        hash_small_trees(monkeypatch)
-    check()
+def test_check_passes_unmutated(check, hashed):
+    with planted(None, hashed):
+        check()
 
 
 @pytest.mark.parametrize("mutant", MUTANTS.values(), ids=MUTANTS.keys())
-def test_check_catches_mutant(monkeypatch, mutant):
-    if mutant.hashed:
-        hash_small_trees(monkeypatch)
-    monkeypatch.setattr(mutant.owner, mutant.name, mutant.defect)
-    with pytest.raises(AssertionError):
+def test_check_catches_mutant(mutant):
+    with planted(mutant, mutant.hashed), pytest.raises(mutant.raises):
         mutant.check()
+
+
+# -- the harness itself --------------------------------------------------------
+
+
+def test_every_old_occurs_once_and_is_undone():
+    """Each entry's ``old`` is in the current source exactly once (else
+    :func:`patched` fails), and leaving :func:`planted` restores the
+    target and the key settings."""
+    for mutant in MUTANTS.values():
+        original = inspect.getattr_static(mutant.owner, mutant.name)
+        with planted(mutant, mutant.hashed):
+            assert inspect.getattr_static(mutant.owner, mutant.name) is not original
+        assert inspect.getattr_static(mutant.owner, mutant.name) is original
+    assert (rearrange._EXACT_LEAVES, rearrange._HASH_BITS) == (8, 64)
+
+
+@pytest.mark.parametrize("old", ["no such text", "len(rows) * len(cols)"], ids=["absent", "twice"])
+def test_patch_needs_old_exactly_once(old):
+    with pytest.raises(AssertionError, match=r"^_Cut\.op_at: "):
+        patched(rearrange._Cut, "op_at", old, "")
+
+
+def test_patch_reads_the_library_globals(monkeypatch):
+    """The patched function looks names up in its own module as it is at
+    call time; this test module binds no ``_exact_div``."""
+    nni_size = patched(metrics, "nni_size", "return 2 * n - 6", "return _exact_div(2 * n - 6, 1)")
+    assert nni_size.__globals__ is vars(metrics) and nni_size(5) == 4
+    monkeypatch.setattr(metrics, "_exact_div", lambda num, den: "live")
+    assert nni_size(5) == "live"

@@ -29,6 +29,10 @@ def test_neighbourhood_report_checks_its_histogram():
     for bad in ({"op_count": 15}, {"neighbourhood_size": 5}, {"multiplicity_histogram": {4: 3, 1: 4}}):
         with pytest.raises(ValueError, match="disagrees"):
             NeighbourhoodReport(**{**fields, **bad})
+    # Each of these keeps both sums right.
+    for histogram in ({4: 4, 1: 0}, {4: 4, 0: 0}, {6: 3, -2: 1}):
+        with pytest.raises(ValueError, match="below 1"):
+            NeighbourhoodReport(**{**fields, "multiplicity_histogram": histogram})
 
 
 def instances():

@@ -39,15 +39,17 @@ down the slice of v (side A) or down the rest of the preorder (side B):
 O(n) per bisection, with no walk of its own.  The operations of one
 bisection are blocks, rows of A by cols of B, narrowest kind first
 (:func:`_blocks`), and their keys the sums of the two lists.  One survey
-builds the keys of the widest kind asked for, and a narrower kind's keys
-are a prefix of each bisection's row.  Exact keys are counted per kind,
-over its prefixes.  Hashed keys are counted once, and every kind reads
-that count.  It stays exact: equal trees always share a hash, so a key
-held once is one distinct output tree, of each kind whose blocks hold its
-operation.  The operations of every shared key (the four behind each NNI
-neighbour, plus any true collision) are found by block position and
-re-checked once, keyed by their split delta: the splits removed and added
-along the two reconnection paths (:func:`_split_delta`).  Either way an
+builds the keys of the widest kind asked for.  One rule says which
+operations a kind has, on both key paths: the first ``row_ops[kind][v]``
+positions of bisection v's row (:class:`_Layout`).  Exact keys are
+counted per kind, over its prefixes.  Hashed keys are counted once, and
+every kind reads that count.  It stays exact: equal trees always share a
+hash, so a key held once is one distinct output tree, of each kind whose
+prefix holds its operation.  The operations of every shared key (the four
+behind each NNI neighbour, plus any true collision) are re-checked once,
+each kept with its position in its row and keyed by its split delta: the
+splits removed and added along the two reconnection paths, read from the
+clusters as one walk climbs them (:func:`_split_delta`).  Either way an
 output is named outside the survey by its sorted split masks.
 
 Which positions each of these steps reads depends only on the tree's rooted
@@ -84,13 +86,13 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, count
 from typing import Container, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidOp
 from .newick_io import cluster_texts
-from .tree_core import Edge, PhyloTree, lazy, require_leaves
+from .tree_core import Edge, PhyloTree, require_leaves
 
 
 class OpKind(enum.Enum):
@@ -232,12 +234,12 @@ class _Cut(NamedTuple):
     above: tuple[int, ...]
     blocks: _Blocks
 
-    def op_at(self, pos: int) -> tuple[int, int, int]:
-        """(block, ref a, ref b) of the operation at ``pos`` in block order."""
-        for block, (rows, cols) in enumerate(self.blocks):
+    def op_at(self, pos: int) -> tuple[int, int]:
+        """(ref a, ref b) of the operation at ``pos`` in block order."""
+        for rows, cols in self.blocks:
             if pos < len(rows) * len(cols):
                 r, c = divmod(pos, len(cols))
-                return block, rows[r], cols[c]
+                return rows[r], cols[c]
             pos -= len(rows) * len(cols)
         raise IndexError("no operation at that position")
 
@@ -568,14 +570,11 @@ def _hash_keys(rooted: _Rooted, span: int) -> list[list[int]]:
     return out
 
 
-#: The positions whose clusters make up a split delta (:func:`_delta_walk`).
-_Walk = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-
-def _delta_walk(layout: _Layout, v: int, i: int, j: int) -> _Walk:
-    """Where the output of (ref a i, ref b j), the edge above v bisected,
-    and the input tree differ: the positions u whose C(u) it loses, those
-    whose A ^ C(u) it gains and the one, if any, whose C(u) | A it gains.
+def _split_delta(rooted: _Rooted, v: int, i: int, j: int) -> frozenset[int]:
+    """The splits in which the output of (ref a i, ref b j), the edge above
+    v bisected, and the input tree differ, read from the clusters along the
+    two reconnection paths: equal outputs have equal deltas.  What is lost
+    and gained again nets out.
 
     A reconnected at the edge above w below x (or y) gains A ^ C(w), loses
     C(x) (or C(y)), and swaps C(u) for A ^ C(u) on each vertex between.  B
@@ -583,21 +582,22 @@ def _delta_walk(layout: _Layout, v: int, i: int, j: int) -> _Walk:
     C(u) for C(u) ^ A on each ancestor of w or of s (hung from p's parent)
     but not of both.
     """
-    parent, end = layout.parent, layout.end
-    lost, flipped, joined, path = [], [], (), []
+    parent, end, cluster = rooted.parent, rooted.end, rooted.cluster
+    a = cluster[v]
+    lost, gained, path = [], [], []
     if i:  # refs of A: x, then x+1 .. y-1, then y+1 .. stop-1
         w = v + 1 + i if v + 1 + i < end[v + 1] else v + 2 + i
+        gained.append(cluster[w] ^ a)
         u = parent[w]
         while parent[u] != v:
             path.append(u)
             u = parent[u]
-        lost.append(u)
-        flipped.append(w)
-    if j != layout.cuts[v].scar_b:  # refs of B: each position but p and the slice of v
+        lost.append(cluster[u])
+    if j != rooted.layout.cuts[v].scar_b:  # refs of B: each position but p and the slice of v
         p = parent[v]
         w = j if j < p else j + 1 if j < v - 1 else j + end[v] - v + 1
-        lost.append(p)
-        joined = (w,)
+        gained.append(cluster[w] | a)
+        lost.append(cluster[p])
         u = parent[w]
         while u >= 0 and not u < v < end[u]:  # the ancestors of w that are not v's
             path.append(u)
@@ -606,19 +606,9 @@ def _delta_walk(layout: _Layout, v: int, i: int, j: int) -> _Walk:
         while u != top:  # the ancestors of s that are not w's
             path.append(u)
             u = parent[u]
-    return (*lost, *path), (*flipped, *path), joined
-
-
-def _split_delta(rooted: _Rooted, v: int, walk: _Walk) -> frozenset[int]:
-    """The splits in which an output and the input tree differ, read at the
-    positions of its :func:`_delta_walk`: equal outputs have equal deltas.
-    What is lost and gained again nets out."""
-    cluster = rooted.cluster
-    a = cluster[v]
-    lost, flipped, joined = walk
-    gained = [cluster[u] ^ a for u in flipped]
-    gained += [cluster[u] | a for u in joined]
-    return frozenset([cluster[u] for u in lost]).symmetric_difference(gained)
+    lost += [cluster[u] for u in path]
+    gained += [cluster[u] ^ a for u in path]
+    return frozenset(lost).symmetric_difference(gained)
 
 
 # -- Newick splice ---------------------------------------------------------------
@@ -730,10 +720,12 @@ class _Survey:
     asked for fills, and the keys of that kind's operations (see the module
     docstring).
 
-    Exact keys are counted per kind, over the kind's prefix of each
-    bisection's key row.  Hashed keys are counted once, for the widest
-    kind, and the operations of every shared key re-checked by split delta;
-    each kind counts the deltas of its own blocks.
+    A kind's operations are its prefix of each bisection's key row, the
+    first ``row_ops[kind][v]`` positions, on both key paths.  Exact keys
+    are counted per kind, over those prefixes.  Hashed keys are counted
+    once, for the widest kind, and each operation of a shared key is
+    re-checked once by :func:`_split_delta` and kept with its position;
+    each kind counts the deltas at positions inside its prefixes.
     """
 
     def __init__(self, tree: PhyloTree, kinds: tuple[OpKind, ...]):
@@ -741,32 +733,32 @@ class _Survey:
         self.rooted = _Rooted(tree)
         self.span = max(map(_BLOCK_COUNT.__getitem__, kinds), default=_BLOCK_COUNT[OpKind.NNI])
 
-    @lazy
+    @cached_property
     def keys(self) -> list[list[int]]:
         """Per bisection, the keys of the widest kind's operations, in block order."""
         return _hash_keys(self.rooted, self.span)
 
-    @lazy
-    def rechecked(self) -> tuple[set[int], list[list[frozenset[int]]]]:
-        """Of hashed keys: the shared keys, and per block their operations' split deltas."""
+    @cached_property
+    def rechecked(self) -> tuple[set[int], list[list[tuple[int, frozenset[int]]]]]:
+        """Of hashed keys: the shared keys, and per bisection the position
+        and split delta of each operation of one."""
         rooted, keys = self.rooted, self.keys
         counts = Counter(chain.from_iterable(keys))
         shared = set(compress(counts, map((1).__lt__, counts.values())))
-        deltas: list[list[frozenset[int]]] = [[] for _ in range(self.span)]
+        deltas = []
         for v, (cut, row) in enumerate(zip(rooted.layout.cuts, keys)):
-            for pos in compress(count(), map(shared.__contains__, row)):
-                block, i, j = cut.op_at(pos)
-                deltas[block].append(_split_delta(rooted, v, _delta_walk(rooted.layout, v, i, j)))
+            positions = compress(count(), map(shared.__contains__, row))
+            deltas.append([(pos, _split_delta(rooted, v, *cut.op_at(pos))) for pos in positions])
         return shared, deltas
 
     def repeated(self, kind: OpKind) -> Counter:
-        """The operations of ``kind`` counted by output: with exact keys
-        every output, by key; with hashed keys those of shared keys, by
-        split delta."""
+        """The operations of ``kind``, the first ``row_ops[kind][v]`` of each
+        bisection v's row, counted by output: with exact keys every output,
+        by key; with hashed keys those of shared keys, by split delta."""
+        row_ops = self.rooted.layout.row_ops[kind]
         if self.rooted.exact:
-            row_ops = self.rooted.layout.row_ops[kind]
             return Counter(chain.from_iterable(row[:k] for row, k in zip(self.keys, row_ops)))
-        return Counter(chain.from_iterable(self.rechecked[1][: _BLOCK_COUNT[kind]]))
+        return Counter(delta for row, k in zip(self.rechecked[1], row_ops) for pos, delta in row if pos < k)
 
     def full_key(self, key: int | frozenset[int]) -> tuple[int, ...]:
         """The sorted split masks of the output with this exact key, or with this split delta."""
@@ -783,26 +775,27 @@ class _Survey:
 class SurveyEntry:
     """Survey output for one operation kind.
 
-    ``op_count`` is the size of the kind's blocks, which the shape's layout
-    holds, and ``report`` reads the survey's count of the kind
-    (:meth:`_Survey.repeated`).  Each output is named by its sorted split
-    masks.  :meth:`output_keys` builds them on demand, decoded from an
-    exact key, or the input's splits with a split delta flipped: that of an
-    operation whose hashed key no other shares, or one of the re-check.
-    ``repeats`` reads that count alone, as an output of two or more
-    operations always shares its key.  :meth:`newicks` reads no key at all:
-    it splices each output's text from the layout's blocks.
+    ``op_count`` is the size of the kind's prefixes of the key rows, which
+    the shape's layout holds, and ``report`` reads the survey's count of
+    the kind (:meth:`_Survey.repeated`).  Each output is named by its
+    sorted split masks.  :meth:`output_keys` builds them on demand, decoded
+    from an exact key, or the input's splits with a split delta flipped:
+    that of an operation in the kind's prefix whose hashed key no other
+    shares (:func:`_split_delta`), or one of the re-check.  ``repeats``
+    reads that count alone, as an output of two or more operations always
+    shares its key.  :meth:`newicks` reads no key at all: it splices each
+    output's text from the layout's blocks.
     """
 
     def __init__(self, survey: _Survey, kind: OpKind):
-        self._survey, self._kind, self._span = survey, kind, _BLOCK_COUNT[kind]
+        self._survey, self._kind = survey, kind
         self.op_count = survey.rooted.layout.op_count[kind]
 
-    @lazy
+    @cached_property
     def _repeated(self) -> Counter:  # this kind's counted operations, by exact key or split delta
         return self._survey.repeated(self._kind)
 
-    @lazy
+    @cached_property
     def report(self) -> NeighbourhoodReport:
         repeated = self._repeated
         unshared = self.op_count - sum(repeated.values())
@@ -815,21 +808,19 @@ class SurveyEntry:
     def newicks(self) -> set[str]:
         """The Newick text of each distinct output tree, as
         :func:`~treespace.newick_io.serialize_newick` writes it."""
-        return _newicks(self._survey.tree, self._survey.rooted, self._span)
+        return _newicks(self._survey.tree, self._survey.rooted, _BLOCK_COUNT[self._kind])
 
     def output_keys(self) -> Iterator[tuple[int, ...]]:
         """The sorted normalized split masks of each distinct output tree, once each."""
         survey = self._survey
         if self.report.neighbourhood_size > len(self._repeated):  # some output has a hashed key of its own
             rooted, keys, shared = survey.rooted, survey.keys, survey.rechecked[0]
-            for v, (cut, row) in enumerate(zip(rooted.layout.cuts, keys)):
-                for pos in compress(count(), (key not in shared for key in row)):
-                    block, i, j = cut.op_at(pos)
-                    if block < self._span:
-                        yield survey.full_key(_split_delta(rooted, v, _delta_walk(rooted.layout, v, i, j)))
+            for v, (cut, row, k) in enumerate(zip(rooted.layout.cuts, keys, rooted.layout.row_ops[self._kind])):
+                for pos in compress(count(), (key not in shared for key in row[:k])):
+                    yield survey.full_key(_split_delta(rooted, v, *cut.op_at(pos)))
         yield from map(survey.full_key, self._repeated)
 
-    @lazy
+    @cached_property
     def repeats(self) -> dict[tuple[int, ...], int]:
         """The sorted split masks of each output of two or more operations, with its multiplicity."""
         full_key = self._survey.full_key

@@ -29,7 +29,8 @@ it stays an independent oracle.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, NamedTuple
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     Cyclic,
@@ -89,27 +90,6 @@ class Preorder(NamedTuple):
     parent: tuple[int, ...]
     cluster: tuple[int, ...]
     size: tuple[int, ...]
-
-
-class lazy:
-    """A value computed from an instance on its first read and stored in the
-    instance's ``__dict__``, where later reads find it without calling the
-    descriptor.  Like :class:`functools.cached_property`, which takes a lock
-    on every first read up to Python 3.11; two threads that race on a first
-    read both compute the same value."""
-
-    def __init__(self, compute: Callable):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj: object, owner: type | None = None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
 
 
 def _check_vertices(adj: dict[int, list[int]], names: dict[int, str]) -> None:
@@ -304,12 +284,12 @@ class PhyloTree:
         """The tree rooted at leaf 0 (see :class:`Preorder`); empty for n = 1."""
         return self._preorder
 
-    @lazy
+    @cached_property
     def split_masks(self) -> tuple[int, ...]:
         """Sorted masks of all 2n-3 splits (normalized: bit 0 never set)."""
         return tuple(sorted(self._preorder.cluster))
 
-    @lazy
+    @cached_property
     def _canonical_form(self) -> CanonicalForm:
         return CanonicalForm(self.split_masks, self.leaf_order)
 

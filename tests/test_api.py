@@ -1,6 +1,10 @@
-"""The package's public names: adding or removing one changes this test."""
+"""The package's surface: adding or removing a public name changes this
+test, and every name a module of the package imports is read in it."""
 
+import ast
 from pathlib import Path
+
+import pytest
 
 import treespace
 from treespace import PhyloTree
@@ -127,3 +131,37 @@ def test_benchmark_tracer_installs(monkeypatch):
     finally:
         tracer.uninstall()
     assert (rearrange.apply_op, PhyloTree.__init__) == original
+
+
+def unread_imports(source: str) -> list[str]:
+    """The names that ``source`` binds by an import and never reads, in
+    order; ``from __future__`` imports bind no name.  A stand-in for a
+    linter's unused-import rule that needs the stdlib alone."""
+    module = ast.parse(source)
+    imported = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(module) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize(
+    "source,unread",
+    [
+        ("from __future__ import annotations\nimport os.path\nos.sep", []),
+        ("import os.path as p, sys\nfrom typing import Callable as C, Iterator\nx: C\nsys.argv", ["p", "Iterator"]),
+    ],
+    ids=["read", "unread"],
+)
+def test_unread_imports_finds_them(source, unread):
+    """Reads through an attribute or an annotation count; a name bound and
+    never read is reported, under its alias."""
+    assert unread_imports(source) == unread
+
+
+@pytest.mark.parametrize("path", sorted(Path(treespace.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert unread_imports(path.read_text()) == []

@@ -31,9 +31,11 @@ import textwrap
 import types
 import warnings
 from contextlib import contextmanager
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple
 
 import pytest
+import test_cli
 import test_extremal
 import test_generators
 import test_metrics
@@ -43,21 +45,20 @@ import test_tree_core
 import test_verify
 
 from treespace import OpKind, all_trees, extremal, generators, metrics, rearrange, tree_core
-from treespace.tree_core import lazy
 from treespace.verify import extremal_suite, formulas_suite, redundancy_suite
 
 
-def patched(owner: object, name: str, old: str, new: str) -> Callable | lazy:
+def patched(owner: object, name: str, old: str, new: str) -> Callable | cached_property:
     """``owner.name`` rebuilt from its current source with the one
     occurrence of ``old`` replaced by ``new``, decorators dropped.
 
     The new function runs in the original's module globals, so a patched
     library function sees the module as it is at call time, monkeypatches
-    included.  A :class:`~treespace.tree_core.lazy` is rebuilt from its
-    ``compute`` and wrapped again.  Any warning while compiling is an error.
+    included.  A :class:`functools.cached_property` is rebuilt from its
+    ``func`` and wrapped again.  Any warning while compiling is an error.
     """
     live = inspect.getattr_static(owner, name)
-    func = inspect.unwrap(live.compute if isinstance(live, lazy) else live)
+    func = inspect.unwrap(live.func if isinstance(live, cached_property) else live)
     lines, first = inspect.getsourcelines(func)
     source = "".join(lines)
     found = source.count(old)
@@ -72,9 +73,9 @@ def patched(owner: object, name: str, old: str, new: str) -> Callable | lazy:
     body = next(c for c in code.co_consts if isinstance(c, types.CodeType))
     fn = types.FunctionType(body, func.__globals__, func.__name__, func.__defaults__, func.__closure__)
     fn.__qualname__, fn.__kwdefaults__ = func.__qualname__, func.__kwdefaults__
-    if not isinstance(live, lazy):
+    if not isinstance(live, cached_property):
         return fn
-    wrapped = lazy(fn)
+    wrapped = cached_property(fn)
     wrapped.__set_name__(owner, name)
     return wrapped
 
@@ -163,14 +164,24 @@ def sweep_around_every_step() -> None:
     test_verify.test_sweep_matches_closed_form_around_every_step()
 
 
+def ops_follow_the_scar_rule() -> None:
+    trees = [t for n in (4, 5, 6) for t in all_trees(n)]
+    test_rearrange.TestRootedPreparation().test_enumerate_ops_follows_the_scar_rule(trees)
+
+
+def parse_error_exits_2() -> None:
+    code, out, err = test_cli._call(["info", "-"], b"((1,2,(3,4));\n")
+    assert (code, out) == (2, "") and err.startswith("error: "), (code, err)
+
+
 # -- the table ---------------------------------------------------------------
 
 MUTANTS = {
     "split_delta_ignores_joined": Mutant(
-        rearrange, "_split_delta", "    gained += [cluster[u] | a for u in joined]\n", "", redundancy_up_to_6, True
+        rearrange, "_split_delta", "        gained.append(cluster[w] | a)\n", "", redundancy_up_to_6, True
     ),
-    "delta_walk_skips_ancestors_of_s": Mutant(
-        rearrange, "_delta_walk", "while u != top:", "while False:", formulas_up_to_6, True
+    "split_delta_skips_ancestors_of_s": Mutant(
+        rearrange, "_split_delta", "while u != top:", "while False:", formulas_up_to_6, True
     ),
     "op_at_next_column": Mutant(
         rearrange._Cut, "op_at", "cols[c]", "cols[min(c + 1, len(cols) - 1)]", redundancy_up_to_6, True
@@ -178,7 +189,7 @@ MUTANTS = {
     # Caught by the report's own check: the count takes in other kinds'
     # outputs, and the single outputs go below zero to keep the sums.
     "repeated_reads_every_block": Mutant(
-        rearrange._Survey, "repeated", "self.rechecked[1][: _BLOCK_COUNT[kind]]", "self.rechecked[1]",
+        rearrange._Survey, "repeated", " for pos, delta in row if pos < k)", " for pos, delta in row)",
         redundancy_up_to_6, hashed=True, raises=ValueError,
     ),
     "repeats_keeps_single_outputs": Mutant(
@@ -226,6 +237,12 @@ MUTANTS = {
     "blocks_spr_row_repeats_nni_cols": Mutant(
         rearrange, "_blocks", "[j for j in rest_cols if j not in near_b]", "rest_cols", formulas_up_to_6
     ),
+    "blocks_one_nni_near_row": Mutant(
+        rearrange, "_blocks", "(near_a, (scar_b,)),", "(near_a[:1], (scar_b,)),", formulas_up_to_6
+    ),
+    "blocks_spr_column_repeats_nni_rows": Mutant(
+        rearrange, "_blocks", "[i for i in rest_rows if i not in near_a]", "rest_rows", formulas_up_to_6
+    ),
     "blocks_keep_scar_scar": Mutant(
         rearrange, "_blocks", "rest_rows = range(1, rows)", "rest_rows = range(0, rows)", formulas_up_to_6
     ),
@@ -233,11 +250,26 @@ MUTANTS = {
         rearrange, "_layout", "return _Layout(parent)",
         "return _layout.__dict__.setdefault(len(parent), _Layout(parent))", formulas_up_to_6,
     ),
-    "delta_walk_keeps_parent_split": Mutant(
-        rearrange, "_delta_walk", "        lost.append(p)\n", "", redundancy_up_to_6, True
+    "split_delta_keeps_parent_split": Mutant(
+        rearrange, "_split_delta", "        lost.append(cluster[p])\n", "", redundancy_up_to_6, True
     ),
     "recheck_skips_keys_of_four": Mutant(
         rearrange._Survey, "rechecked", "map((1).__lt__,", "map((4).__lt__,", redundancy_up_to_6, True
+    ),
+    "refs_a_unnormalized": Mutant(
+        rearrange, "_refs_a", "[c ^ a if c & low else c for c in", "[c for c in", ops_follow_the_scar_rule
+    ),
+    "refs_b_keeps_a_in_ancestors": Mutant(
+        rearrange, "_refs_b", "refs[u] = cluster[u] ^ a", "refs[u] = cluster[u]", ops_follow_the_scar_rule
+    ),
+    "texts_a_orders_rest_by_c_of_q": Mutant(
+        rearrange, "_texts_a", "rest[q], a ^ cluster[q])", "rest[q], cluster[q])", spliced_texts
+    ),
+    # The ancestors of v still hold A, so their children are written in the
+    # wrong order: a valid tree, but not the text serialize_newick writes.
+    "holes_b_ancestors_keep_a": Mutant(
+        rearrange, "_holes_b", "text[u], kept[u] = _join(text[c], kept[c], texts[d], cluster[d]), cluster[u] ^ a",
+        "text[u], kept[u] = _join(text[c], kept[c], texts[d], cluster[d]), cluster[u]", spliced_texts,
     ),
     "join_children_reversed": Mutant(rearrange, "_join", "(c & -c) < (d & -d)", "(c & -c) > (d & -d)", spliced_texts),
     # Shape predicates.
@@ -255,6 +287,8 @@ MUTANTS = {
         tree_core, "_walk", "if stack:", "if False:", doubled_edge_rejected, raises=pytest.fail.Exception
     ),
     "parser_last_fault_wins": Mutant(test_newick_io, "parse_newick", "min(faults)", "max(faults)", first_fault_wins),
+    # The command line.
+    "parse_error_exits_1": Mutant(test_cli, "main", "return 2", "return 1", parse_error_exits_2),
 }
 
 

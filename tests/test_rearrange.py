@@ -39,6 +39,7 @@ from treespace import (
     nni_size,
     parse_newick,
     random_tree,
+    serialize_newick,
     spr_op_count,
     spr_size,
     tbr_op_count,
@@ -46,7 +47,6 @@ from treespace import (
 )
 from treespace import rearrange
 from treespace.rearrange import (
-    _delta_walk,
     _hash_keys,
     _layout,
     _refs_a,
@@ -506,8 +506,10 @@ DELTA_TREES = {
 
 
 class TestOneCount:
-    """One hash count of the widest kind serves every kind, and shared keys
-    are re-checked by split delta."""
+    """One hash count of the widest kind serves every kind, and each
+    operation of a shared key is re-checked once by ``_split_delta``.  On
+    both key paths a kind's operations are the first ``row_ops[kind][v]``
+    positions of bisection v's key row."""
 
     @pytest.mark.parametrize("trees,kind", DELTA_TREES.values(), ids=DELTA_TREES.keys())
     def test_delta_keys_are_exact(self, trees, kind):
@@ -524,7 +526,7 @@ class TestOneCount:
                 refs_a, refs_b = _refs_a(rooted, v), _refs_b(rooted, v)
                 pairs = [(i, j) for rows, cols in cut.blocks[: REFERENCE_BLOCK_COUNT[kind]] for i in rows for j in cols]
                 for i, j in pairs:
-                    delta = _split_delta(rooted, v, _delta_walk(rooted.layout, v, i, j))
+                    delta = _split_delta(rooted, v, i, j)
                     key = reference_output_key(tree.full_mask, mask, *sides[mask], refs_a[i], refs_b[j])
                     assert splits ^ delta == frozenset(key), (tree, v, i, j)
                     assert by_delta.setdefault(delta, key) == key
@@ -571,13 +573,28 @@ class TestOneCount:
             raise AssertionError("the survey re-checked a key")
 
         monkeypatch.setattr(rearrange, "_split_delta", refuse)
-        monkeypatch.setattr(rearrange, "_delta_walk", refuse)
         for n in range(4, 9):
             for tree in (caterpillar(n), complete(n), random_tree(n, n)):
                 for entry in op_survey(tree).values():
                     entry.report, entry.repeats, list(entry.output_keys())
         with pytest.raises(AssertionError, match="re-checked"):
             op_survey(random_tree(9, 9), (OpKind.NNI,))[OpKind.NNI].report
+
+    def test_one_split_delta_per_shared_operation(self, monkeypatch):
+        """With 8-bit keys, a survey of all three kinds computes the split
+        delta of each operation whose key is shared exactly once, when every
+        kind's report and repeats are read."""
+        monkeypatch.setattr(rearrange, "_HASH_BITS", 8)
+        calls = []
+        split_delta = rearrange._split_delta
+        monkeypatch.setattr(rearrange, "_split_delta", lambda *args: calls.append(args[1:]) or split_delta(*args))
+        tree = random_tree(12, 5)
+        counts = Counter(itertools.chain.from_iterable(_hash_keys(_Rooted(tree), 5)))
+        shared_ops = sum(c for c in counts.values() if c > 1)
+        assert 0 < shared_ops < sum(counts.values())
+        for entry in op_survey(tree).values():
+            entry.report, entry.repeats
+        assert len(calls) == len(set(calls)) == shared_ops
 
     def test_one_key_building_pass(self, monkeypatch):
         """Whatever kinds are asked for, an op_survey call builds its hash
@@ -759,13 +776,15 @@ class TestNewickSplice:
     @pytest.mark.parametrize("trees,kinds", SPLICE_TREES.values(), ids=SPLICE_TREES.keys())
     def test_texts_are_the_exact_outputs(self, trees, kinds):
         """Each spliced text, parsed back, is the tree of one exact output
-        key, one to one, and there are as many texts as neighbours."""
+        key, one to one, and there are as many texts as neighbours.  Each is
+        the text serialize_newick writes for that tree."""
         parsed: dict[str, PhyloTree] = {}  # the outputs of small trees recur across inputs
         for tree in trees:
             for kind, entry in op_survey(tree, kinds).items():
                 texts = entry.newicks()
                 for text in texts.difference(parsed):
                     parsed[text] = parse_newick(text).tree
+                    assert serialize_newick(parsed[text]) == text, (kind, tree)
                 outputs = [parsed[text] for text in texts]
                 assert all(out.leaf_order == tree.leaf_order for out in outputs)
                 assert Counter(out.split_masks for out in outputs) == Counter(entry.output_keys()), (kind, tree)

@@ -3,9 +3,13 @@
 Each suite walks a body of trees (exhaustive T_n for small n, random samples
 for larger n, or a pure closed-form sweep), evaluates its assertions, and
 collects counterexamples instead of raising, so a run always produces a
-complete report.  The exhaustive suites can share the shards of T_n between
-forked workers (:func:`generators.fork_map`); their parts merge in shard
-order, so a report does not depend on the number of workers.
+complete report.  Checks of one form are one table per suite (the closed
+forms of a tree, the two op-count slacks, the extremes of T_n), its rows
+checked by one loop under one message template; each row evaluates its
+closed form once per tree or per n.  The exhaustive suites can share the
+shards of T_n between forked workers (:func:`generators.fork_map`); their
+parts merge in shard order, so a report does not depend on the number of
+workers.
 """
 
 from __future__ import annotations
@@ -87,33 +91,15 @@ def _check_formula_tree(col: _Collector, tree: PhyloTree) -> None:
 
     n = tree.n
     nni, spr, tbr = (entry.report for entry in op_survey(tree).values())
-    tbr_size = metrics.tbr_size(tree)
-    tbr_op_count = metrics.tbr_op_count(tree)
-    col.check(
-        tbr.neighbourhood_size == tbr_size,
-        f"|N_TBR| = {tbr.neighbourhood_size}, formula gives {tbr_size}",
-        tree,
+    rows = (
+        ("|N_TBR|", tbr.neighbourhood_size, metrics.tbr_size(tree)),
+        ("|O_TBR|", tbr.op_count, metrics.tbr_op_count(tree)),
+        ("|N_SPR|", spr.neighbourhood_size, metrics.spr_size(n)),
+        ("|O_SPR|", spr.op_count, metrics.spr_op_count(n)),
+        ("|N_NNI|", nni.neighbourhood_size, metrics.nni_size(n)),
     )
-    col.check(
-        tbr.op_count == tbr_op_count,
-        f"|O_TBR| = {tbr.op_count}, formula gives {tbr_op_count}",
-        tree,
-    )
-    col.check(
-        spr.neighbourhood_size == metrics.spr_size(n),
-        f"|N_SPR| = {spr.neighbourhood_size}, formula gives {metrics.spr_size(n)}",
-        tree,
-    )
-    col.check(
-        spr.op_count == metrics.spr_op_count(n),
-        f"|O_SPR| = {spr.op_count}, formula gives {metrics.spr_op_count(n)}",
-        tree,
-    )
-    col.check(
-        nni.neighbourhood_size == metrics.nni_size(n),
-        f"|N_NNI| = {nni.neighbourhood_size}, formula gives {metrics.nni_size(n)}",
-        tree,
-    )
+    for label, enumerated, formula in rows:
+        col.check(enumerated == formula, f"{label} = {enumerated}, formula gives {formula}", tree)
 
 
 def _check_redundancy_tree(col: _Collector, tree: PhyloTree) -> None:
@@ -130,16 +116,9 @@ def _check_redundancy_tree(col: _Collector, tree: PhyloTree) -> None:
         tree,
     )
     slack = 3 * (2 * n - 6)
-    col.check(
-        tbr.report.op_count - tbr.report.neighbourhood_size == slack,
-        f"|O_TBR| - |N_TBR| = {tbr.report.op_count - tbr.report.neighbourhood_size} != {slack}",
-        tree,
-    )
-    col.check(
-        spr.report.op_count - spr.report.neighbourhood_size == slack,
-        f"|O_SPR| - |N_SPR| = {spr.report.op_count - spr.report.neighbourhood_size} != {slack}",
-        tree,
-    )
+    for kind, report in (("TBR", tbr.report), ("SPR", spr.report)):
+        extra = report.op_count - report.neighbourhood_size
+        col.check(extra == slack, f"|O_{kind}| - |N_{kind}| = {extra} != {slack}", tree)
     col.check(
         nni.report.multiplicity_histogram == {4: 2 * n - 6},
         f"NNI multiplicity histogram {nni.report.multiplicity_histogram} != {{4: {2 * n - 6}}}",
@@ -249,18 +228,13 @@ def extremal_suite(n_max: int = 8, threads: int = 1) -> SuiteResult:
     scans = {}
     for n in _exhaustive_range(n_max, threads):
         scan = extremal_scan(n, threads if n == n_max else 1)
-        col.check(
-            scan.max_value == metrics.caterpillar_tbr_size(n),
-            f"n={n}: scan max {scan.max_value} != caterpillar formula {metrics.caterpillar_tbr_size(n)}",
+        rows = (
+            ("max", scan.max_value, "caterpillar formula", metrics.caterpillar_tbr_size(n)),
+            ("min", scan.min_value, "complete formula", metrics.complete_tbr_size(n)),
+            ("min gamma", scan.min_gamma, "closed form", metrics.gamma_complete(n)),
         )
-        col.check(
-            scan.min_value == metrics.complete_tbr_size(n),
-            f"n={n}: scan min {scan.min_value} != complete formula {metrics.complete_tbr_size(n)}",
-        )
-        col.check(
-            scan.min_gamma == metrics.gamma_complete(n),
-            f"n={n}: scan min gamma {scan.min_gamma} != closed form {metrics.gamma_complete(n)}",
-        )
+        for what, value, formula, want in rows:
+            col.check(value == want, f"n={n}: scan {what} {value} != {formula} {want}")
         col.check(
             scan.argmax_all_caterpillar,
             f"n={n}: maximizer set is not exactly the caterpillar set",

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import treespace
 from conftest import reference_newick
-from treespace import rearrange, tree_core
+from treespace import metrics, rearrange, tree_core
 from treespace.cli import FAMILY_CHOICES, OP_CHOICES, SUITE_CHOICES, TABLE_N_CAP, main
 from treespace.generators import all_trees, random_tree
 from treespace.newick_io import parse_newick, serialize_newick
@@ -265,6 +265,12 @@ class TestVerify:
         assert code == 0
         scans = json.loads(out)["results"]["details"]["scans"]
         assert scans["6"]["max_value"] == 34 and scans["6"]["min_value"] == 30
+
+    def test_failed_suite_exits_1(self, monkeypatch):
+        monkeypatch.setattr(metrics, "nni_size", lambda n: -1)
+        code, out, err = _call(["verify", "--suite", "formulas", "--n-max", "4", "--threads", "1"], b"")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["results"]["passed"] is False
 
     def test_n_max_over_exhaustive_range(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "redundancy", "--n-max", "9")

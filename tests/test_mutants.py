@@ -44,7 +44,7 @@ import test_rearrange
 import test_tree_core
 import test_verify
 
-from treespace import OpKind, all_trees, extremal, generators, metrics, rearrange, tree_core
+from treespace import OpKind, all_trees, cli, extremal, generators, metrics, rearrange, tree_core, verify
 from treespace.verify import extremal_suite, formulas_suite, redundancy_suite
 
 
@@ -127,6 +127,20 @@ def extremal_up_to_7() -> None:
     assert result.passed, result.failures[:1]
 
 
+def formulas_closed_forms_once() -> None:
+    with pytest.MonkeyPatch.context() as mp:
+        test_verify.test_formulas_suite_evaluates_each_closed_form_once(mp)
+
+
+def extremal_closed_forms_once() -> None:
+    with pytest.MonkeyPatch.context() as mp:
+        test_verify.test_extremal_suite_evaluates_each_closed_form_once(mp)
+
+
+def redundancy_check_count() -> None:
+    test_verify.test_redundancy_suite_small()
+
+
 def repeats_are_the_multiple_outputs() -> None:
     test_rearrange.TestHashSurvey.check_repeats(t for n in (4, 5, 6) for t in all_trees(n))
 
@@ -139,6 +153,13 @@ def complete_predicate_and_closed_form() -> None:
 def is_complete_against_reference() -> None:
     for n in range(4, 9):
         test_extremal.TestIsCompleteReference().test_every_small_tree(n)
+
+
+def caterpillar_gamma_closed_form() -> None:
+    # The test's own body at every n it draws from, without Hypothesis.
+    test = test_metrics.TestGamma.test_caterpillar_gamma_closed_form.hypothesis.inner_test
+    for n in range(4, 65):
+        test(test_metrics.TestGamma(), n)
 
 
 def perfect_values() -> None:
@@ -172,6 +193,11 @@ def ops_follow_the_scar_rule() -> None:
 def parse_error_exits_2() -> None:
     code, out, err = test_cli._call(["info", "-"], b"((1,2,(3,4));\n")
     assert (code, out) == (2, "") and err.startswith("error: "), (code, err)
+
+
+def failed_verification_exits_1() -> None:
+    with pytest.MonkeyPatch.context() as mp:
+        test_cli.TestVerify().test_failed_suite_exits_1(mp)
 
 
 # -- the table ---------------------------------------------------------------
@@ -217,11 +243,31 @@ MUTANTS = {
         metrics, "gamma_complete", "total += ((n >> (k - 1) & 1) - 1)", "total += 0 * ((n >> (k - 1) & 1) - 1)",
         extremal_up_to_7,
     ),
+    "caterpillar_gamma_wrong_offset": Mutant(
+        test_metrics, "caterpillar_gamma", "- 2 * (n - 1)", "- 2 * n", caterpillar_gamma_closed_form
+    ),
+    "complete_tbr_size_wrong_factor": Mutant(metrics, "complete_tbr_size", "(n - 3)", "(n - 2)", extremal_up_to_7),
+    "perfect_form_three_fold_k_too_large": Mutant(
+        metrics, "perfect_form", "m.bit_length()", "m.bit_length() + 1", perfect_values
+    ),
     "perfect_tbr_size_wrong_two_fold_slope": Mutant(
         test_metrics, "perfect_tbr_size", "(4 * k - 13)", "(4 * k - 12)", perfect_values
     ),
     "sweep_octave_term_ends_an_octave_early": Mutant(
         test_verify, "complete_tbr_size_sweep", "n = 3 << (k - 1)", "n = 2 << (k - 1)", sweep_around_every_step
+    ),
+    # The verify tables: a row left out shows in the suite's check count.
+    "formulas_row_dropped": Mutant(
+        verify, "_check_formula_tree", '        ("|N_NNI|", nni.neighbourhood_size, metrics.nni_size(n)),\n', "",
+        formulas_closed_forms_once,
+    ),
+    "slack_row_dropped": Mutant(
+        verify, "_check_redundancy_tree", ' ("SPR", spr.report)', "", redundancy_check_count
+    ),
+    "extremal_row_dropped": Mutant(
+        test_verify, "extremal_suite",
+        '            ("min gamma", scan.min_gamma, "closed form", metrics.gamma_complete(n)),\n', "",
+        extremal_closed_forms_once,
     ),
     # The survey's sums, blocks, layouts, re-check and spliced texts.
     "sums_a_scar_flips_swapped": Mutant(
@@ -289,6 +335,7 @@ MUTANTS = {
     "parser_last_fault_wins": Mutant(test_newick_io, "parse_newick", "min(faults)", "max(faults)", first_fault_wins),
     # The command line.
     "parse_error_exits_1": Mutant(test_cli, "main", "return 2", "return 1", parse_error_exits_2),
+    "failed_verification_exits_0": Mutant(cli, "cmd_verify", "else 1", "else 0", failed_verification_exits_1),
 }
 
 

@@ -1,11 +1,12 @@
 """Verification-suite plumbing: structure, sweep consistency, failure capture."""
 
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from treespace import RangeError, extremal, generators, metrics, verify
+from treespace import RangeError, extremal, generators, metrics, rearrange, verify
 from treespace.extremal import extremal_scan
 from treespace.generators import all_trees
 from treespace.metrics import complete_tbr_size
@@ -47,19 +48,66 @@ def test_suite_option_out_of_range(suite, options):
         suite(n_max=4, **options)
 
 
-def test_formulas_suite_evaluates_each_closed_form_once(monkeypatch):
-    calls = {"tbr_size": 0, "tbr_op_count": 0}
-    for name in calls:
+def counted_closed_forms(monkeypatch, names: tuple[str, ...]) -> dict[str, int]:
+    """Calls of each named closed form of ``metrics``, counted from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(metrics, name)
 
-        def counted(tree, name=name, original=original):
+        def counted(arg, name=name, original=original):
             calls[name] += 1
-            return original(tree)
+            return original(arg)
 
         monkeypatch.setattr(metrics, name, counted)
+    return calls
+
+
+def test_formulas_suite_evaluates_each_closed_form_once(monkeypatch):
+    names = ("tbr_size", "tbr_op_count", "spr_size", "spr_op_count", "nni_size")
+    calls = counted_closed_forms(monkeypatch, names)
     result = formulas_suite(n_max=5)
     assert result.passed and result.checks == 5 * 18
-    assert calls == {"tbr_size": 18, "tbr_op_count": 18}
+    assert calls == dict.fromkeys(names, 18)
+
+
+def test_extremal_suite_evaluates_each_closed_form_once(monkeypatch):
+    """Once per n; complete_tbr_size calls gamma_complete itself, so that
+    one is not counted."""
+    calls = counted_closed_forms(monkeypatch, ("caterpillar_tbr_size", "complete_tbr_size"))
+    result = extremal_suite(n_max=5)
+    assert result.passed and result.checks == 5 * 2
+    assert calls == {"caterpillar_tbr_size": 2, "complete_tbr_size": 2}
+
+
+@pytest.mark.parametrize("suite,name,messages", [
+    (formulas_suite, "tbr_size", ["|N_TBR| = 2, formula gives 3"] * 3),
+    (formulas_suite, "tbr_op_count", ["|O_TBR| = 8, formula gives 9"] * 3),
+    (formulas_suite, "spr_size", ["|N_SPR| = 2, formula gives 3"] * 3),
+    (formulas_suite, "spr_op_count", ["|O_SPR| = 8, formula gives 9"] * 3),
+    (formulas_suite, "nni_size", ["|N_NNI| = 2, formula gives 3"] * 3),
+    (extremal_suite, "caterpillar_tbr_size", ["n=4: scan max 2 != caterpillar formula 3"]),
+    (extremal_suite, "complete_tbr_size", ["n=4: scan min 2 != complete formula 3"]),
+    # complete_tbr_size(4) = 4 * gamma_complete(4) - 14 moves by 4.
+    (extremal_suite, "gamma_complete", ["n=4: scan min 2 != complete formula 6", "n=4: scan min gamma 4 != closed form 5"]),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_closed_form_off_by_one_message(monkeypatch, suite, name, messages):
+    """Each row's failure message, with its closed form planted +1; T_4 is
+    three quartets, so the formulas rows fail once per quartet."""
+    original = getattr(metrics, name)
+    monkeypatch.setattr(metrics, name, lambda arg: original(arg) + 1)
+    assert [f["message"] for f in suite(n_max=4).failures] == messages
+
+
+def test_slack_messages(monkeypatch):
+    """A survey that finds no repeated output counts every operation as an
+    output of its own, so op count minus neighbourhood size is 0."""
+    monkeypatch.setattr(rearrange.SurveyEntry, "_repeated", Counter())
+    failures = redundancy_suite(n_max=4).failures
+    assert failures[:3] == [
+        {"message": "|O_TBR| - |N_TBR| = 0 != 6", "newick": "(1,(2,3),4);"},
+        {"message": "|O_SPR| - |N_SPR| = 0 != 6", "newick": "(1,(2,3),4);"},
+        {"message": "NNI multiplicity histogram {1: 8} != {4: 2}", "newick": "(1,(2,3),4);"},
+    ]
 
 
 @pytest.fixture
@@ -135,7 +183,8 @@ def test_worker_exception_reaches_the_parent(monkeypatch, run):
 
 
 def test_redundancy_suite_small():
-    assert redundancy_suite(n_max=5).passed
+    result = redundancy_suite(n_max=5)
+    assert result.passed and result.checks == 5 * 18
 
 
 @pytest.mark.parametrize("suite", [formulas_suite, redundancy_suite])

@@ -25,7 +25,7 @@ TABLE_N_CAP = 1 << 20
 
 # Each subcommand imports the modules it runs when it runs, so a call loads
 # only those.  The parser's choices are therefore literals; the tests pin
-# them to OpKind, TreeFamily and verify.SUITES.
+# them to OpKind, TreeFamily and the verify.<suite>_suite functions.
 OP_CHOICES = ("nni", "spr", "tbr")
 FAMILY_CHOICES = ("caterpillar", "complete", "perfect", "random")
 SUITE_CHOICES = ("asymptotic", "extremal", "formulas", "redundancy")

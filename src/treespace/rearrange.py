@@ -36,18 +36,20 @@ removed.  Reconnecting a component at edge r flips exactly the component
 edges between r and the component's root, so the sum of the terms of its
 contributed splits, for every r at once, is a base sum plus a prefix sum
 down the slice of v (side A) or down the rest of the preorder (side B):
-O(n) per bisection, with no walk of its own.  The operations of one
-bisection are blocks, rows of A by cols of B, narrowest kind first
-(:func:`_blocks`), and their keys the sums of the two lists.  One survey
+O(n) per bisection, with no walk of its own.  A reconnection edge has one
+address, its position: the refs, sums and texts of a side are lists
+indexed by position.  The operations of one bisection are blocks, rows of
+A by cols of B, each a position, narrowest kind first (:func:`_blocks`),
+and their keys the sums of the two lists at those positions.  One survey
 builds the keys of the widest kind asked for.  One rule says which
 operations a kind has, on both key paths: the first ``row_ops[kind][v]``
-positions of bisection v's row (:class:`_Layout`).  Exact keys are
+entries of bisection v's row (:class:`_Layout`).  Exact keys are
 counted per kind, over its prefixes.  Hashed keys are counted once, and
 every kind reads that count.  It stays exact: equal trees always share a
 hash, so a key held once is one distinct output tree, of each kind whose
 prefix holds its operation.  The operations of every shared key (the four
 behind each NNI neighbour, plus any true collision) are re-checked once,
-each kept with its position in its row and keyed by its split delta: the
+each kept with its index in its row and keyed by its split delta: the
 splits removed and added along the two reconnection paths, read from the
 clusters as one walk climbs them (:func:`_split_delta`).  Either way an
 output is named outside the survey by its sorted split masks.
@@ -55,23 +57,24 @@ output is named outside the survey by its sorted split masks.
 Which positions each of these steps reads depends only on the tree's rooted
 shape, its preorder's parent positions, and many labelled trees share one:
 T_7's 945 trees have 9 shapes and T_8's 10,395 have 21.  So the slice ends,
-each side's ref count, scar and near-scar indices, the blocks and each
-kind's operation count per bisection are built once per shape
+the positions of each side's edges, scar and near-scar edges, the blocks and
+each kind's operation count per bisection are built once per shape
 (:class:`_Layout`, in a bounded cache), and a tree computes only its own
 refs, sums, keys and re-check from its own clusters.
 
 The Newick text of each output, written as
 :func:`treespace.newick_io.serialize_newick` writes it, is spliced from
 per-bisection pieces cut from the input tree's per-position subtree texts
-(:func:`treespace.newick_io.cluster_texts`).  The output of (ref a, ref b)
-is side B's text with a hole at ref b, and side A's text rooted at ref a
-in the hole.  A's text at ref a does not depend on ref b: one rerooting
-pass down the slice of v gives it at every ref (:func:`_texts_a`).  Where
-the hole sits depends only on B, ref b and A's lowest leaf: one pass down
-the rest of the preorder, rebuilding only the ancestors of v, gives the
-text left and right of it at every ref (:func:`_holes_b`).  Each operation
-of :func:`_blocks` then costs one concatenation, and as the text is
-canonical a set of the texts holds each distinct output once.
+(:func:`treespace.newick_io.cluster_texts`).  The output of the pair of
+positions (i, j) is side B's text with a hole at edge j, and side A's text
+rooted at edge i in the hole.  A's text at i does not depend on j: one
+rerooting pass down the slice of v gives it at every position of A
+(:func:`_texts_a`).  Where the hole sits depends only on B, j and A's
+lowest leaf: one pass down the rest of the preorder, rebuilding only the
+ancestors of v, gives the text left and right of it at every position of B
+(:func:`_holes_b`).  Each operation of :func:`_blocks` then costs one
+concatenation, and as the text is canonical a set of the texts holds each
+distinct output once.
 
 Enumeration is the brute-force oracle used to verify every closed-form count
 in :mod:`treespace.metrics`, so it never consults those formulas.
@@ -192,27 +195,27 @@ _BLOCK_COUNT = {OpKind.NNI: 2, OpKind.SPR: 4, OpKind.TBR: 5}
 _Blocks = tuple[tuple[Sequence[int], Sequence[int]], ...]
 
 
-def _blocks(rows: int, near_a: tuple[int, ...], cols: int, scar_b: int, near_b: tuple[int, ...]) -> _Blocks:
-    """The operations of one bisection as blocks of index pairs (ref a,
-    ref b), narrowest kind first: each of the block's rows of A with each
-    of its cols of B, row by row.  A has ``rows`` refs and B ``cols``;
-    ``near_a`` and ``near_b`` index the edges touching each scar, and
-    ``scar_b`` B's scar.
+def _blocks(rows: list[int], near_a: tuple[int, ...], cols: list[int], scar_b: int, near_b: tuple[int, ...]) -> _Blocks:
+    """The operations of one bisection as blocks of position pairs (i, j),
+    narrowest kind first: each of the block's rows of A with each of its
+    cols of B, row by row.  ``rows`` and ``cols`` are the positions of the
+    edges of A and of B; ``near_a`` and ``near_b`` are those of the edges
+    touching each scar, and ``scar_b`` B's scar.
 
     This is the one place the classification rule of the module docstring
-    is applied.  Side A's scar is ref 0 (:func:`_refs_a` puts it there).
-    The first two blocks are NNI: the scar row at the cols touching B's
-    scar and the scar column at the rows touching A's.  SPR adds the rest
-    of both; TBR adds every other pair but scar-scar, which rebuilds the
-    input tree.  A kind's operations are the first :data:`_BLOCK_COUNT`
-    blocks.
+    is applied.  Side A's scar is its first row (:meth:`_Layout._cut` puts
+    it there).  The first two blocks are NNI: the scar row at the cols
+    touching B's scar and the scar column at the rows touching A's.  SPR
+    adds the rest of both; TBR adds every other pair but scar-scar, which
+    rebuilds the input tree.  A kind's operations are the first
+    :data:`_BLOCK_COUNT` blocks.
     """
-    rest_rows = range(1, rows)
-    rest_cols = (*range(scar_b), *range(scar_b + 1, cols))
+    scar_a, rest_rows = rows[0], rows[1:]
+    rest_cols = [j for j in cols if j != scar_b]
     return (
-        ((0,), near_b),
+        ((scar_a,), near_b),
         (near_a, (scar_b,)),
-        ((0,), [j for j in rest_cols if j not in near_b]),
+        ((scar_a,), [j for j in rest_cols if j not in near_b]),
         ([i for i in rest_rows if i not in near_a], (scar_b,)),
         (rest_rows, rest_cols),
     )
@@ -222,10 +225,10 @@ class _Cut(NamedTuple):
     """What the tree's shape fixes of the bisection of the edge above one
     preorder position v: side A is the slice of v, side B the rest.
 
-    ``near_a``, ``scar_b`` and ``near_b`` index refs of A and of B (see
-    :func:`_blocks`), ``above`` lists v's ancestors above its parent p,
-    whose clusters lose A in B, and ``blocks`` are the operations of every
-    kind.
+    ``near_a``, ``scar_b`` and ``near_b`` are positions of edges of A and
+    of B (see :func:`_blocks`), ``above`` lists v's ancestors above its
+    parent p, whose clusters lose A in B, and ``blocks`` are the operations
+    of every kind.
     """
 
     near_a: tuple[int, ...]
@@ -234,14 +237,15 @@ class _Cut(NamedTuple):
     above: tuple[int, ...]
     blocks: _Blocks
 
-    def op_at(self, pos: int) -> tuple[int, int]:
-        """(ref a, ref b) of the operation at ``pos`` in block order."""
+    def op_at(self, index: int) -> tuple[int, int]:
+        """The positions (i, j) of the reconnection edges of A and of B of
+        the operation at ``index`` of the bisection's row, in block order."""
         for rows, cols in self.blocks:
-            if pos < len(rows) * len(cols):
-                r, c = divmod(pos, len(cols))
+            if index < len(rows) * len(cols):
+                r, c = divmod(index, len(cols))
                 return rows[r], cols[c]
-            pos -= len(rows) * len(cols)
-        raise IndexError("no operation at that position")
+            index -= len(rows) * len(cols)
+        raise IndexError("no operation at that index")
 
 
 class _Layout:
@@ -249,8 +253,9 @@ class _Layout:
     its preorder's ``parent`` positions: the slice ends ``end`` (the
     subtree of u is ``u:end[u]``), a :class:`_Cut` per bisection, and per
     kind the length of its operations' prefix of each bisection's key row
-    (``row_ops``) and their sum (``op_count``).  A tree reads its own
-    clusters at these positions.  Built once per shape (:func:`_layout`).
+    (``row_ops``) and their sum (``op_count``).  The cuts name every
+    reconnection edge by its position, and a tree reads its own clusters
+    there.  Built once per shape (:func:`_layout`).
     """
 
     def __init__(self, parent: tuple[int, ...]):
@@ -269,39 +274,37 @@ class _Layout:
         self.op_count = {kind: sum(row_ops) for kind, row_ops in self.row_ops.items()}
 
     def _cut(self, v: int) -> _Cut:
-        """The refs of A are x, then x+1 .. y-1, then y+1 .. stop-1 (x and y
-        are v's children, whose edges merge into the scar); those of B are
-        every position but p and the slice of v, in order."""
+        """The edges of A are at x, then x+1 .. y-1, then y+1 .. stop-1 (x
+        and y are v's children, whose edges merge into the scar, named by
+        x), or at v alone when A is the leaf v; those of B are at every
+        position but p and the slice of v, or at 0 alone when B is leaf 0."""
         parent, end = self.parent, self.end
         x, stop = v + 1, end[v]
-        rows = max(1, stop - x - 1)  # one choice, None, when A is the leaf v
+        rows = [v]  # one choice, None, when A is the leaf v
         near_a: tuple[int, ...] = ()
         if x < stop:
             y = end[x]
+            rows = [*range(x, y), *range(y + 1, stop)]
             if x + 1 < y:
-                near_a += (1, end[x + 1] - x)
+                near_a += (x + 1, end[x + 1])
             if y + 1 < stop:
-                near_a += (y - x, end[y + 1] - x - 1)
+                near_a += (y + 1, end[y + 1])
         if v == 0:  # B is leaf 0 alone
-            return _Cut(near_a, 0, (), (), _blocks(rows, near_a, 1, 0, ()))
+            return _Cut(near_a, 0, (), (), _blocks(rows, near_a, [0], 0, ()))
         p = parent[v]
-
-        def index(u: int) -> int:  # refs skip p and the slice of v
-            return u - (u > p) if u < v else u - (stop - v) - 1
-
         s = p + 1 if p + 1 != v else stop  # v's sibling, whose edge is B's scar
         near_b: tuple[int, ...] = ()
         if s + 1 < end[s]:
-            near_b += (index(s + 1), index(end[s + 1]))
+            near_b += (s + 1, end[s + 1])
         pp = parent[p]
         if pp >= 0:
-            near_b += (pp, index(pp + 1 if pp + 1 != p else end[p]))
+            near_b += (pp, pp + 1 if pp + 1 != p else end[p])
         above = []
         while pp >= 0:
             above.append(pp)
             pp = parent[pp]
-        cols, scar_b = len(parent) - (stop - v) - 1, index(s)
-        return _Cut(near_a, scar_b, near_b, tuple(above), _blocks(rows, near_a, cols, scar_b, near_b))
+        cols = [*range(p), *range(p + 1, v), *range(stop, len(parent))]
+        return _Cut(near_a, s, near_b, tuple(above), _blocks(rows, near_a, cols, s, near_b))
 
 
 @lru_cache(maxsize=32)  # T_8, the largest exhaustive body, has 21 shapes
@@ -344,26 +347,24 @@ class _Rooted:
 # -- bisection sides ----------------------------------------------------------
 #
 # Side A = C(v) and side B, the rest, of the bisection of the edge above v.
-# Each side's refs and its hash sums are read off the tree's clusters at the
-# positions its :class:`_Cut` names, in the same order.
+# Each side's refs and its hash sums are read off the tree's clusters into
+# lists indexed by position; only the positions its :class:`_Cut` names are
+# read back.
 
 
 def _refs_a(rooted: _Rooted, v: int) -> list[int | None]:
-    """Side A's refs: the cluster of each edge below v, normalized to the
-    side without A's lowest leaf; the scar (x's edge, merged with y's) first."""
-    cluster, end = rooted.cluster, rooted.end
+    """Side A's refs by position: the cluster of each edge below v,
+    normalized to the side without A's lowest leaf, x's standing for the
+    scar (x's edge merged with y's); None at the leaf v."""
+    cluster, stop = rooted.cluster, rooted.end[v]
     a = cluster[v]
-    x, stop = v + 1, end[v]
-    if x == stop:
-        return [None]
-    y = end[x]
     low = a & -a
-    return [c ^ a if c & low else c for c in chain((cluster[x],), cluster[x + 1 : y], cluster[y + 1 : stop])]
+    return [None] * (v + 1) + [c ^ a if c & low else c for c in cluster[v + 1 : stop]]
 
 
 def _sums_a(rooted: _Rooted, v: int) -> list[int]:
-    """Per ref of side A, the sum of the terms (:class:`_Rooted`) of the
-    output splits A contributes when reconnected there.
+    """Per position of side A, the sum of the terms (:class:`_Rooted`) of
+    the output splits A contributes when reconnected there.
 
     v is suppressed, so its children x and y share the scar edge.
     Reconnected at the scar, every edge gives its own cluster and the scar
@@ -376,37 +377,36 @@ def _sums_a(rooted: _Rooted, v: int) -> list[int]:
     term, width = rooted.term, rooted.width
     a = cluster[v]
     x, stop = v + 1, end[v]
-    if x == stop:
-        return [0]
-    y = end[x]
     at_scar = prefix[stop] - prefix[x]
-    sums = [at_scar & width]
+    sums = [at_scar & width] * stop  # at the scar x, and 0 at the leaf v
+    if x == stop:
+        return sums
+    y = end[x]
     flips = [0] * stop  # per vertex below x or y: the sum at the edge above it, less its own hash
     flips[x], flips[y] = at_scar - hashes[x], at_scar - hashes[y]
     for u in chain(range(x + 1, y), range(y + 1, stop)):
         d = flips[parent[u]] + term(a ^ cluster[u])
-        sums.append(d & width)
+        sums[u] = d & width
         flips[u] = d - hashes[u]
     return sums
 
 
 def _refs_b(rooted: _Rooted, v: int) -> list[int | None]:
-    """Side B's refs: the cluster of each edge, with A taken out of those
-    of v's ancestors, in preorder but for p and the slice of v."""
+    """Side B's refs by position: the cluster of each edge, with A taken
+    out of those of v's ancestors, and None at 0 when B is leaf 0."""
     if v == 0:
         return [None]
     cluster = rooted.cluster
-    a, p, stop = cluster[v], rooted.parent[v], rooted.end[v]
-    refs: list[int | None] = [*cluster[:v], *cluster[stop:]]
+    a = cluster[v]
+    refs: list[int | None] = list(cluster)
     for u in rooted.layout.cuts[v].above:
         refs[u] = cluster[u] ^ a
-    del refs[p]
     return refs
 
 
 def _sums_b(rooted: _Rooted, v: int) -> list[int]:
-    """Per ref of side B, the sum of the terms (:class:`_Rooted`) of the
-    output splits B contributes when reconnected there.
+    """Per position of side B, the sum of the terms (:class:`_Rooted`) of
+    the output splits B contributes when reconnected there.
 
     B stays rooted at leaf 0.  The parent p of v is suppressed, so v's
     sibling s hangs from p's parent and its edge is the scar.  An ancestor
@@ -421,7 +421,7 @@ def _sums_b(rooted: _Rooted, v: int) -> list[int]:
     cluster, parent, hashes, prefix = rooted.cluster, rooted.parent, rooted.hashes, rooted.prefix
     term, width = rooted.term, rooted.width
     a, p, stop, size = cluster[v], parent[v], rooted.end[v], len(cluster)
-    # Per position but v's slice (p's entry is dropped last): the hashes of C'(u) | A and C'(u).
+    # Per position but v's slice: the hashes of C'(u) | A and C'(u).
     flipped = [*map(term, map(a.__or__, cluster[:v])), *map(term, map(a.__or__, cluster[stop:]))]
     kept = [*hashes[:v], *hashes[stop:]]
     flipped[p] = kept[p] = 0  # s continues from p's parent
@@ -430,12 +430,11 @@ def _sums_b(rooted: _Rooted, v: int) -> list[int]:
         flipped[u], kept[u] = hashes[u], term(cluster[u] ^ a)
         total += kept[u] - hashes[u]
     flips = [0] * size + [total]  # per position: the base and its flips up to leaf 0 (the last slot: parent -1)
-    sums = []
+    sums = [0] * size
     for u, up, down in zip(chain(range(v), range(stop, size)), flipped, kept):
         d = flips[parent[u]] + up
-        sums.append(d & width)
+        sums[u] = d & width
         flips[u] = d - down
-    del sums[p]
     return sums
 
 
@@ -571,39 +570,37 @@ def _hash_keys(rooted: _Rooted, span: int) -> list[list[int]]:
 
 
 def _split_delta(rooted: _Rooted, v: int, i: int, j: int) -> frozenset[int]:
-    """The splits in which the output of (ref a i, ref b j), the edge above
-    v bisected, and the input tree differ, read from the clusters along the
-    two reconnection paths: equal outputs have equal deltas.  What is lost
-    and gained again nets out.
+    """The splits in which the output of the operation at positions (i, j)
+    of A and of B, the edge above v bisected, and the input tree differ,
+    read from the clusters along the two reconnection paths: equal outputs
+    have equal deltas.  What is lost and gained again nets out.
 
-    A reconnected at the edge above w below x (or y) gains A ^ C(w), loses
+    A reconnected at the edge above i below x (or y) gains A ^ C(i), loses
     C(x) (or C(y)), and swaps C(u) for A ^ C(u) on each vertex between.  B
-    reconnected at the edge above w gains C(w) | A, loses C(p), and swaps
-    C(u) for C(u) ^ A on each ancestor of w or of s (hung from p's parent)
+    reconnected at the edge above j gains C(j) | A, loses C(p), and swaps
+    C(u) for C(u) ^ A on each ancestor of j or of s (hung from p's parent)
     but not of both.
     """
     parent, end, cluster = rooted.parent, rooted.end, rooted.cluster
     a = cluster[v]
     lost, gained, path = [], [], []
-    if i:  # refs of A: x, then x+1 .. y-1, then y+1 .. stop-1
-        w = v + 1 + i if v + 1 + i < end[v + 1] else v + 2 + i
-        gained.append(cluster[w] ^ a)
-        u = parent[w]
+    if i > v + 1:  # not the scar x, nor the leaf v
+        gained.append(cluster[i] ^ a)
+        u = parent[i]
         while parent[u] != v:
             path.append(u)
             u = parent[u]
         lost.append(cluster[u])
-    if j != rooted.layout.cuts[v].scar_b:  # refs of B: each position but p and the slice of v
+    if j != rooted.layout.cuts[v].scar_b:
         p = parent[v]
-        w = j if j < p else j + 1 if j < v - 1 else j + end[v] - v + 1
-        gained.append(cluster[w] | a)
+        gained.append(cluster[j] | a)
         lost.append(cluster[p])
-        u = parent[w]
-        while u >= 0 and not u < v < end[u]:  # the ancestors of w that are not v's
+        u = parent[j]
+        while u >= 0 and not u < v < end[u]:  # the ancestors of j that are not v's
             path.append(u)
             u = parent[u]
         top, u = parent[p] if u == p else u, parent[p]
-        while u != top:  # the ancestors of s that are not w's
+        while u != top:  # the ancestors of s that are not j's
             path.append(u)
             u = parent[u]
     lost += [cluster[u] for u in path]
@@ -620,7 +617,7 @@ def _join(t: str, c: int, u: str, d: int) -> str:
 
 
 def _texts_a(rooted: _Rooted, texts: list[str], v: int) -> list[str]:
-    """Newick text of side A rooted at each of its refs, in :func:`_refs_a`'s order.
+    """Newick text of side A rooted at each of its edges, by position.
 
     Rooted at the scar, A is the subtree of v.  Rooted at the edge above a
     vertex w below x, its children are the subtree of w and the rest of A
@@ -629,7 +626,7 @@ def _texts_a(rooted: _Rooted, texts: list[str], v: int) -> list[str]:
     """
     cluster, parent, end = rooted.cluster, rooted.parent, rooted.end
     a, x, stop = cluster[v], v + 1, end[v]
-    out = [texts[v]]
+    out = [texts[v]] * stop  # at the scar x, and at the leaf v
     if x == stop:
         return out
     y = end[x]
@@ -639,20 +636,21 @@ def _texts_a(rooted: _Rooted, texts: list[str], v: int) -> list[str]:
         q = parent[w]
         d = q + 1 if q + 1 != w else end[q + 1]  # the sibling of w
         rest[w] = _join(texts[d], cluster[d], rest[q], a ^ cluster[q])
-        out.append(_join(texts[w], cluster[w], rest[w], a ^ cluster[w]))
+        out[w] = _join(texts[w], cluster[w], rest[w], a ^ cluster[w])
     return out
 
 
 def _holes_b(rooted: _Rooted, texts: list[str], v: int, lead: str) -> tuple[list[str], list[str]]:
-    """Side B's Newick text left and right of a hole at each of its refs, in
-    :func:`_refs_b`'s order, for v > 0.
+    """Side B's Newick text left and right of a hole at each of its edges,
+    by position, for v > 0.
 
-    Reconnecting A at ref b gives the text left + (A's text) + right.  B
-    stays rooted at leaf 0 and v's sibling s hangs where v's parent p hung,
-    so only the ancestors of v change text, once each, with C(u) ^ A as
-    their cluster.  Going down, the subtree that holds the hole also holds
-    A, which can move it before its sibling.  The vertex next to leaf 0 is
-    written without its parentheses, after ``lead``: "(", leaf 0 and ",".
+    Reconnecting A at the edge of position j gives the text left + (A's
+    text) + right.  B stays rooted at leaf 0 and v's sibling s hangs where
+    v's parent p hung, so only the ancestors of v change text, once each,
+    with C(u) ^ A as their cluster.  Going down, the subtree that holds the
+    hole also holds A, which can move it before its sibling.  The vertex
+    next to leaf 0 is written without its parentheses, after ``lead``: "(",
+    leaf 0 and ",".
     """
     cluster, parent, end = rooted.cluster, rooted.parent, rooted.end
     a = cluster[v]
@@ -673,8 +671,7 @@ def _holes_b(rooted: _Rooted, texts: list[str], v: int, lead: str) -> tuple[list
         c = u
     size = len(cluster)
     left, right = [""] * size, [""] * size  # per position: the output's text before and after its subtree's inside
-    lefts: list[str] = []
-    rights: list[str] = []
+    lefts, rights = [""] * size, [""] * size  # per position: the same around a hole at its edge
     for u in chain(range(p), range(p + 1, v), range(stop, size)):
         w = p if parent[u] == p else u  # s hangs where p hung
         q = parent[w]
@@ -689,11 +686,9 @@ def _holes_b(rooted: _Rooted, texts: list[str], v: int, lead: str) -> tuple[list
         left[u], right[u] = before, after
         m = kept[u]
         if (m & -m) < low_a:
-            lefts.append(before + text[u] + ",")
-            rights.append(after)
+            lefts[u], rights[u] = before + text[u] + ",", after
         else:
-            lefts.append(before)
-            rights.append("," + text[u] + after)
+            lefts[u], rights[u] = before, "," + text[u] + after
     return lefts, rights
 
 
@@ -721,11 +716,11 @@ class _Survey:
     docstring).
 
     A kind's operations are its prefix of each bisection's key row, the
-    first ``row_ops[kind][v]`` positions, on both key paths.  Exact keys
+    first ``row_ops[kind][v]`` entries, on both key paths.  Exact keys
     are counted per kind, over those prefixes.  Hashed keys are counted
     once, for the widest kind, and each operation of a shared key is
-    re-checked once by :func:`_split_delta` and kept with its position;
-    each kind counts the deltas at positions inside its prefixes.
+    re-checked once by :func:`_split_delta` and kept with its index in its
+    row; each kind counts the deltas at indices inside its prefixes.
     """
 
     def __init__(self, tree: PhyloTree, kinds: tuple[OpKind, ...]):
@@ -740,15 +735,15 @@ class _Survey:
 
     @cached_property
     def rechecked(self) -> tuple[set[int], list[list[tuple[int, frozenset[int]]]]]:
-        """Of hashed keys: the shared keys, and per bisection the position
-        and split delta of each operation of one."""
+        """Of hashed keys: the shared keys, and per bisection the index in
+        its row and split delta of each operation of one."""
         rooted, keys = self.rooted, self.keys
         counts = Counter(chain.from_iterable(keys))
         shared = set(compress(counts, map((1).__lt__, counts.values())))
         deltas = []
         for v, (cut, row) in enumerate(zip(rooted.layout.cuts, keys)):
-            positions = compress(count(), map(shared.__contains__, row))
-            deltas.append([(pos, _split_delta(rooted, v, *cut.op_at(pos))) for pos in positions])
+            indices = compress(count(), map(shared.__contains__, row))
+            deltas.append([(index, _split_delta(rooted, v, *cut.op_at(index))) for index in indices])
         return shared, deltas
 
     def repeated(self, kind: OpKind) -> Counter:
@@ -758,7 +753,7 @@ class _Survey:
         row_ops = self.rooted.layout.row_ops[kind]
         if self.rooted.exact:
             return Counter(chain.from_iterable(row[:k] for row, k in zip(self.keys, row_ops)))
-        return Counter(delta for row, k in zip(self.rechecked[1], row_ops) for pos, delta in row if pos < k)
+        return Counter(delta for row, k in zip(self.rechecked[1], row_ops) for index, delta in row if index < k)
 
     def full_key(self, key: int | frozenset[int]) -> tuple[int, ...]:
         """The sorted split masks of the output with this exact key, or with this split delta."""
@@ -816,8 +811,8 @@ class SurveyEntry:
         if self.report.neighbourhood_size > len(self._repeated):  # some output has a hashed key of its own
             rooted, keys, shared = survey.rooted, survey.keys, survey.rechecked[0]
             for v, (cut, row, k) in enumerate(zip(rooted.layout.cuts, keys, rooted.layout.row_ops[self._kind])):
-                for pos in compress(count(), (key not in shared for key in row[:k])):
-                    yield survey.full_key(_split_delta(rooted, v, *cut.op_at(pos)))
+                for index in compress(count(), (key not in shared for key in row[:k])):
+                    yield survey.full_key(_split_delta(rooted, v, *cut.op_at(index)))
         yield from map(survey.full_key, self._repeated)
 
     @cached_property

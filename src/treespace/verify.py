@@ -397,11 +397,3 @@ def asymptotic_suite(limit: int = 1 << 20) -> SuiteResult:
             "three_fold_ratios": [{"n": n, "ratio": r} for n, r in three_fold],
         }
     )
-
-
-SUITES = {
-    "formulas": formulas_suite,
-    "redundancy": redundancy_suite,
-    "extremal": extremal_suite,
-    "asymptotic": asymptotic_suite,
-}

@@ -15,7 +15,6 @@ from typing import Iterable, Iterator
 import pytest
 
 from treespace import CanonicalForm, PhyloTree
-from treespace.newick_io import _quote
 from treespace.tree_core import Edge
 
 
@@ -175,12 +174,18 @@ def reference_newick(tree: PhyloTree) -> str:
 
     Rooted at the neighbour of leaf index 0, children ordered by their
     smallest leaf index.  It reads only the adjacency, never the preorder,
-    so it checks the preorder writer instead of sharing its route.
+    so it checks the preorder writer instead of sharing its route.  A label
+    holding whitespace or any of ``()[]',:;`` is quoted, each ``'`` doubled.
     """
+
+    def quote(name: str) -> str:
+        if any(ch.isspace() or ch in "()[]',:;" for ch in name):
+            return "'" + name.replace("'", "''") + "'"
+        return name
 
     def render(v: int, parent: int) -> tuple[int, str]:
         if tree.is_leaf(v):
-            return tree.vertex_leaf_index(v), _quote(tree.leaf_name(v))
+            return tree.vertex_leaf_index(v), quote(tree.leaf_name(v))
         parts = sorted(render(w, v) for w in tree.neighbors(v) if w != parent)
         return parts[0][0], "(" + ",".join(text for _, text in parts) + ")"
 

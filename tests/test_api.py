@@ -2,6 +2,7 @@
 test, and every name a module of the package imports is read in it."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -165,3 +166,108 @@ def test_unread_imports_finds_them(source, unread):
 @pytest.mark.parametrize("path", sorted(Path(treespace.__file__).parent.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text()) == []
+
+
+def unread_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """The module-level functions, classes and assigned names of the
+    ``sources`` (by module name) that no source reads, as ``module.name``,
+    unless ``exported``.  A read is a load of the name, an attribute of
+    that name, a from-import of it, or a ``getattr`` with an f-string
+    the name matches.  Dunder names are the interpreter's to read."""
+    defined, read, patterns = [], set(), []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr" and len(node.args) > 1:
+                if isinstance(name := node.args[1], ast.JoinedStr):
+                    parts = [re.escape(v.value) if isinstance(v, ast.Constant) else r"\w+" for v in name.values]
+                    patterns.append(re.compile("".join(parts)))
+    return [
+        f"{module}.{name}"
+        for module, name in defined
+        if not (name in read or name in exported or name.startswith("__") or any(p.fullmatch(name) for p in patterns))
+    ]
+
+
+def test_unread_definitions_finds_them():
+    """A definition read by name, by attribute, by a from-import or through
+    a getattr f-string counts; one read nowhere is reported."""
+    sources = {
+        "a": "def f(): pass\ndef g(): f()\nX = 1\nclass C: pass\ndef __dir__(): pass\ndef x_suite(): pass\n",
+        "b": "from a import X\nimport a\na.C\nY: int = 2\nZ = getattr(a, f'{X}_suite')\n",
+    }
+    assert unread_definitions(sources, {"Z"}) == ["a.g", "b.Y"]
+
+
+def test_every_definition_is_read():
+    """Nothing at module level in the package is left that the package
+    neither reads nor exports."""
+    package = Path(treespace.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    exported = {name for names in treespace._EXPORTS.values() for name in names}
+    assert unread_definitions(sources, exported) == []
+
+
+#: What the test oracles in conftest.py may import from treespace, by the
+#: module that defines it: the tree, its canonical form and edges, the
+#: errors, and the parser for the ``quartet`` fixture.  Never the survey,
+#: the closed forms, the suites, the extremal predicates or the Newick
+#: writer, which the oracles check.
+ORACLE_IMPORTS = {
+    "tree_core": {"PhyloTree", "CanonicalForm", "Edge"},
+    "errors": set(treespace._EXPORTS["errors"]),
+    "newick_io": {"parse_newick"},
+}
+
+
+def treespace_imports(source: str) -> set[tuple[str, str]]:
+    """(defining module, name) of each name ``source`` imports from
+    treespace; a whole module is (its name, "*"), the package ("", "*")."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {(a.name.partition(".")[2], "*") for a in node.names if a.name.partition(".")[0] == "treespace"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "treespace":
+            module = node.module.partition(".")[2]
+            for name in (alias.name for alias in node.names):
+                if module:
+                    found.add((module, name))
+                elif name in treespace._EXPORTS:
+                    found.add((name, "*"))
+                else:
+                    found.add((treespace._MODULE_OF[name], name))
+    return found
+
+
+def test_treespace_imports_resolves_each_name():
+    source = (
+        "import treespace.verify\n"
+        "from treespace import rearrange, PhyloTree, gamma\n"
+        "from treespace.newick_io import _quote\n"
+    )
+    assert treespace_imports(source) == {
+        ("verify", "*"),
+        ("rearrange", "*"),
+        ("tree_core", "PhyloTree"),
+        ("metrics", "gamma"),
+        ("newick_io", "_quote"),
+    }
+
+
+def test_oracles_import_only_the_tree_and_the_parser():
+    """The brute-force routes stay independent of what they check."""
+    imports = treespace_imports((Path(__file__).parent / "conftest.py").read_text())
+    assert {("tree_core", "PhyloTree"), ("newick_io", "parse_newick")} <= imports
+    assert sorted((module, name) for module, name in imports if name not in ORACLE_IMPORTS.get(module, ())) == []

@@ -44,7 +44,7 @@ import test_rearrange
 import test_tree_core
 import test_verify
 
-from treespace import OpKind, all_trees, cli, extremal, generators, metrics, rearrange, tree_core, verify
+from treespace import OpKind, all_trees, cli, extremal, generators, metrics, parse_newick, rearrange, tree_core, verify
 from treespace.verify import extremal_suite, formulas_suite, redundancy_suite
 
 
@@ -190,6 +190,18 @@ def ops_follow_the_scar_rule() -> None:
     test_rearrange.TestRootedPreparation().test_enumerate_ops_follows_the_scar_rule(trees)
 
 
+def ops_in_order() -> None:
+    test_rearrange.TestRootedPreparation().test_enumerate_ops_order(list(all_trees(5)))
+
+
+def single_leaf_refs_rejected() -> None:
+    test_rearrange.TestApply().test_single_leaf_side_takes_no_ref(parse_newick("((1,2),(3,4));").tree)
+
+
+def scar_scar_rejected() -> None:
+    test_rearrange.TestApply().test_scar_scar_unrepresentable(parse_newick("((1,2),(3,4));").tree)
+
+
 def parse_error_exits_2() -> None:
     code, out, err = test_cli._call(["info", "-"], b"((1,2,(3,4));\n")
     assert (code, out) == (2, "") and err.startswith("error: "), (code, err)
@@ -204,7 +216,7 @@ def failed_verification_exits_1() -> None:
 
 MUTANTS = {
     "split_delta_ignores_joined": Mutant(
-        rearrange, "_split_delta", "        gained.append(cluster[w] | a)\n", "", redundancy_up_to_6, True
+        rearrange, "_split_delta", "        gained.append(cluster[j] | a)\n", "", redundancy_up_to_6, True
     ),
     "split_delta_skips_ancestors_of_s": Mutant(
         rearrange, "_split_delta", "while u != top:", "while False:", formulas_up_to_6, True
@@ -215,7 +227,7 @@ MUTANTS = {
     # Caught by the report's own check: the count takes in other kinds'
     # outputs, and the single outputs go below zero to keep the sums.
     "repeated_reads_every_block": Mutant(
-        rearrange._Survey, "repeated", " for pos, delta in row if pos < k)", " for pos, delta in row)",
+        rearrange._Survey, "repeated", " for index, delta in row if index < k)", " for index, delta in row)",
         redundancy_up_to_6, hashed=True, raises=ValueError,
     ),
     "repeats_keeps_single_outputs": Mutant(
@@ -256,6 +268,14 @@ MUTANTS = {
     "sweep_octave_term_ends_an_octave_early": Mutant(
         test_verify, "complete_tbr_size_sweep", "n = 3 << (k - 1)", "n = 2 << (k - 1)", sweep_around_every_step
     ),
+    "sweep_even_step_q_gains_half": Mutant(
+        test_verify, "complete_tbr_size_sweep", "q[a::two_j] += two_j\n            t =",
+        "q[a::two_j] += half\n            t =", sweep_around_every_step,
+    ),
+    "sweep_odd_step_p_loses_two_j": Mutant(
+        test_verify, "complete_tbr_size_sweep", "p[a::two_j] -= four_j", "p[a::two_j] -= two_j",
+        sweep_around_every_step,
+    ),
     # The verify tables: a row left out shows in the suite's check count.
     "formulas_row_dropped": Mutant(
         verify, "_check_formula_tree", '        ("|N_NNI|", nni.neighbourhood_size, metrics.nni_size(n)),\n', "",
@@ -278,7 +298,7 @@ MUTANTS = {
         rearrange, "_sums_b", "        total += kept[u] - hashes[u]\n", "", formulas_up_to_6
     ),
     "blocks_one_nni_near_column": Mutant(
-        rearrange, "_blocks", "((0,), near_b),", "((0,), near_b[:1]),", formulas_up_to_6
+        rearrange, "_blocks", "((scar_a,), near_b),", "((scar_a,), near_b[:1]),", formulas_up_to_6
     ),
     "blocks_spr_row_repeats_nni_cols": Mutant(
         rearrange, "_blocks", "[j for j in rest_cols if j not in near_b]", "rest_cols", formulas_up_to_6
@@ -290,7 +310,13 @@ MUTANTS = {
         rearrange, "_blocks", "[i for i in rest_rows if i not in near_a]", "rest_rows", formulas_up_to_6
     ),
     "blocks_keep_scar_scar": Mutant(
-        rearrange, "_blocks", "rest_rows = range(1, rows)", "rest_rows = range(0, rows)", formulas_up_to_6
+        rearrange, "_blocks", "rest_rows = rows[0], rows[1:]", "rest_rows = rows[0], rows", formulas_up_to_6
+    ),
+    "cut_cols_keep_p": Mutant(
+        rearrange._Layout, "_cut", "[*range(p), *range(p + 1, v),", "[*range(v),", formulas_up_to_6
+    ),
+    "cut_second_near_a_names_y": Mutant(
+        rearrange._Layout, "_cut", "near_a += (y + 1, end[y + 1])", "near_a += (y, end[y + 1])", formulas_up_to_6
     ),
     "layout_shared_across_shapes": Mutant(
         rearrange, "_layout", "return _Layout(parent)",
@@ -318,6 +344,18 @@ MUTANTS = {
         "text[u], kept[u] = _join(text[c], kept[c], texts[d], cluster[d]), cluster[u]", spliced_texts,
     ),
     "join_children_reversed": Mutant(rearrange, "_join", "(c & -c) < (d & -d)", "(c & -c) > (d & -d)", spliced_texts),
+    # Enumeration and apply_op's own op checks.
+    "enumerate_ops_unsorted": Mutant(
+        test_rearrange, "enumerate_ops", "sorted(range(len(cluster)), key=cluster.__getitem__)", "range(len(cluster))",
+        ops_in_order,
+    ),
+    "check_ref_takes_single_leaf_ref": Mutant(
+        rearrange, "_check_ref", "if ref is not None:", "if False:", single_leaf_refs_rejected,
+        raises=pytest.fail.Exception,
+    ),
+    "apply_op_keeps_scar_scar": Mutant(
+        test_rearrange, "apply_op", "if at_scars:", "if False:", scar_scar_rejected, raises=pytest.fail.Exception
+    ),
     # Shape predicates.
     "is_caterpillar_first_child_only": Mutant(
         extremal, "is_caterpillar", " or a - size[u + 1] == 1", "", extremal_up_to_7

@@ -168,6 +168,16 @@ class TestApply:
         with pytest.raises(InvalidOp):
             apply_op(quartet, RearrangementOp(internal, *scar_refs(quartet, internal)))
 
+    def test_single_leaf_side_takes_no_ref(self, quartet):
+        """A component that is one leaf offers no reconnection edge, so a
+        ref there is refused even when the other side's is valid: for side
+        A on a pendant edge, and for side B when it is leaf 0."""
+        ops = {op.bisect_mask: op for op in enumerate_ops(quartet)}  # a valid op of each bisection
+        leaf_a, leaf_b = ops[leaf_mask(quartet, "3")], ops[quartet.full_mask ^ 1]
+        for bad in (leaf_a._replace(reconnect_a=leaf_a.reconnect_b), leaf_b._replace(reconnect_b=leaf_b.reconnect_a)):
+            with pytest.raises(InvalidOp, match="is a single leaf"):
+                apply_op(quartet, bad)
+
     def test_bad_refs_rejected(self, quartet):
         with pytest.raises(InvalidOp):
             apply_op(quartet, RearrangementOp(0b0110, 1, None))  # not an edge split
@@ -612,6 +622,11 @@ class TestOneCount:
             assert len(calls) == 1, kinds
 
 
+def cut_positions(cut) -> tuple[set[int], set[int]]:
+    """The positions a cut's blocks name: the union of their rows, and of their cols."""
+    return {i for rows, _ in cut.blocks for i in rows}, {j for _, cols in cut.blocks for j in cols}
+
+
 REFERENCE_TREES = {
     "T4-T7": [t for n in (4, 5, 6, 7) for t in all_trees(n)],
     "random16-64": [random_tree(n, n) for n in range(16, 65, 8)],
@@ -625,15 +640,20 @@ class TestRootedPreparation:
 
     @pytest.mark.parametrize("trees", REFERENCE_TREES.values(), ids=REFERENCE_TREES.keys())
     def test_sides_match_adjacency_walk(self, trees):
-        """Each side's refs, scar and near-scar refs, read through the layout's indices."""
+        """Each side's refs, scar and near-scar refs, read at the layout's positions."""
         for tree in trees:
             rooted = _Rooted(tree)
             for mask, want_a, want_b in reference_bisections(tree):
                 v = rooted.cluster.index(mask)
                 cut = rooted.layout.cuts[v]
-                sides = (_refs_a(rooted, v), 0, cut.near_a), (_refs_b(rooted, v), cut.scar_b, cut.near_b)
-                for (refs, scar, near), (want_refs, want_scar, want_near) in zip(sides, (want_a, want_b)):
-                    assert tuple(sorted(refs, key=lambda r: -1 if r is None else r)) == want_refs
+                rows, cols = cut_positions(cut)
+                (scar_a,), _ = cut.blocks[0]
+                sides = (
+                    (_refs_a(rooted, v), rows, scar_a, cut.near_a),
+                    (_refs_b(rooted, v), cols, cut.scar_b, cut.near_b),
+                )
+                for (refs, at, scar, near), (want_refs, want_scar, want_near) in zip(sides, (want_a, want_b)):
+                    assert tuple(sorted((refs[k] for k in at), key=lambda r: -1 if r is None else r)) == want_refs
                     assert refs[scar] == want_scar
                     assert frozenset(refs[k] for k in near) == want_near
 
@@ -652,14 +672,15 @@ class TestRootedPreparation:
             rooted, full = _Rooted(tree), tree.full_mask
             for mask, side_a, side_b in reference_bisections(tree):
                 v = rooted.cluster.index(mask)
+                rows, cols = cut_positions(rooted.layout.cuts[v])
                 sides = (
-                    (mask, side_a, _refs_a(rooted, v), _sums_a(rooted, v)),
-                    (full ^ mask, side_b, _refs_b(rooted, v), _sums_b(rooted, v)),
+                    (mask, side_a, _refs_a(rooted, v), _sums_a(rooted, v), rows),
+                    (full ^ mask, side_b, _refs_b(rooted, v), _sums_b(rooted, v), cols),
                 )
-                for component, (want_refs, _, _), refs, sums in sides:
-                    for ref, total in zip(refs, sums):
-                        parts = reference_contributions(component, want_refs, ref, full)
-                        assert sum(map(rooted.term, parts)) & rooted.width == total
+                for component, (want_refs, _, _), refs, sums, at in sides:
+                    for k in at:
+                        parts = reference_contributions(component, want_refs, refs[k], full)
+                        assert sum(map(rooted.term, parts)) & rooted.width == sums[k]
 
     @pytest.mark.parametrize(
         "trees",
@@ -711,6 +732,11 @@ LAYOUT_TREES = {
     "random8-24": [random_tree(n, seed) for n in range(8, 25) for seed in (n, n + 100)],
 }
 
+CUT_TREES = {
+    "T4-T7": LAYOUT_TREES["T4-T7"],
+    "random8-64": [random_tree(n, n) for n in range(8, 65)],
+}
+
 
 class TestShapeLayout:
     """What a tree's rooted shape fixes is built once per shape."""
@@ -728,6 +754,34 @@ class TestShapeLayout:
             assert _Rooted(first).layout is _Rooted(other).layout
             layouts.add(id(_Rooted(first).layout))
         assert len(layouts) == len(by_shape)
+
+    @pytest.mark.parametrize("trees", CUT_TREES.values(), ids=CUT_TREES.keys())
+    def test_cuts_name_edges_by_position(self, trees):
+        """A's rows are the slice of v but v and its second child y, with the
+        scar at its first child x, or v alone when A is a leaf; B's cols are
+        every position but v's parent p and the slice, or 0 alone when B is
+        leaf 0; and B's scar is v's sibling.  Slices and children are read
+        off the parent positions alone."""
+        for tree in trees:
+            parent = tree.preorder.parent
+            below = [{u} for u in range(len(parent))]  # the positions of each subtree
+            children: list[list[int]] = [[] for _ in parent]
+            for u in range(len(parent) - 1, 0, -1):
+                below[parent[u]] |= below[u]
+                children[parent[u]].insert(0, u)
+            for v, cut in enumerate(_layout(parent).cuts):
+                rows, cols = cut_positions(cut)
+                if children[v]:
+                    x, y = children[v]
+                    assert (cut.blocks[0][0], rows) == ((x,), below[v] - {v, y}), (tree, v)
+                else:
+                    assert rows == {v}, (tree, v)
+                if v:
+                    p = parent[v]
+                    assert cols == set(range(len(parent))) - below[v] - {p}, (tree, v)
+                    assert {cut.scar_b} == set(children[p]) - {v}, (tree, v)
+                else:
+                    assert (cols, cut.scar_b) == ({0}, 0), tree
 
     @pytest.mark.parametrize("trees", LAYOUT_TREES.values(), ids=LAYOUT_TREES.keys())
     def test_blocks_and_counts_match_adjacency_walk(self, trees):

@@ -2,6 +2,7 @@
 literal choices, and the lazy package namespace behind them."""
 
 import argparse
+import inspect
 import os
 import subprocess
 import sys
@@ -130,16 +131,18 @@ def parser_choices(command: str, dest: str) -> list[str]:
 
 def test_parser_choices_match_their_sources():
     """The literal choices, which spare the parser three imports, list the
-    enums and the suite table in their order."""
+    enums in their order and the verify.<suite>_suite functions by name."""
     assert parser_choices("neighbourhood", "op") == [k.value for k in OpKind]
     assert parser_choices("generate", "family") == [f.value for f in TreeFamily]
-    assert parser_choices("verify", "suite") == sorted(verify.SUITES)
+    suites = sorted(name[: -len("_suite")] for name in vars(verify) if name.endswith("_suite"))
+    assert parser_choices("verify", "suite") == suites
 
 
 def test_suites_resolve_by_name():
-    """cmd_verify calls verify.<suite>_suite; each is the suite table's entry."""
-    for name, suite in verify.SUITES.items():
-        assert getattr(verify, f"{name}_suite") is suite
+    """cmd_verify calls verify.<suite>_suite for each choice; each is a function of verify's own."""
+    for name in parser_choices("verify", "suite"):
+        suite = getattr(verify, f"{name}_suite")
+        assert inspect.isfunction(suite) and suite.__module__ == verify.__name__, name
 
 
 class TestLazyNamespace:

@@ -109,8 +109,8 @@ def cmd_neighbourhood(args: argparse.Namespace) -> int:
         raise TreeError("neighbourhood takes exactly one input tree")
     tree, _ = docs[0]
     kind = OpKind(args.op)
-    inputs = {"source": args.input, "op": kind.value, "newick": serialize_newick(tree)}
     entry = op_survey(tree, (kind,))[kind]
+    inputs = {"source": args.input, "op": kind.value, "newick": serialize_newick(tree)}
     if args.emit_trees:
         # The spliced texts give the size (the key count runs for a histogram only); the op input names the kind.
         newicks = sorted(entry.newicks())

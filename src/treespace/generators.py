@@ -1,5 +1,10 @@
 """Constructors for named tree families and exhaustive enumeration of T_n.
 
+The caterpillar and the complete tree come from one split rule, each part
+of consecutive leaves splitting into a first block and the rest: one leaf
+first for the caterpillar, a balanced power of two for the complete tree.
+The perfect tree is the complete tree at the perfect sizes.
+
 All generators label leaves "1".."n" left to right, so leaf index i carries
 label str(i+1).  Leaf vertices get ids 0..n-1 and internal vertices n and up,
 purely for reproducibility; nothing downstream depends on the ids.
@@ -35,90 +40,71 @@ def _check_cap(n: int) -> None:
         raise TooManyLeaves(f"tree construction is capped at {MAX_LEAVES} leaves, got {n}")
 
 
-def caterpillar(n: int) -> PhyloTree:
-    """The spine tree: internal vertices in a path, every one holding a leaf.
+def _unrooted(n: int, first: Callable[[int], int]) -> PhyloTree:
+    """The tree on leaves 0..n-1 built by one split rule.
 
-    Leaves attach in label order, giving cherries {1,2} and {n-1,n}.
+    Every rooted part of m >= 2 consecutive leaves splits into its first
+    ``first(m)`` leaves and the rest, and the two parts of all n leaves are
+    joined by one edge.  Each part takes its internal id before its own
+    parts, the left one first.
     """
     require_leaves(n)
     _check_cap(n)
-    spine = [n + j for j in range(n - 2)]
-    edges: list[Edge] = [(0, spine[0]), (1, spine[0])]
-    for i in range(2, n - 2):
-        edges.append((i, spine[i - 1]))
-    edges.extend([(n - 2, spine[-1]), (n - 1, spine[-1])])
-    edges.extend((spine[j], spine[j + 1]) for j in range(n - 3))
+    ids = itertools.count(n)
+    edges: list[Edge] = []
+
+    def rooted(lo: int, hi: int) -> int:
+        if hi - lo == 1:
+            return lo
+        root, mid = next(ids), lo + first(hi - lo)
+        edges.append((root, rooted(lo, mid)))
+        edges.append((root, rooted(mid, hi)))
+        return root
+
+    edges.append((rooted(0, first(n)), rooted(first(n), n)))
     return PhyloTree(edges, _names(n))
 
 
-class _Builder:
-    """Accumulates edges while handing out fresh internal vertex ids."""
+def _balanced(m: int) -> int:
+    """The first part of a maximally balanced rooted subtree on m >= 2 leaves.
 
-    def __init__(self, n: int):
-        self.edges: list[Edge] = []
-        self.next_id = n
+    The root splits off a block of 2^j leaves, where j is the unique index
+    with 3*2^(j-1) <= m < 3*2^j (j = 0 for m = 2), and both parts recurse.
+    A block of 2^j leaves splits into halves all the way down, so on
+    m = 2^k leaves the subtree is perfectly balanced.
+    """
+    return 1 << (m // 3).bit_length()
 
-    def fresh(self) -> int:
-        v = self.next_id
-        self.next_id += 1
-        return v
 
-    def complete_rooted(self, leaves: list[int]) -> int:
-        """Maximally balanced rooted subtree on m >= 1 leaves.
+def caterpillar(n: int) -> PhyloTree:
+    """The spine tree: internal vertices in a path, every one holding a leaf.
 
-        The root splits off a block of 2^j leaves, where j is the unique
-        index with 3*2^(j-1) <= m < 3*2^j (j = 0 for m = 2), and both parts
-        recurse.  A block of 2^j leaves splits into halves all the way
-        down, so on m = 2^k leaves the subtree is perfectly balanced.
-        """
-        m = len(leaves)
-        if m == 1:
-            return leaves[0]
-        block = 1 << (m // 3).bit_length()
-        root = self.fresh()
-        self.edges.append((root, self.complete_rooted(leaves[:block])))
-        self.edges.append((root, self.complete_rooted(leaves[block:])))
-        return root
+    Every part splits off its first leaf, so leaves attach in label order,
+    giving cherries {1,2} and {n-1,n}.
+    """
+    return _unrooted(n, lambda m: 1)
 
 
 def complete(n: int) -> PhyloTree:
     """The maximally balanced tree on n leaves.
 
-    With k such that 3*2^k <= n < 3*2^(k+1), a perfectly balanced subtree on
-    2^(k+1) leaves is joined by a bridge edge to the recursively built
-    remainder; every cluster then splits into a power-of-two part and a
-    near-balanced part.
+    Every part, all n leaves included, splits into a first block of
+    :func:`_balanced` size, a power of two perfectly balanced below it, and
+    a near-balanced remainder.  With 3*2^k <= n < 3*2^(k+1) the top block
+    has 2^(k+1) leaves.
     """
-    require_leaves(n)
-    _check_cap(n)
-    b = _Builder(n)
-    k = (n // 3).bit_length() - 1
-    half = 1 << (k + 1)
-    left = b.complete_rooted(list(range(half)))
-    right = b.complete_rooted(list(range(half, n)))
-    b.edges.append((left, right))
-    return PhyloTree(b.edges, _names(n))
+    return _unrooted(n, _balanced)
 
 
 def perfect(n: int) -> PhyloTree:
     """The fully balanced tree; exists only for n = 2^k or n = 3*2^(k-1).
 
-    n = 2^k gives two-fold symmetry about a central edge, n = 3*2^(k-1)
-    three-fold symmetry about a central vertex.
+    It is the complete tree at those sizes: n = 2^k gives two-fold symmetry
+    about the central edge, n = 3*2^(k-1) three-fold symmetry about the
+    root of the top block of 2^k leaves.
     """
-    form, k = perfect_form(n)
-    _check_cap(n)
-    b = _Builder(n)
-    if form == "two_fold":
-        left = b.complete_rooted(list(range(n // 2)))
-        right = b.complete_rooted(list(range(n // 2, n)))
-        b.edges.append((left, right))
-    else:
-        center = b.fresh()
-        third = n // 3
-        for i in range(3):
-            b.edges.append((center, b.complete_rooted(list(range(i * third, (i + 1) * third)))))
-    return PhyloTree(b.edges, _names(n))
+    perfect_form(n)
+    return complete(n)
 
 
 def random_tree(n: int, seed: int) -> PhyloTree:

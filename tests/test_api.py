@@ -2,7 +2,9 @@
 test, and every name a module of the package imports is read in it."""
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -168,6 +170,47 @@ def test_every_import_is_read(path):
     assert unread_imports(path.read_text()) == []
 
 
+#: Tokens that are no code: layout, comments and the end of the source.
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """The number of lines of ``source`` that hold code: a token other than
+    a comment, outside every module, class and function docstring.  A token
+    over several lines counts on each; blank lines never count."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_code_lines_counts_code_only():
+    """Docstrings at every level, comments and blank lines are left out; a
+    string that is no docstring counts on each of its lines."""
+    source = '''"""Module
+docstring."""
+
+# a comment
+def f(x):  # trailing
+    """Function docstring."""
+    return (x +
+            1)
+
+class C:
+    """Class docstring."""
+    text = """one
+two"""
+'''
+    assert code_lines(source) == 6
+
+
 def unread_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
     """The module-level functions, classes and assigned names of the
     ``sources`` (by module name) that no source reads, as ``module.name``,
@@ -271,3 +314,12 @@ def test_oracles_import_only_the_tree_and_the_parser():
     imports = treespace_imports((Path(__file__).parent / "conftest.py").read_text())
     assert {("tree_core", "PhyloTree"), ("newick_io", "parse_newick")} <= imports
     assert sorted((module, name) for module, name in imports if name not in ORACLE_IMPORTS.get(module, ())) == []
+
+
+if __name__ == "__main__":
+    # Code lines per module of the package and in total, with the package
+    # on the path: PYTHONPATH=src python tests/test_api.py
+    counts = {path.name: code_lines(path.read_text()) for path in sorted(Path(treespace.__file__).parent.glob("*.py"))}
+    for name, count in counts.items():
+        print(f"{count:6d}  {name}")
+    print(f"{sum(counts.values()):6d}  total")

@@ -125,6 +125,14 @@ class TestNeighbourhood:
         assert len(results["ops"]) == 8
         assert all(set(op) == {"bisect_mask", "reconnect_a", "reconnect_b"} for op in results["ops"])
 
+    @pytest.mark.parametrize("text", ["a;", "(a,b);", "(a,b,c);"])
+    @pytest.mark.parametrize("emit", [[], ["--emit-trees"]], ids=["report", "emit-trees"])
+    def test_too_few_leaves(self, text, emit):
+        """Every tree below 4 leaves is refused for its size, before its
+        Newick is written into the report's inputs."""
+        code, out, err = _call(["neighbourhood", "-", *emit], text.encode() + b"\n")
+        assert (code, out) == (2, "") and "need at least 4 leaves" in err, err
+
 
 EMIT_TREES = [
     *((f"T6-{i}", t) for i, t in enumerate(itertools.islice(all_trees(6), 0, None, 26))),

@@ -1,8 +1,10 @@
 """Tree families, the exhaustive T_n enumerator and the workers that share it."""
 
+import hashlib
 import os
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -23,9 +25,13 @@ from treespace import (
     parse_newick,
     perfect,
     random_tree,
+    serialize_newick,
     tree_count,
 )
-from treespace.generators import fork_map, insertion_prefixes, shards
+from treespace.generators import TreeFamily, fork_map, generate, insertion_prefixes, shards
+
+#: The perfect sizes up to the leaf cap: n = 2^k and n = 3*2^(k-1), k >= 2.
+PERFECT_SIZES = (4, 6, 8, 12, 16, 24, 32, 48, 64)
 
 
 class TestCaterpillar:
@@ -83,6 +89,22 @@ class TestPerfect:
     @pytest.mark.parametrize("n", [6, 8, 12, 16, 24, 32, 48, 64])
     def test_same_form_as_complete(self, n):
         assert perfect(n).canonical_form() == complete(n).canonical_form()
+
+    @pytest.mark.parametrize("n", PERFECT_SIZES)
+    def test_symmetry_in_split_sizes(self, n):
+        """The non-trivial splits by their smaller side.  n = 2^k: the
+        central split of n/2, then 2^(k-j) splits of 2^j on both sides of
+        it.  n = 3*2^(k-1): 3*2^(k-1-j) splits of 2^j, the same in each of
+        the three branches at the central vertex."""
+        smaller = (min(mask.bit_count(), n - mask.bit_count()) for mask in perfect(n).split_masks)
+        sides = Counter(side for side in smaller if side > 1)
+        if n & (n - 1) == 0:
+            k = n.bit_length() - 1
+            expected = {n // 2: 1, **{1 << j: 1 << (k - j) for j in range(1, k - 1)}}
+        else:
+            k = (n // 3).bit_length()
+            expected = {1 << j: 3 << (k - 1 - j) for j in range(1, k)}
+        assert sides == expected
 
     @pytest.mark.parametrize("n", [3, 5, 7, 10, 20])
     def test_rejects_other_sizes(self, n):
@@ -239,6 +261,23 @@ class TestForkMap:
         assert not other.is_alive()
 
 
+#: SHA-256 of the Newick lines each named family writes, one tree a line:
+#: n = 4..64, the perfect tree at its sizes.
+LABELLED_OUTPUT = {
+    TreeFamily.CATERPILLAR: (range(4, 65), "aeb4ff1ba50caa901b5f948d1e9779910590060ef2f4432ab35527f0a86d0674"),
+    TreeFamily.COMPLETE: (range(4, 65), "66ee09193201047cffb9fbf7fbf3094d279c6eacf7ad430d0f056cc839f59f8a"),
+    TreeFamily.PERFECT: (PERFECT_SIZES, "c76d9eb34536de10e36068fc3399a2de5c528cdba6bcc319ff6dff6ede6274a5"),
+}
+
+
 class TestFamilyExamples:
     def test_perfect6_matches_literal_newick(self):
         assert perfect(6) == parse_newick("(1,2,((3,4),(5,6)));").tree
+
+    @pytest.mark.parametrize("family", LABELLED_OUTPUT, ids=lambda family: family.value)
+    def test_labelled_output_pinned(self, family):
+        """The labelled trees themselves, not only their shapes: the shape
+        predicates and Gamma hold for any labelling of the right shape."""
+        sizes, digest = LABELLED_OUTPUT[family]
+        text = "".join(serialize_newick(generate(family, n)) + "\n" for n in sizes)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

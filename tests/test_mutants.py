@@ -150,6 +150,10 @@ def complete_predicate_and_closed_form() -> None:
         test_generators.TestComplete().test_predicate_and_closed_form(n)
 
 
+def complete_output_pinned() -> None:
+    test_generators.TestFamilyExamples().test_labelled_output_pinned(generators.TreeFamily.COMPLETE)
+
+
 def is_complete_against_reference() -> None:
     for n in range(4, 9):
         test_extremal.TestIsCompleteReference().test_every_small_tree(n)
@@ -202,6 +206,14 @@ def scar_scar_rejected() -> None:
     test_rearrange.TestApply().test_scar_scar_unrepresentable(parse_newick("((1,2),(3,4));").tree)
 
 
+def bad_refs_rejected() -> None:
+    test_rearrange.TestApply().test_bad_refs_rejected(parse_newick("((1,2),(3,4));").tree)
+
+
+def unnormalized_mask_rejected() -> None:
+    test_rearrange.TestApply().test_unnormalized_mask_rejected(parse_newick("((1,2),(3,4));").tree)
+
+
 def parse_error_exits_2() -> None:
     code, out, err = test_cli._call(["info", "-"], b"((1,2,(3,4));\n")
     assert (code, out) == (2, "") and err.startswith("error: "), (code, err)
@@ -239,8 +251,14 @@ MUTANTS = {
         repeats_are_the_multiple_outputs,
     ),
     "complete_rooted_block_too_small": Mutant(
-        generators._Builder, "complete_rooted", "block = 1 << (m // 3).bit_length()",
-        "block = 1 << max(0, (m // 3).bit_length() - 1)", complete_predicate_and_closed_form,
+        generators, "_balanced", "1 << (m // 3).bit_length()", "1 << max(0, (m // 3).bit_length() - 1)",
+        complete_predicate_and_closed_form,
+    ),
+    # The right shape with its leaves in another order: only the labelled
+    # output shows it.
+    "complete_remainder_first": Mutant(
+        generators, "complete", "_unrooted(n, _balanced)", "_unrooted(n, lambda m: m - _balanced(m))",
+        complete_output_pinned,
     ),
     # Closed forms.
     "nni_size_off_by_two": Mutant(metrics, "nni_size", "2 * n - 6", "2 * n - 4", formulas_up_to_6),
@@ -355,6 +373,15 @@ MUTANTS = {
     ),
     "apply_op_keeps_scar_scar": Mutant(
         test_rearrange, "apply_op", "if at_scars:", "if False:", scar_scar_rejected, raises=pytest.fail.Exception
+    ),
+    # Without either lookup check the unknown mask or ref is looked up
+    # regardless: a KeyError, not InvalidOp.
+    "apply_op_takes_any_bisect_mask": Mutant(
+        test_rearrange, "apply_op", "if op.bisect_mask not in hung:", "if False:", unnormalized_mask_rejected,
+        raises=KeyError,
+    ),
+    "check_ref_takes_any_ref": Mutant(
+        rearrange, "_check_ref", "elif ref not in refs:", "elif False:", bad_refs_rejected, raises=KeyError
     ),
     # Shape predicates.
     "is_caterpillar_first_child_only": Mutant(
